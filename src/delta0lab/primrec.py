@@ -12,9 +12,21 @@ R-terms at growing last arguments costs one step each.  Two further
 optimizations are observationally pure (they never change a value, only
 skip work whose result is forced):
 
-* canonical arithmetic subterms (addition, multiplication, the sign
-  functions, truncated subtraction and friends) are computed directly
-  instead of by unrolling their recursions;
+* intrinsics: registered subterms are computed by a Python twin instead
+  of by unrolling their recursions.  The families are
+  - the canonical arithmetic below (addition, multiplication, the sign
+    functions, truncated subtraction, the order and equality tests,
+    powers, parity and halving);
+  - the primality test prlib.CHI_PRIME;
+  - the compact coding's gamma-stream reader in satpr: its bit-length
+    search, right shift, zero-run search, one-hop offset step and
+    sequence-length search.
+  Every twin is exact on all naturals, costs one step, and does Python
+  work near-linear in the bit length of its arguments; a twin that
+  cannot stay within that returns None and the term is evaluated by its
+  equations.  Recursion columns around a twin (the prime column, the
+  next-prime sweep, the offset column) stay ticked, so max_steps keeps
+  bounding the work;
 * recursions of the shapes emitted for bounded quantifiers stop early at
   their absorbing value (a product stuck at 0, a flagged sum stuck at 1).
 
@@ -24,6 +36,7 @@ Both can be disabled for tests that want the raw recursion equations.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
@@ -168,19 +181,46 @@ PARITY = Comp(PrimRec(Zero(), Comp(SGBAR, (Proj(1, 3),))), (P11, P11))
 HALF = Comp(PrimRec(Zero(), Comp(ADD, (Proj(1, 3), Comp(PARITY, (Proj(3, 3),))))),
             (P11, P11))
 
-_INTRINSIC_TABLE: tuple[tuple[PRTerm, object], ...] = (
-    (ADD, lambda a: a[0] + a[1]),
-    (MUL, lambda a: a[0] * a[1]),
-    (SG, lambda a: min(a[0], 1)),
-    (SGBAR, lambda a: 1 if a[0] == 0 else 0),
-    (PRED, lambda a: max(a[0] - 1, 0)),
-    (MONUS, lambda a: max(a[0] - a[1], 0)),
-    (CHI_LE, lambda a: 1 if a[0] <= a[1] else 0),
-    (CHI_EQ, lambda a: 1 if a[0] == a[1] else 0),
-    (POW, lambda a: a[0] ** a[1]),
-    (PARITY, lambda a: a[0] & 1),
-    (HALF, lambda a: a[0] >> 1),
-)
+Twin = Callable[[tuple[int, ...]], int | None]
+
+
+def _shape(t: PRTerm) -> tuple:
+    """Node kind and its children's kinds; structurally equal terms share it."""
+    if isinstance(t, Comp):
+        return Comp, type(t.f), len(t.gs)
+    if isinstance(t, PrimRec):
+        return PrimRec, type(t.f), type(t.g)
+    return (type(t),)
+
+
+# (term, twin) pairs by shape; a twin maps the argument tuple to the term's
+# value, or to None when it leaves that argument to the equations.  A node
+# is compared only with the registered terms of its own shape
+_INTRINSICS: dict[tuple, list[tuple[PRTerm, Twin]]] = {}
+
+
+def intrinsic(t: PRTerm, twin: Twin) -> PRTerm:
+    """Register twin as the Python computation of t and return t.
+
+    Every term structurally equal to t is then computed by twin in one
+    step.  The twin must equal t's recursion equations on all naturals and
+    do work near-linear in the bit length of its arguments.
+    """
+    _INTRINSICS.setdefault(_shape(t), []).append((t, twin))
+    return t
+
+
+intrinsic(ADD, lambda a: a[0] + a[1])
+intrinsic(MUL, lambda a: a[0] * a[1])
+intrinsic(SG, lambda a: min(a[0], 1))
+intrinsic(SGBAR, lambda a: 1 if a[0] == 0 else 0)
+intrinsic(PRED, lambda a: max(a[0] - 1, 0))
+intrinsic(MONUS, lambda a: max(a[0] - a[1], 0))
+intrinsic(CHI_LE, lambda a: 1 if a[0] <= a[1] else 0)
+intrinsic(CHI_EQ, lambda a: 1 if a[0] == a[1] else 0)
+intrinsic(POW, lambda a: 1 << a[1] if a[0] == 2 else a[0] ** a[1])
+intrinsic(PARITY, lambda a: a[0] & 1)
+intrinsic(HALF, lambda a: a[0] >> 1)
 
 
 class Evaluator:
@@ -204,7 +244,8 @@ class Evaluator:
         self._const_from: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         self._sumtail: dict[int, PrimRec | None] = {}
         self._kind: dict[int, tuple] = {}
-        self._pin: list[PRTerm] = []   # keeps ids in _kind/_cache alive
+        self._arity: dict[int, int] = {}   # validated roots
+        self._pin: list[PRTerm] = []   # keeps ids in _kind/_cache/_arity alive
 
     # -- classification -------------------------------------------------
 
@@ -214,7 +255,7 @@ class Evaluator:
             return got
         kind: tuple = ("plain",)
         if self.use_intrinsics:
-            for canon, fn in _INTRINSIC_TABLE:
+            for canon, fn in _INTRINSICS.get(_shape(t), ()):
                 if t == canon:
                     kind = ("intrinsic", fn)
                     break
@@ -263,12 +304,15 @@ class Evaluator:
 
     def eval(self, t: PRTerm, args) -> int:
         args = tuple(args)
-        arity = validate(t)
+        arity = self._arity.get(id(t))
+        if arity is None:
+            arity = validate(t)
+            self._arity[id(t)] = arity
+            self._pin.append(t)   # cache keys use id(); the root must outlive them
         if len(args) != arity:
             raise ArityError(f"term of arity {arity} applied to {len(args)} arguments")
         if any(a < 0 for a in args):
             raise PRError("arguments must be naturals")
-        self._pin.append(t)   # cache keys use id(); the root must outlive them
         return self._eval(t, args)
 
     def _tick(self):
@@ -292,12 +336,10 @@ class Evaluator:
                 return args[i - 1]
             case Comp() | PrimRec():
                 kind = self._classify(t)
-                if kind[0] == "intrinsic":
-                    v = kind[1](args)
-                elif isinstance(t, Comp):
-                    v = self._eval_comp(t, args)
-                else:
-                    v = self._eval_rec(t, args)
+                v = kind[1](args) if kind[0] == "intrinsic" else None
+                if v is None:
+                    v = (self._eval_comp(t, args) if isinstance(t, Comp)
+                         else self._eval_rec(t, args))
             case _:
                 raise PRError(f"not a PR term: {t!r}")
         self._cache[key] = v
@@ -344,7 +386,9 @@ class Evaluator:
             if start >= n:
                 return self._cache[(id(t), args)]
             acc = self._cache[(id(t), xs + (start,))]
-        for i in range(start, n):
+        # a counter, not range(start, n), which copies a huge n several times
+        i = start
+        while i < n:
             if absorb is not None and acc == absorb:
                 self._absorbed[col] = (i, absorb)
                 self._hi[col] = max(self._hi.get(col, -1), i)
@@ -357,7 +401,8 @@ class Evaluator:
                     return acc
             self._tick()
             acc = self._eval(t.g, (acc,) + xs + (i,))
-            self._cache[(id(t), xs + (i + 1,))] = acc
+            i += 1
+            self._cache[(id(t), xs + (i,))] = acc
         self._hi[col] = n
         return acc
 

@@ -14,16 +14,18 @@ not divide the code.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, P11, PARITY, POW, PRED, SG, SGBAR,
-    Comp, PRTerm, PrimRec, Proj, Succ, Zero, validate,
+    Comp, PRTerm, PrimRec, Proj, Succ, Zero, intrinsic, validate,
 )
 
 __all__ = [
     "ADD", "MUL", "SG", "SGBAR", "PRED", "MONUS", "CHI_EQ", "CHI_LE", "POW",
     "PARITY", "HALF", "PRIME", "LEN", "IDX", "LAST", "SEQ_TEST", "REPLACE",
     "PAIR3", "QUOT", "DIVIDES", "EXPONENT", "NEXTPRIME", "CHI_PRIME",
-    "CHI_LT", "STDLIB", "const", "comp1", "identity", "params",
+    "CHI_LT", "STDLIB", "const", "comp1", "params",
     "bounded_sum", "bounded_prod", "bounded_min", "rel_not", "rel_and",
     "rel_or", "rel_implies", "rel_bforall", "rel_bexists", "rel_combine",
     "graph_of",
@@ -42,10 +44,6 @@ def const(c: int, arity: int) -> PRTerm:
 
 def comp1(f: PRTerm, g: PRTerm) -> PRTerm:
     return Comp(f, (g,))
-
-
-def identity(arity: int, i: int = 1) -> PRTerm:
-    return Proj(i, arity)
 
 
 def params(arity: int, *, offset: int = 0, width: int | None = None) -> tuple[PRTerm, ...]:
@@ -177,6 +175,24 @@ _PRIME_INNER = rel_implies(
 CHI_PRIME = rel_and(
     Comp(CHI_LE, (const(2, 1), P11)),
     Comp(rel_bforall(_PRIME_INNER), (P11, P11)))
+
+# trial division up to sqrt(x) stays under 2^11 divisions below this cap;
+# above it the equations run, whose sweep over every i <= x is no better
+_PRIME_TWIN_CAP = 1 << 24
+
+
+def _chi_prime(a: tuple[int, ...]) -> int | None:
+    x = a[0]
+    if x >= _PRIME_TWIN_CAP:
+        return None
+    if x < 4:
+        return 1 if x >= 2 else 0
+    if x % 2 == 0:
+        return 0
+    return 0 if any(x % d == 0 for d in range(3, isqrt(x) + 1, 2)) else 1
+
+
+intrinsic(CHI_PRIME, _chi_prime)
 
 # nextprime(x) = least prime above x; it exists below 2(x + 1)
 _NEXT_TEST = rel_and(comp1(CHI_PRIME, Proj(2, 2)),

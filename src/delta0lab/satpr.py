@@ -16,7 +16,8 @@ clause algebra assembled from the same rel_* combinators the compiler
 emits, over a per-scheme kit of sequence readers and code builders:
 prime-exponent sequences use the stdlib ops, bit-packed sequences get a
 gamma-stream reader (zero-run scan, entry slicing, offset tracking) built
-here.
+here.  The reader's bit-length, shift, zero-run, hop and length searches
+are registered as evaluator intrinsics with exact Python twins.
 
 The atom and bounded-universal clauses read a term's value off the value
 run along its least building sequence s*, and confirm each such value with
@@ -34,6 +35,13 @@ annotation bound B2 is derived for quantifier-free codes (their triples
 all carry the input valuation unchanged); quantified codes validate but
 are gated off.  Under the prime-power scheme the written bounds are kept
 verbatim, and no instance is small enough to evaluate.
+
+B2 is built by one POW step, which no step budget interrupts, so
+sat_pr_eval refuses up front every compact instance whose B2 would have
+more than 2^30 bits, using a closed-form lower bound on its bit length.  Of
+the 103 true quantifier-free compact codes x <= 4096 at y = 1, four finish
+(x = 8, 24, 42, 50); the guard, which refuses every x >= 54 at y = 1,
+takes the other 99, x = 77 first.
 """
 
 from __future__ import annotations
@@ -44,9 +52,10 @@ from .formulas import (
     And, BExists, BForall, ConstZero, Eq, Formula, Implies, Le, Not,
     UForall, Var, desugar, is_delta0,
 )
+from .numbers import nthprime
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, PARITY, POW, PRED, Comp,
-    FeasibilityError, PRTerm, PrimRec, Proj, Succ, eval_pr,
+    FeasibilityError, PRTerm, PrimRec, Proj, Succ, eval_pr, intrinsic,
 )
 from .prlib import (
     CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST,
@@ -99,6 +108,96 @@ def _sel(cond: PRTerm, a: PRTerm, b: PRTerm) -> PRTerm:
 
 
 # ---------------------------------------------------------------------------
+# the gamma-stream reader's primitives
+#
+# A compact code c carries its payload in the plen(c) bits below its leading
+# 1, read most significant first; offsets at or past the last payload bit
+# read the lowest bit of c.  Each search below is registered with an exact
+# Python twin; the offset column posn stays a ticked recursion over hops.
+
+
+def _plen(c: int) -> int:
+    return max(c.bit_length() - 1, 0)
+
+
+# bit length as least k <= x with x < 2^k
+_BL_TEST = _ap(CHI_LE, _s(Proj(1, 2)), _ap(POW, const(2, 2), Proj(2, 2)))
+BITLEN_MIN = intrinsic(
+    bounded_min(_BL_TEST),
+    lambda a: min(a[0].bit_length(), a[1] + 1))
+BITLEN = Comp(BITLEN_MIN, (P1, P1))
+PLEN = _ap(MONUS, BITLEN, const(1, 1))
+
+# shift right by iterated halving; a quotient search would cost O(x)
+SHR = intrinsic(PrimRec(P1, comp1(HALF, Proj(1, 3))), lambda a: a[0] >> a[1])
+
+# payload bit at offset d, most significant first
+_BIT = comp1(PARITY,
+             _ap(SHR, Proj(1, 2),
+                 _ap(MONUS,
+                     _ap(MONUS, comp1(PLEN, Proj(1, 2)), const(1, 2)),
+                     Proj(2, 2))))
+
+
+def _zrun(c: int, d: int, y: int) -> int:
+    """Least k <= y with payload bit d + k of c set, and y + 1 if none."""
+    plen = _plen(c)
+    if d < plen:
+        # bits at offsets d .. plen - 1; the highest set one comes first
+        window = c & ((1 << (plen - d)) - 1)
+        k = plen - window.bit_length() - d if window else y + 1
+    else:
+        k = 0 if c & 1 else y + 1
+    return min(k, y + 1)
+
+
+_ZR_TEST = _ap(CHI_EQ,
+               _ap(_BIT, Proj(1, 3), _ap(ADD, Proj(2, 3), Proj(3, 3))),
+               const(1, 3))
+ZRUN_MIN = intrinsic(bounded_min(_ZR_TEST), lambda a: _zrun(*a))
+ZRUN = _ap(ZRUN_MIN, Proj(1, 2), Proj(2, 2), comp1(PLEN, Proj(1, 2)))
+
+
+def _hop(c: int, d: int) -> int:
+    """Offset after the gamma entry at offset d, or plen + 1 (poisoned)."""
+    plen = _plen(c)
+    # from d >= plen the hop overshoots plen, as the equations' first test says
+    nxt = d + 1 + 2 * _zrun(c, d, plen)
+    return nxt if nxt <= plen else plen + 1
+
+
+_PL2 = comp1(PLEN, Proj(1, 2))
+_NXT = _ap(ADD, Proj(2, 2), _s(_ap(MUL, const(2, 2), ZRUN)))
+_POISON = _s(_PL2)
+_STEP = _sel(_ap(CHI_LE, _PL2, Proj(2, 2)), _POISON,
+             _sel(_ap(CHI_LE, _NXT, _PL2), _NXT, _POISON))
+HOP = intrinsic(_ap(_STEP, Proj(2, 3), Proj(1, 3)), lambda a: _hop(a[1], a[0]))
+# offset of entry n, plen once the stream is used up exactly
+POSN = PrimRec(const(0, 1), HOP)
+
+
+def _seqlen(c: int, y: int) -> int:
+    """Least n <= y with posn(c, n) = plen(c), and y + 1 if none."""
+    plen = _plen(c)
+    payload = bin(c)[3:]   # empty for c < 2, where plen is 0
+    d = 0
+    for n in range(y + 1):
+        if d == plen:
+            return n
+        # _hop with the zero run read off by one scan that starts at d
+        one = payload.find("1", d)   # -1 also once d has passed plen
+        if one < 0:
+            break
+        d = 2 * one - d + 1
+    return y + 1
+
+
+_SL_TEST = _ap(CHI_EQ, _ap(POSN, Proj(1, 2), Proj(2, 2)), _PL2)
+SEQLEN_MIN = intrinsic(bounded_min(_SL_TEST), lambda a: _seqlen(*a))
+SEQLEN = _ap(SEQLEN_MIN, P1, PLEN)
+
+
+# ---------------------------------------------------------------------------
 # per-scheme op kits
 #
 # Shared keys: zero/one (constant term codes), isseq, seqlen, entry(i, c),
@@ -109,61 +208,36 @@ def _sel(cond: PRTerm, a: PRTerm, b: PRTerm) -> PRTerm:
 
 
 def _compact_ops() -> dict[str, object]:
-    # bit length as least k <= x with x < 2^k
-    bl_test = _ap(CHI_LE, _s(Proj(1, 2)), _ap(POW, const(2, 2), Proj(2, 2)))
-    bitlen = Comp(bounded_min(bl_test), (P1, P1))
-    plen = _ap(MONUS, bitlen, const(1, 1))
     pow2 = _ap(POW, const(2, 1), P1)
-    pay = _ap(MONUS, P1, comp1(pow2, plen))
-    # shift right by iterated halving; a quotient search would cost O(x)
-    shr = PrimRec(P1, comp1(HALF, Proj(1, 3)))
+    pay = _ap(MONUS, P1, comp1(pow2, PLEN))
     mod2k = _ap(MONUS, Proj(1, 2),
-                _ap(MUL, _ap(POW, const(2, 2), Proj(2, 2)), shr))
+                _ap(MUL, _ap(POW, const(2, 2), Proj(2, 2)), SHR))
     # code concatenation: append c's payload bits to a
     cat = _ap(ADD,
-              _ap(MUL, Proj(1, 2), comp1(pow2, comp1(plen, Proj(2, 2)))),
+              _ap(MUL, Proj(1, 2), comp1(pow2, comp1(PLEN, Proj(2, 2)))),
               comp1(pay, Proj(2, 2)))
     gamma = _ap(ADD,
-                comp1(pow2, _ap(MONUS, _ap(MUL, const(2, 1), bitlen),
+                comp1(pow2, _ap(MONUS, _ap(MUL, const(2, 1), BITLEN),
                                 const(1, 1))),
                 P1)
     sapp = _ap(cat, Proj(1, 2), comp1(gamma, _s(Proj(2, 2))))
-    # payload bit at offset d, most significant first
-    bit = comp1(PARITY,
-                _ap(shr, Proj(1, 2),
-                    _ap(MONUS,
-                        _ap(MONUS, comp1(plen, Proj(1, 2)), const(1, 2)),
-                        Proj(2, 2))))
-    zr_test = _ap(CHI_EQ,
-                  _ap(bit, Proj(1, 3), _ap(ADD, Proj(2, 3), Proj(3, 3))),
-                  const(1, 3))
-    zrun = _ap(bounded_min(zr_test), Proj(1, 2), Proj(2, 2),
-               comp1(plen, Proj(1, 2)))
-    pl2 = comp1(plen, Proj(1, 2))
-    nxt = _ap(ADD, Proj(2, 2), _s(_ap(MUL, const(2, 2), zrun)))
-    poison = _s(pl2)
-    step = _sel(_ap(CHI_LE, pl2, Proj(2, 2)), poison,
-                _sel(_ap(CHI_LE, nxt, pl2), nxt, poison))
-    posn = PrimRec(const(0, 1), _ap(step, Proj(2, 3), Proj(1, 3)))
-    sl_test = _ap(CHI_EQ, _ap(posn, Proj(1, 2), Proj(2, 2)), pl2)
-    seqlen = _ap(bounded_min(sl_test), P1, plen)
     isseq = rel_and(_ap(CHI_LE, const(1, 1), P1),
-                    _ap(CHI_LE, seqlen, plen))
+                    _ap(CHI_LE, SEQLEN, PLEN))
     gdec = _ap(mod2k,
-               _ap(shr, comp1(pay, Proj(1, 2)), _ap(MONUS, pl2, nxt)),
-               _s(zrun))
+               _ap(SHR, comp1(pay, Proj(1, 2)), _ap(MONUS, _PL2, _NXT)),
+               _s(ZRUN))
     entry = comp1(PRED, _ap(gdec, Proj(2, 2),
-                            _ap(posn, Proj(2, 2), Proj(1, 2))))
-    slast = _ap(entry, _ap(MONUS, seqlen, const(1, 1)), P1)
+                            _ap(POSN, Proj(2, 2), Proj(1, 2))))
+    slast = _ap(entry, _ap(MONUS, SEQLEN, const(1, 1)), P1)
     vget = _ap(MUL,
-               _ap(CHI_LT, Proj(2, 2), comp1(seqlen, Proj(1, 2))),
+               _ap(CHI_LT, Proj(2, 2), comp1(SEQLEN, Proj(1, 2))),
                _ap(entry, Proj(2, 2), Proj(1, 2)))
     # rebuild with entry k set to r, zero padded to length max(len, k+1)
     bstep = _ap(sapp, Proj(1, 5),
                 _sel(_ap(CHI_EQ, Proj(5, 5), Proj(3, 5)), Proj(4, 5),
                      _ap(vget, Proj(2, 5), Proj(5, 5))))
     build = PrimRec(const(1, 3), bstep)
-    sl3 = comp1(seqlen, Proj(1, 3))
+    sl3 = comp1(SEQLEN, Proj(1, 3))
     repl = _ap(build, Proj(1, 3), Proj(2, 3), Proj(3, 3),
                _ap(ADD, sl3, _ap(MONUS, _s(Proj(2, 3)), sl3)))
     mk_eq = _ap(cat, _ap(cat, const(2, 2), Proj(1, 2)), Proj(2, 2))
@@ -174,7 +248,7 @@ def _compact_ops() -> dict[str, object]:
     mk_mul = _ap(cat, _ap(cat, const(31, 2), Proj(1, 2)), Proj(2, 2))
     mk_var = _ap(cat, const(14, 1), comp1(gamma, _s(P1)))
     # variable payload minus its three tag bits, as a code
-    pm3 = _ap(MONUS, plen, const(3, 1))
+    pm3 = _ap(MONUS, PLEN, const(3, 1))
     gpart = _ap(ADD, comp1(pow2, pm3), _ap(mod2k, pay, pm3))
     # candidate index read off the bits; callers confirm by rebuilding,
     # a search over indices would cost O(v) on non-variable codes
@@ -188,18 +262,18 @@ def _compact_ops() -> dict[str, object]:
                  Proj(3, 3))
     # a canonical building sequence has at most plen(u) entries of at most
     # bitlen(u) + 1 bits each once gamma coded
-    trm_bound = comp1(pow2, _s(_ap(MUL, plen,
-                                   _s(_ap(MUL, const(2, 1), bitlen)))))
+    trm_bound = comp1(pow2, _s(_ap(MUL, PLEN,
+                                   _s(_ap(MUL, const(2, 1), BITLEN)))))
     b1 = _ap(POW, comp1(PRIME, Proj(1, 2)),
              _ap(MUL, _s(Proj(1, 2)), _s(Proj(1, 2))))
     # quantifier-free runs keep z = y in every triple, so the annotation
     # code has at most bitlen(b1) triples of bitlen(b1) + 2y + 4 bits each
-    lam = comp1(bitlen, b1)
+    lam = comp1(BITLEN, b1)
     b2 = comp1(pow2, _s(_ap(MUL, lam,
                             _ap(ADD, _ap(MUL, const(2, 2), lam),
                                 _ap(ADD, _ap(MUL, const(4, 2), Proj(2, 2)),
                                     const(8, 2))))))
-    return dict(zero=2, one=6, isseq=isseq, seqlen=seqlen, entry=entry,
+    return dict(zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
                 slast=slast, vget=vget, repl=repl, sapp=sapp, varn=varn,
                 mk_eq=mk_eq, mk_le=mk_le, mk_not=mk_not, mk_imp=mk_imp,
                 mk_add=mk_add, mk_mul=mk_mul, mk_var=mk_var, mk_bfa=mk_bfa,
@@ -623,6 +697,21 @@ def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
 
 
 _CODE_CAP = 4096
+# B2 is built by a single POW step before the annotation sweep starts, so
+# the step budget cannot stop it; refuse instances whose B2 would exceed
+# this many bits
+_B2_BITS_CAP = 1 << 30
+
+
+def _compact_b2_bits_floor(x: int, y: int) -> int:
+    """A lower bound on the bit length of the compact B2(x, y).
+
+    b1 = prime(x)^e with e = (x + 1)^2 has lam >= e * (bitlen(prime(x)) - 1)
+    + 1 bits, and B2 = 2^(1 + lam * (2 lam + 4y + 8)) grows with lam.
+    """
+    e = (x + 1) ** 2
+    lam = e * (nthprime(x).bit_length() - 1) + 1
+    return 2 + lam * (2 * lam + 4 * y + 8)
 
 
 def _quantifier_free(phi: Formula) -> bool:
@@ -645,7 +734,9 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
     The term is total, but its value is reachable only when the candidate
     sweeps absorb early, which happens exactly on true quantifier-free
     instances with tiny codes.  Everything else raises FeasibilityError,
-    either up front or through the step budget.
+    either up front or through the step budget.  Under the compact scheme
+    that includes every instance whose annotation bound B2 would have more
+    than 2^30 bits: at y = 1, every x >= 54.
     """
     if not isinstance(x, int) or not isinstance(y, int) or x < 0 or y < 0:
         raise ValueError("codes are naturals")
@@ -668,4 +759,9 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             "a false instance is only confirmed by exhausting the "
             "annotation sweep, which exceeds any step budget")
+    if (isinstance(scheme, CompactCoding)
+            and _compact_b2_bits_floor(x, y) > _B2_BITS_CAP):
+        raise FeasibilityError(
+            f"the annotation bound B2 would take more than {_B2_BITS_CAP} "
+            f"bits, built in a single step that the step budget cannot stop")
     return eval_pr(sat_as_pr(scheme), (x, y), max_steps=max_steps)

@@ -13,6 +13,10 @@ def d_prime(i: int) -> int:
     return sympy.prime(i + 1)
 
 
+def d_chi_prime(x: int) -> int:
+    return int(sympy.isprime(x))
+
+
 def d_quot(a: int, b: int) -> int:
     return a // b if b else a + 1
 

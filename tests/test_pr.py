@@ -1,4 +1,6 @@
 import itertools
+import time
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -6,15 +8,17 @@ import sympy
 
 from delta0lab import (
     ArityError, Comp, Evaluator, FeasibilityError, PRError, PrimRec, Proj,
-    Succ, Zero, eval_pr, parse_pr, serialize, validate,
+    Succ, Zero, eval_pr, parse_pr, sat_pr_eval, serialize, validate,
 )
 from delta0lab.prlib import (
     ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MUL,
     NEXTPRIME, PRIME, QUOT, SEQ_TEST, STDLIB, bounded_min, const, graph_of,
     rel_bexists, rel_bforall, rel_combine,
 )
+from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN
+import delta0lab.primrec as primrec_module
 
-from helpers import ARITIES, DIRECT, seq_encode
+from helpers import ARITIES, DIRECT, d_chi_prime, seq_encode
 
 CORE = ["add", "mul", "sg", "sgbar", "pred", "monus", "chi_eq", "chi_le", "pow"]
 
@@ -249,6 +253,21 @@ def test_absorbing_breaks_make_huge_bounds_cheap():
     assert ev3.steps < 20_000
 
 
+def test_huge_bound_is_not_copied():
+    # sat_pr_eval sweeps its annotations up to a B2 of 47 MiB at x = 42;
+    # the sweep must not allocate copies of its bound
+    ex = rel_bexists(Comp(CHI_EQ, (Proj(2, 2), Proj(1, 2))))
+    bound = 1 << 8_000_000
+    ev = Evaluator()
+    tracemalloc.start()
+    try:
+        assert ev.eval(ex, (5, bound)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound.bit_length() // 8 // 2
+
+
 def test_optimizations_are_pure():
     flags = [(True, True), (True, False), (False, True), (False, False)]
     for name in CORE:
@@ -306,6 +325,97 @@ def test_eval_argument_checks():
         eval_pr(ADD, (1, 2, 3))
     with pytest.raises(PRError):
         eval_pr(ADD, (1, -2))
+
+
+def test_root_validated_once_and_arguments_checked_every_call(monkeypatch):
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return validate(t)
+
+    monkeypatch.setattr(primrec_module, "validate", counting)
+    ev = Evaluator()
+    for _ in range(3):
+        assert ev.eval(ADD, (1, 2)) == 3
+        with pytest.raises(ArityError):
+            ev.eval(ADD, (1, 2, 3))
+        with pytest.raises(PRError):
+            ev.eval(ADD, (1, -2))
+    assert calls == [ADD]
+    with pytest.raises(ArityError):
+        ev.eval(Comp(ADD, (Zero(),)), (1,))
+    with pytest.raises(ArityError):   # a malformed root is not memoised
+        ev.eval(Comp(ADD, (Zero(),)), (1,))
+
+
+# ------------------------------------------------------------ intrinsics
+#
+# Each twin must equal the recursion equations on all naturals: the sweeps
+# that call them try arbitrary candidates, offsets past the payload and the
+# poisoned offset plen + 1.
+
+
+def _plen(c):
+    return max(c.bit_length() - 1, 0)
+
+
+def test_gamma_reader_twins_match_the_equations():
+    raw = Evaluator(intrinsics=False)
+    opt = Evaluator()
+    cases = []
+    for c in range(160):
+        pl = _plen(c)
+        offsets = sorted(set(range(8)) | {pl, pl + 1, pl + 2})
+        for y in range(8):
+            cases += [(BITLEN_MIN, (c, y)), (SHR, (c, y)), (SEQLEN_MIN, (c, y))]
+            cases += [(ZRUN_MIN, (c, d, y)) for d in offsets]
+        cases += [(HOP, (d, c, i)) for d in offsets for i in range(2)]
+    for term, args in cases:
+        assert opt.eval(term, args) == raw.eval(term, args), (term, args)
+
+
+def test_intrinsics_cost_one_step():
+    for term, args in [(BITLEN_MIN, (200, 200)), (SHR, (200, 5)),
+                       (ZRUN_MIN, (200, 1, 7)), (HOP, (0, 200, 0)),
+                       (SEQLEN_MIN, (200, 7)), (CHI_PRIME, (97,))]:
+        ev = Evaluator()
+        ev.eval(term, args)
+        assert ev.steps == 1, term
+
+
+def test_chi_prime_twin_matches_oracle_and_equations():
+    opt = Evaluator()
+    raw = Evaluator(intrinsics=False)
+    for x in range(40):
+        assert opt.eval(CHI_PRIME, (x,)) == raw.eval(CHI_PRIME, (x,)), x
+    below_cap = list(range(3000)) + [2**24 - k for k in range(1, 40)]
+    for x in below_cap:
+        assert opt.eval(CHI_PRIME, (x,)) == d_chi_prime(x), x
+
+
+def test_intrinsics_on_huge_arguments_stay_fast():
+    big = (1 << 100_000) | 0x5a5a5a5a5a5a5a5a
+    ones = (1 << 100_001) - 1   # payload of all ones: 10^5 one-bit hops
+    cases = [(BITLEN_MIN, (big, big)), (SHR, (big, 17)), (SHR, (big, big)),
+             (ZRUN_MIN, (big, 3, big)), (ZRUN_MIN, (big, big, big)),
+             (HOP, (3, big, 0)), (HOP, (big, big, 0)),
+             (SEQLEN_MIN, (big, big)), (SEQLEN_MIN, (ones, big)),
+             (CHI_PRIME, (big,))]
+    for term, args in cases:
+        ev = Evaluator(max_steps=10_000)
+        start = time.perf_counter()
+        try:
+            ev.eval(term, args)
+        except FeasibilityError:
+            pass
+        assert time.perf_counter() - start < 1.0, term
+    assert Evaluator().eval(SEQLEN_MIN, (ones, big)) == 100_000
+    assert Evaluator().eval(BITLEN_MIN, (big, big)) == 100_001
+
+
+def test_sat_pr_fits_a_small_budget():
+    assert sat_pr_eval(8, 1, max_steps=300_000) == 1
 
 
 @given(st.integers(0, 30), st.integers(0, 30))

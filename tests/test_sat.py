@@ -1,5 +1,7 @@
 """Satisfaction tests: direct checks, annotated runs, diagonal, PR form."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,6 +296,23 @@ def _is_formula_code(x):
 def test_sat_as_pr_second_instance_agrees():
     x = code_of("(0 <= 0)")
     assert sat_pr_eval(x, 1, max_steps=10_000_000) == 1 == int(sat_direct(x, 0))
+
+
+def test_sat_as_pr_fourth_instance_agrees():
+    x = code_of("(0 <= 1)")
+    assert x == 50
+    assert sat_pr_eval(x, 1) == 1 == int(sat_direct(x, 0))
+
+
+def test_sat_pr_refuses_huge_b2_up_front():
+    # B2 at x = 77 has over 2^32 bits and is built by one POW step that no
+    # step budget interrupts; the guard must refuse before any evaluation
+    for x in (77, 106):
+        assert sat_valuation(x, 1)
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match="B2"):
+            sat_pr_eval(x, 1)
+        assert time.perf_counter() - start < 1.0, x
 
 
 def test_sat_pr_val_relation_parts():
