@@ -53,7 +53,7 @@ class CodingError(ValueError):
     """The integer does not code an object of the requested kind."""
 
 
-def _short(x: int) -> str:
+def short_code(x: int) -> str:
     """Digit-safe rendering of possibly huge codes."""
     if isinstance(x, int) and x.bit_length() > 64:
         return f"<{x.bit_length()}-bit code>"
@@ -180,7 +180,7 @@ class Coding:
                         return Mul(self.decode_term(a), self.decode_term(b))
             except CodingError:
                 continue
-        raise CodingError(f"{_short(code)} is not a term code")
+        raise CodingError(f"{short_code(code)} is not a term code")
 
     def decode(self, code: int) -> Formula:
         for shape in self.formula_shapes(code):
@@ -200,7 +200,7 @@ class Coding:
                         return UForall(i, self.decode(b))
             except CodingError:
                 continue
-        raise CodingError(f"{_short(code)} is not a formula code")
+        raise CodingError(f"{short_code(code)} is not a formula code")
 
     # -- recognizers ------------------------------------------------------
 
@@ -304,7 +304,7 @@ _P_SYM = {"zero": 1, "one": 3, "add": 5, "mul": 7, "eq": 9, "le": 11,
           "not": 13, "implies": 15, "forall": 17}
 
 
-def _strip_prime(x: int, p: int) -> tuple[int, int]:
+def strip_prime(x: int, p: int) -> tuple[int, int]:
     """(e, x / p^e) for the exact power of p in x, by repeated squaring."""
     if x % p:
         return 0, x
@@ -345,9 +345,9 @@ class PaperCoding(Coding):
                 e = (x & -x).bit_length() - 1
                 x >>= e
             else:
-                e, x = _strip_prime(x, nthprime(i))
+                e, x = strip_prime(x, nthprime(i))
             if e == 0:
-                raise CodingError(f"{_short(code)} skips prime index {i}")
+                raise CodingError(f"{short_code(code)} skips prime index {i}")
             entries.append(e - 1)
             i += 1
         return entries
@@ -745,7 +745,9 @@ def _formula_entry_ok(scheme: Coding, e: int, earlier: set[int],
     return False
 
 
-def _build_entries_ok(scheme: Coding, kind: str, entries: list[int]) -> bool:
+def build_entries_ok(scheme: Coding, kind: str, entries: list[int]) -> bool:
+    """Each entry is built from earlier ones: kind "term", "formula", or
+    "delta0" (a formula without unbounded quantifiers)."""
     earlier: set[int] = set()
     for e in entries:
         if kind == "term":
@@ -772,7 +774,7 @@ def check_build_seq(scheme: Coding, kind: str, s: int, x: int) -> bool:
         return False
     if not entries or entries[-1] != x:
         return False
-    return _build_entries_ok(scheme, kind, entries)
+    return build_entries_ok(scheme, kind, entries)
 
 
 def _decode_kind(scheme: Coding, kind: str, x: int):
@@ -781,7 +783,7 @@ def _decode_kind(scheme: Coding, kind: str, x: int):
     phi = scheme.decode(x)
     if kind == "delta0" and not is_delta0(phi):
         raise CodingError(
-            f"{_short(x)} codes a formula with an unbounded quantifier")
+            f"{short_code(x)} codes a formula with an unbounded quantifier")
     return phi
 
 
@@ -962,7 +964,7 @@ def seqdef(scheme: Coding, pred: str, args: tuple[int, ...],
                 entries = scheme.seq_decode(s)
             except CodingError:
                 return Verdict.FALSE
-            return Verdict.of(_build_entries_ok(scheme, kind, entries))
+            return Verdict.of(build_entries_ok(scheme, kind, entries))
         case "valseq":
             y, s, t = args
             return Verdict.of(_valseq_holds(scheme, y, s, t))

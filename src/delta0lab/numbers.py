@@ -12,19 +12,19 @@ p_i <= 2^(i+1), both for the 0-indexed sequence 2, 3, 5, ...
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import compress
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def _sieve(bound: int) -> list[int]:
-    flags = np.ones(bound + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(bound ** 0.5) + 1):
+    """The primes <= bound, by the sieve of Eratosthenes."""
+    flags = bytearray([1]) * (bound + 1)
+    flags[:2] = bytes(2)
+    for p in range(2, math.isqrt(bound) + 1):
         if flags[p]:
-            flags[p * p::p] = False
-    return [int(v) for v in np.flatnonzero(flags)]
+            flags[p * p::p] = bytes((bound - p * p) // p + 1)
+    return list(compress(range(bound + 1), flags))
 
 
 def nthprime(i: int) -> int:

@@ -31,6 +31,12 @@ skip work whose result is forced):
   their absorbing value (a product stuck at 0, a flagged sum stuck at 1).
 
 Both can be disabled for tests that want the raw recursion equations.
+
+Nodes are hash-consed: constructing a term returns the one node with its
+class and fields, so structurally equal terms are the same object, and
+equality and hashing are identity.  Every cache (the evaluator's tables,
+validate's arities, the intrinsic registry) is keyed by the node itself.
+The table is a plain dict, so nodes live for the whole process.
 """
 
 from __future__ import annotations
@@ -53,28 +59,49 @@ class ArityError(PRError):
 
 
 class FeasibilityError(RuntimeError):
-    """Evaluation would exceed the configured step budget."""
+    """Evaluation would exceed the configured step budget, or one step
+    would build a result of more than RESULT_BITS_CAP bits."""
 
 
-@dataclass(frozen=True, slots=True)
-class PRTerm:
+# one step builds no result known to exceed this many bits: max_steps
+# cannot interrupt a single step
+RESULT_BITS_CAP = 1 << 30
+
+# the hash-consing table: (class, *fields) -> the one node with them
+_NODES: dict[tuple, PRTerm] = {}
+
+
+class _Interned(type):
+    """Constructing a node looks it up in _NODES first; its children are
+    interned already, so the key compares them by identity."""
+
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES.setdefault(key, super().__call__(*fields))
+        return node
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PRTerm(metaclass=_Interned):
     # terms share subterms heavily; an unbounded repr expands the DAG into
     # a tree and never finishes on assembled checkers
     def __repr__(self) -> str:
         return _abbrev(self, 4)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Zero(PRTerm):
     """zeta(x) = 0, arity 1."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Succ(PRTerm):
     """sigma(x) = x + 1, arity 1."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Proj(PRTerm):
     """pi_i^n, 1-based coordinate i of an n-tuple."""
     i: int
@@ -85,7 +112,7 @@ class Proj(PRTerm):
             raise ArityError(f"projection needs 1 <= i <= n, got P({self.i},{self.n})")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Comp(PRTerm):
     f: PRTerm
     gs: tuple[PRTerm, ...]
@@ -95,7 +122,7 @@ class Comp(PRTerm):
             raise ArityError("composition needs at least one inner function")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PrimRec(PRTerm):
     f: PRTerm
     g: PRTerm
@@ -121,12 +148,15 @@ def _abbrev(node: PRTerm, depth: int) -> str:
     return object.__repr__(node)
 
 
+# arities of the well-formed nodes validated so far
+_ARITY: dict[PRTerm, int] = {}
+
+
 def validate(t: PRTerm) -> int:
     """Arity of a well-formed term; raises ArityError with the offending path."""
-    memo: dict[int, int] = {}
 
     def walk(node: PRTerm, path: str) -> int:
-        got = memo.get(id(node))
+        got = _ARITY.get(node)
         if got is not None:
             return got
         match node:
@@ -154,7 +184,7 @@ def validate(t: PRTerm) -> int:
                 a = fa + 1
             case _:
                 raise ArityError(f"not a PR term: {node!r}", path)
-        memo[id(node)] = a
+        _ARITY[node] = a
         return a
 
     return walk(t, "root")
@@ -184,30 +214,27 @@ HALF = Comp(PrimRec(Zero(), Comp(ADD, (Proj(1, 3), Comp(PARITY, (Proj(3, 3),))))
 Twin = Callable[[tuple[int, ...]], int | None]
 
 
-def _shape(t: PRTerm) -> tuple:
-    """Node kind and its children's kinds; structurally equal terms share it."""
-    if isinstance(t, Comp):
-        return Comp, type(t.f), len(t.gs)
-    if isinstance(t, PrimRec):
-        return PrimRec, type(t.f), type(t.g)
-    return (type(t),)
-
-
-# (term, twin) pairs by shape; a twin maps the argument tuple to the term's
-# value, or to None when it leaves that argument to the equations.  A node
-# is compared only with the registered terms of its own shape
-_INTRINSICS: dict[tuple, list[tuple[PRTerm, Twin]]] = {}
+# registered terms and their twins; a twin maps the argument tuple to the
+# term's value, or to None when it leaves that argument to the equations
+_INTRINSICS: dict[PRTerm, Twin] = {}
 
 
 def intrinsic(t: PRTerm, twin: Twin) -> PRTerm:
     """Register twin as the Python computation of t and return t.
 
-    Every term structurally equal to t is then computed by twin in one
+    Every term built equal to t is t, and is then computed by twin in one
     step.  The twin must equal t's recursion equations on all naturals and
     do work near-linear in the bit length of its arguments.
     """
-    _INTRINSICS.setdefault(_shape(t), []).append((t, twin))
+    _INTRINSICS[t] = twin
     return t
+
+
+def _pow(a: tuple[int, ...]) -> int:
+    # a[0]^a[1] has at least a[1] * (bitlen(a[0]) - 1) + 1 bits
+    if a[1] * (a[0].bit_length() - 1) + 1 > RESULT_BITS_CAP:
+        raise FeasibilityError(f"POW would build more than {RESULT_BITS_CAP} bits")
+    return 1 << a[1] if a[0] == 2 else a[0] ** a[1]
 
 
 intrinsic(ADD, lambda a: a[0] + a[1])
@@ -218,7 +245,7 @@ intrinsic(PRED, lambda a: max(a[0] - 1, 0))
 intrinsic(MONUS, lambda a: max(a[0] - a[1], 0))
 intrinsic(CHI_LE, lambda a: 1 if a[0] <= a[1] else 0)
 intrinsic(CHI_EQ, lambda a: 1 if a[0] == a[1] else 0)
-intrinsic(POW, lambda a: 1 << a[1] if a[0] == 2 else a[0] ** a[1])
+intrinsic(POW, _pow)
 intrinsic(PARITY, lambda a: a[0] & 1)
 intrinsic(HALF, lambda a: a[0] >> 1)
 
@@ -238,43 +265,39 @@ class Evaluator:
         self.steps = 0
         self.use_intrinsics = intrinsics
         self.use_absorbing = absorbing
-        self._cache: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._hi: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._absorbed: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-        self._const_from: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
-        self._sumtail: dict[int, PrimRec | None] = {}
-        self._kind: dict[int, tuple] = {}
-        self._arity: dict[int, int] = {}   # validated roots
-        self._pin: list[PRTerm] = []   # keeps ids in _kind/_cache/_arity alive
+        self._cache: dict[tuple[PRTerm, tuple[int, ...]], int] = {}
+        self._hi: dict[tuple[PRTerm, tuple[int, ...]], int] = {}
+        self._absorbed: dict[tuple[PRTerm, tuple[int, ...]], tuple[int, int]] = {}
+        self._const_from: dict[tuple[PRTerm, tuple[int, ...]], tuple[int, int]] = {}
+        self._sumtail: dict[PRTerm, PrimRec | None] = {}
+        self._kind: dict[PRTerm, tuple] = {}
+        self._arity: dict[PRTerm, int] = {}   # validated roots
 
     # -- classification -------------------------------------------------
 
     def _classify(self, t: PRTerm) -> tuple:
-        got = self._kind.get(id(t))
+        got = self._kind.get(t)
         if got is not None:
             return got
         kind: tuple = ("plain",)
-        if self.use_intrinsics:
-            for canon, fn in _INTRINSICS.get(_shape(t), ()):
-                if t == canon:
-                    kind = ("intrinsic", fn)
-                    break
-        if kind[0] == "plain" and isinstance(t, Comp):
+        twin = _INTRINSICS.get(t) if self.use_intrinsics else None
+        if twin is not None:
+            kind = ("intrinsic", twin)
+        elif isinstance(t, Comp):
             # and-shape: mul of two inner functions, absorbing at 0
-            if t.f == MUL and len(t.gs) == 2:
+            if t.f is MUL and len(t.gs) == 2:
                 kind = ("and2", t.gs[0], t.gs[1])
             # or-shape: sg of a sum of two inner functions, absorbing at 1
-            elif (t.f == SG and len(t.gs) == 1 and isinstance(t.gs[0], Comp)
-                    and t.gs[0].f == ADD and len(t.gs[0].gs) == 2):
+            elif (t.f is SG and len(t.gs) == 1 and isinstance(t.gs[0], Comp)
+                    and t.gs[0].f is ADD and len(t.gs[0].gs) == 2):
                 kind = ("or2", t.gs[0].gs[0], t.gs[0].gs[1])
-        self._kind[id(t)] = kind
-        self._pin.append(t)
+        self._kind[t] = kind
         return kind
 
     def _sum_tail_inner(self, g: PRTerm) -> PrimRec | None:
         """For the step of a bounded sum over an absorbing product, the inner
         product term; the sum is constant once that product column hits 0."""
-        if not (isinstance(g, Comp) and g.f == ADD and len(g.gs) == 2):
+        if not (isinstance(g, Comp) and g.f is ADD and len(g.gs) == 2):
             return None
         acc, rest = g.gs
         if not (isinstance(acc, Proj) and acc.i == 1):
@@ -304,11 +327,9 @@ class Evaluator:
 
     def eval(self, t: PRTerm, args) -> int:
         args = tuple(args)
-        arity = self._arity.get(id(t))
+        arity = self._arity.get(t)
         if arity is None:
-            arity = validate(t)
-            self._arity[id(t)] = arity
-            self._pin.append(t)   # cache keys use id(); the root must outlive them
+            arity = self._arity[t] = validate(t)
         if len(args) != arity:
             raise ArityError(f"term of arity {arity} applied to {len(args)} arguments")
         if any(a < 0 for a in args):
@@ -323,7 +344,7 @@ class Evaluator:
 
     def _eval(self, t: PRTerm, args: tuple[int, ...]) -> int:
         self._tick()
-        key = (id(t), args)
+        key = (t, args)
         got = self._cache.get(key)
         if got is not None:
             return got
@@ -362,7 +383,7 @@ class Evaluator:
 
     def _eval_rec(self, t: PrimRec, args: tuple[int, ...]) -> int:
         xs, n = args[:-1], args[-1]
-        col = (id(t), xs)
+        col = (t, xs)
         hit = self._absorbed.get(col)
         if hit is not None and n >= hit[0]:
             return hit[1]
@@ -372,20 +393,18 @@ class Evaluator:
         absorb = tail = None
         if self.use_absorbing:
             absorb = self._absorbing_value(t.g)
-            gid = id(t.g)
-            if gid not in self._sumtail:
-                self._sumtail[gid] = self._sum_tail_inner(t.g)
-                self._pin.append(t.g)
-            tail = self._sumtail[gid]
+            if t.g not in self._sumtail:
+                self._sumtail[t.g] = self._sum_tail_inner(t.g)
+            tail = self._sumtail[t.g]
         start = self._hi.get(col, -1)
         if start < 0:
             acc = self._eval(t.f, xs)
-            self._cache[(id(t), xs + (0,))] = acc
+            self._cache[(t, xs + (0,))] = acc
             start = 0
         else:
             if start >= n:
-                return self._cache[(id(t), args)]
-            acc = self._cache[(id(t), xs + (start,))]
+                return self._cache[(t, args)]
+            acc = self._cache[(t, xs + (start,))]
         # a counter, not range(start, n), which copies a huge n several times
         i = start
         while i < n:
@@ -394,7 +413,7 @@ class Evaluator:
                 self._hi[col] = max(self._hi.get(col, -1), i)
                 return absorb
             if tail is not None:
-                inner = self._absorbed.get((id(tail), xs))
+                inner = self._absorbed.get((tail, xs))
                 if inner is not None and inner[1] == 0 and i + 1 > inner[0]:
                     # every remaining summand is 0: the column stays at acc
                     self._const_from[col] = (i, acc)
@@ -402,7 +421,7 @@ class Evaluator:
             self._tick()
             acc = self._eval(t.g, (acc,) + xs + (i,))
             i += 1
-            self._cache[(id(t), xs + (i,))] = acc
+            self._cache[(t, xs + (i,))] = acc
         self._hi[col] = n
         return acc
 

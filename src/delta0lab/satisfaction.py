@@ -20,10 +20,10 @@ from .coding import (
     COMPACT,
     Coding,
     CodingError,
-    _build_entries_ok,
-    _short,
-    _strip_prime,
+    build_entries_ok,
     canonical_formula_seq,
+    short_code,
+    strip_prime,
     val,
 )
 from .formulas import (
@@ -84,9 +84,9 @@ def triple_decode(tau: int) -> tuple[int, int, int] | None:
     """(i, z, w) when tau = 2^i * 3^z * 5^w exactly, else None."""
     if tau < 1:
         return None
-    i, rest = _strip_prime(tau, 2)
-    z, rest = _strip_prime(rest, 3)
-    w, rest = _strip_prime(rest, 5)
+    i, rest = strip_prime(tau, 2)
+    z, rest = strip_prime(rest, 3)
+    w, rest = strip_prime(rest, 5)
     return (i, z, w) if rest == 1 else None
 
 
@@ -99,7 +99,7 @@ class SatInstance:
     value: bool
 
     def __repr__(self):
-        return (f"SatInstance(s={_short(self.s)}, t={_short(self.t)}, "
+        return (f"SatInstance(s={short_code(self.s)}, t={short_code(self.t)}, "
                 f"value={self.value})")
 
 
@@ -163,7 +163,7 @@ def satseq_check(s: int, t: int, budget: int | None = None,
         entries = scheme.seq_decode(s)
     except CodingError:
         return Verdict.FALSE
-    if not _build_entries_ok(scheme, "delta0", entries):
+    if not build_entries_ok(scheme, "delta0", entries):
         return Verdict.FALSE
     try:
         taus = scheme.seq_decode(t)
@@ -327,7 +327,7 @@ class Counterexample:
 
     def __repr__(self):
         return (f"Counterexample(diagonal={self.diagonal_formula!r}, "
-                f"m={_short(self.m)}, "
+                f"m={short_code(self.m)}, "
                 f"candidate_value={self.candidate_value.value}, "
                 f"sat_value={self.sat_value.value})")
 

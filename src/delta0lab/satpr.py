@@ -36,9 +36,10 @@ all carry the input valuation unchanged); quantified codes validate but
 are gated off.  Under the prime-power scheme the written bounds are kept
 verbatim, and no instance is small enough to evaluate.
 
-B2 is built by one POW step, which no step budget interrupts, so
-sat_pr_eval refuses up front every compact instance whose B2 would have
-more than 2^30 bits, using a closed-form lower bound on its bit length.  Of
+B2 is built by one POW step, which no step budget interrupts; the
+evaluator refuses a POW result of more than primrec.RESULT_BITS_CAP = 2^30
+bits, and sat_pr_eval refuses every such compact instance up front, using
+a closed-form lower bound on the bit length of B2.  Of
 the 103 true quantifier-free compact codes x <= 4096 at y = 1, four finish
 (x = 8, 24, 42, 50); the guard, which refuses every x >= 54 at y = 1,
 takes the other 99, x = 77 first.
@@ -55,7 +56,8 @@ from .formulas import (
 from .numbers import nthprime
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, PARITY, POW, PRED, Comp,
-    FeasibilityError, PRTerm, PrimRec, Proj, Succ, eval_pr, intrinsic,
+    RESULT_BITS_CAP, FeasibilityError, PRTerm, PrimRec, Proj, Succ, eval_pr,
+    intrinsic,
 )
 from .prlib import (
     CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST,
@@ -621,14 +623,11 @@ def _assemble(ops: dict[str, object]) -> dict[str, PRTerm]:
 # the emitted relation
 
 
-_PARTS_CACHE: dict[int, tuple[Coding, dict[str, PRTerm]]] = {}
-
-
 def sat_pr_parts(scheme: Coding = COMPACT) -> dict[str, PRTerm]:
-    """Named pieces of the assembled checker, including the full term."""
-    got = _PARTS_CACHE.get(id(scheme))
-    if got is not None:
-        return got[1]
+    """Named pieces of the assembled checker, including the full term.
+
+    Nodes are hash-consed, so every call returns the identical terms.
+    """
     ops = _compact_ops() if isinstance(scheme, CompactCoding) else _paper_ops()
     parts = _assemble(ops)
     shell = BExists(2, ConstZero(),
@@ -640,7 +639,6 @@ def sat_pr_parts(scheme: Coding = COMPACT) -> dict[str, PRTerm]:
                    (0, 1): Comp(parts["b2"], (Proj(1, 3), Proj(2, 3)))},
         pr_atoms={(0, 0): parts["sgate"], (0, 1, 0): parts["matrix"]})
     parts["term"] = compile_spec(spec).term
-    _PARTS_CACHE[id(scheme)] = (scheme, parts)
     return parts
 
 
@@ -650,38 +648,15 @@ def sat_as_pr(scheme: Coding = COMPACT) -> PRTerm:
 
 
 def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
-    # structural equality via interned keys; a direct == walk re-compares
-    # shared subterms and does not terminate in useful time on these DAGs
-    interned: dict[tuple, int] = {}
-    keys: dict[int, int] = {}
-
-    def key(node: PRTerm) -> int:
-        got = keys.get(id(node))
-        if got is None:
-            match node:
-                case Comp(f, gs):
-                    raw = ("c", key(f), *(key(g) for g in gs))
-                case PrimRec(f, g):
-                    raw = ("r", key(f), key(g))
-                case Proj(i, n):
-                    raw = ("p", i, n)
-                case Succ():
-                    raw = ("s",)
-                case _:
-                    raw = ("z",)
-            got = interned.setdefault(raw, len(interned))
-            keys[id(node)] = got
-        return got
-
-    want = key(sub)
-    seen: set[int] = set()
+    """Whether sub occurs in t; nodes are hash-consed, so equal is identical."""
+    seen: set[PRTerm] = set()
 
     def walk(node: PRTerm) -> bool:
-        if id(node) in seen:
-            return False
-        seen.add(id(node))
-        if key(node) == want:
+        if node is sub:
             return True
+        if node in seen:
+            return False
+        seen.add(node)
         match node:
             case Comp(f, gs):
                 return walk(f) or any(walk(g) for g in gs)
@@ -697,10 +672,6 @@ def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
 
 
 _CODE_CAP = 4096
-# B2 is built by a single POW step before the annotation sweep starts, so
-# the step budget cannot stop it; refuse instances whose B2 would exceed
-# this many bits
-_B2_BITS_CAP = 1 << 30
 
 
 def _compact_b2_bits_floor(x: int, y: int) -> int:
@@ -759,9 +730,11 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             "a false instance is only confirmed by exhausting the "
             "annotation sweep, which exceeds any step budget")
+    # the POW step that builds B2 refuses it too, but only once the sweep
+    # over building sequences has reached its witness
     if (isinstance(scheme, CompactCoding)
-            and _compact_b2_bits_floor(x, y) > _B2_BITS_CAP):
+            and _compact_b2_bits_floor(x, y) > RESULT_BITS_CAP):
         raise FeasibilityError(
-            f"the annotation bound B2 would take more than {_B2_BITS_CAP} "
+            f"the annotation bound B2 would take more than {RESULT_BITS_CAP} "
             f"bits, built in a single step that the step budget cannot stop")
     return eval_pr(sat_as_pr(scheme), (x, y), max_steps=max_steps)

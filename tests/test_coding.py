@@ -393,6 +393,8 @@ def test_syn_search_verdicts():
 def test_nthprime_against_sympy():
     for i in range(200):
         assert nthprime(i) == sympy.prime(i + 1)
+    for i in (1000, 2999, 3000, 4095, 7919, 9999, 10_000):
+        assert nthprime(i) == sympy.prime(i + 1), i
     with pytest.raises(ValueError):
         nthprime(-1)
 

@@ -62,6 +62,20 @@ def test_serialize_round_trips_stdlib():
         assert parse_pr(serialize(term)) == term, name
 
 
+def test_nodes_are_hash_consed():
+    assert Comp(ADD, (Proj(1, 1), Proj(1, 1))) is Comp(ADD, (Proj(1, 1), Proj(1, 1)))
+    assert PrimRec(Zero(), Proj(1, 3)) is not PrimRec(Zero(), Proj(2, 3))
+
+
+def test_deep_term_hashes_and_compares_in_constant_time():
+    start = time.perf_counter()
+    t = const(100_000, 1)
+    hash(t)
+    assert t == const(100_000, 1)
+    assert t in {t}
+    assert time.perf_counter() - start < 1.0
+
+
 def test_parse_pr_errors():
     for bad in ["", "Q", "P(0,1)", "C(S)", "R(Z; Z", "Z extra", "C(S; Z,)"]:
         with pytest.raises(PRError):
@@ -318,6 +332,20 @@ def test_max_steps_budget():
     with pytest.raises(FeasibilityError):
         ev.eval(STDLIB["pow"], (6, 6))
     assert eval_pr(STDLIB["pow"], (6, 6)) == 6 ** 6
+
+
+def test_pow_twin_refuses_results_past_the_bit_cap():
+    # one POW step could otherwise build any integer, which max_steps
+    # cannot interrupt
+    pow_ = STDLIB["pow"]
+    for args in [(2, 1 << 31), (3, 1 << 40)]:
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match="bits"):
+            Evaluator().eval(pow_, args)
+        assert time.perf_counter() - start < 1.0, args
+    assert Evaluator().eval(pow_, (2, 10**6)) == 1 << 10**6
+    assert Evaluator().eval(pow_, (1, 1 << 40)) == 1
+    assert Evaluator().eval(pow_, (0, 1 << 40)) == 0
 
 
 def test_eval_argument_checks():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from delta0lab.coding import COMPACT, PAPER
 from delta0lab.formulas import desugar, free_vars, parse
-from delta0lab.primrec import FeasibilityError, eval_pr, validate
+from delta0lab.primrec import (
+    Comp, FeasibilityError, PrimRec, Proj, eval_pr, validate,
+)
 from delta0lab.satisfaction import (
     SatError,
     falsify,
@@ -20,6 +22,8 @@ from delta0lab.satisfaction import (
     triple_encode,
 )
 from delta0lab.satpr import (
+    _assemble,
+    _compact_ops,
     contains_subterm,
     sat_as_pr,
     sat_pr_eval,
@@ -268,6 +272,43 @@ def test_sat_as_pr_validates_both_schemes():
     assert validate(sat_as_pr(COMPACT)) == 2
     assert validate(sat_as_pr(PAPER)) == 2
     assert sat_as_pr(COMPACT) is sat_as_pr(COMPACT)
+
+
+def _reachable(t):
+    seen, stack = {}, [t]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if isinstance(node, Comp):
+            stack += [node.f, *node.gs]
+        elif isinstance(node, PrimRec):
+            stack += [node.f, node.g]
+    return list(seen.values())
+
+
+def _structure_key(node):
+    # class and fields, children by identity
+    if isinstance(node, Comp):
+        return Comp, id(node.f), tuple(id(g) for g in node.gs)
+    if isinstance(node, PrimRec):
+        return PrimRec, id(node.f), id(node.g)
+    if isinstance(node, Proj):
+        return Proj, node.i, node.n
+    return (type(node),)
+
+
+def test_sat_term_shares_every_equal_subterm():
+    for scheme in (COMPACT, PAPER):
+        nodes = _reachable(sat_as_pr(scheme))
+        assert len({_structure_key(n) for n in nodes}) == len(nodes), scheme
+
+
+def test_assembling_again_returns_identical_terms():
+    parts = sat_pr_parts(COMPACT)
+    rebuilt = _assemble(_compact_ops())
+    assert all(rebuilt[k] is parts[k] for k in rebuilt)
 
 
 def test_sat_as_pr_contains_named_stages():
