@@ -14,10 +14,7 @@ from .semantics import (
     EvalError, NotDelta0Error, UnboundVariableError, Verdict, eval_delta0,
     eval_delta0_verdict, eval_fo, eval_term, parse_valuation,
 )
-from .compiler import (
-    BoundedSpec, CompileError, CompiledRelation, compile_formula, compile_spec,
-    compile_term,
-)
+from .compiler import CompileError, CompiledRelation, compile_formula, compile_term
 from .coding import (
     COMPACT, Coding, CodingError, CompactCoding, KINDS, PAPER, PaperCoding,
     SCHEMES, bits_to_code, canonical_build_code, canonical_formula_seq,

@@ -73,59 +73,15 @@ class Coding:
     ("uforall", i, b) for formulas, with child codes unvalidated.  A code
     may admit several readings (prime-power variables); decoding tries
     them in order.
+
+    A subclass supplies seq_encode(entries) and seq_decode(code);
+    term_shapes(code) and formula_shapes(code); the node codes mk_zero(),
+    mk_one(), mk_var(i), mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a),
+    mk_implies(a, b), mk_bforall(i, t, b), mk_uforall(i, b) over child
+    codes; and buildseq_bound(x), the budget for a building sequence of x.
     """
 
     name: str
-
-    # -- subclass obligations -----------------------------------------
-
-    def seq_encode(self, entries: list[int]) -> int:
-        raise NotImplementedError
-
-    def seq_decode(self, code: int) -> list[int]:
-        raise NotImplementedError
-
-    def term_shapes(self, code: int) -> list[tuple]:
-        raise NotImplementedError
-
-    def formula_shapes(self, code: int) -> list[tuple]:
-        raise NotImplementedError
-
-    def mk_zero(self) -> int:
-        raise NotImplementedError
-
-    def mk_one(self) -> int:
-        raise NotImplementedError
-
-    def mk_var(self, i: int) -> int:
-        raise NotImplementedError
-
-    def mk_add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_eq(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_le(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_not(self, a: int) -> int:
-        raise NotImplementedError
-
-    def mk_implies(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_bforall(self, i: int, t: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mk_uforall(self, i: int, b: int) -> int:
-        raise NotImplementedError
-
-    def buildseq_bound(self, x: int) -> int | LazyPow:
-        raise NotImplementedError
 
     # -- encoding -------------------------------------------------------
 

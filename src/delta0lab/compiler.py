@@ -3,52 +3,27 @@
 A formula with free variables among var_order becomes a 0/1-valued PR term
 whose arguments are the values of those variables, in order.  Bounded
 quantifiers become the recursion-based bounded operators; their bound
-terms are compiled in the enclosing scope.
-
-Specific quantifiers can have their compiled bound replaced by an
-arbitrary PR term (keyed by the quantifier's node path), which is how
-search bounds larger than any term value are installed.
+terms are compiled in the enclosing scope.  Both are lowered through
+prlib's named-argument builder: each object-language variable names a
+builder argument, so the builder alone turns names into projections.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .formulas import (
     Add, And, BExists, BForall, ConstOne, ConstZero, Eq, Formula, Implies,
     Le, Mul, Not, Or, Term, UExists, UForall, Var, free_vars,
 )
-from .primrec import ADD, CHI_EQ, CHI_LE, MUL, Comp, Evaluator, PRTerm, Proj, validate
-from .prlib import const, params, rel_and, rel_bexists, rel_bforall, rel_implies, rel_not, rel_or
-from .semantics import NotDelta0Error
-
-Path = tuple[int, ...]
+from .primrec import ADD, CHI_EQ, CHI_LE, MUL, Evaluator, PRTerm
+from .prlib import Arg, Expr, and_, ex, fa, fn, implies, not_, or_
+from .semantics import NotDelta0Error, UnboundVariableError
 
 
 class CompileError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BoundedSpec:
-    """A compilation request: formula, argument order, replacements.
-
-    pr_bounds maps quantifier node paths (see quantifier_paths) to PR terms
-    that replace the compiled bound term at that node.  pr_atoms maps atom
-    node paths to PR relations that replace the compiled atom, so a
-    quantifier shell written as a formula can close over machinery
-    (sequence readers, clause checkers) that no object-language atom
-    expresses.
-    """
-    formula: Formula
-    var_order: tuple[int, ...]
-    pr_bounds: dict[Path, PRTerm] | None = None
-    pr_atoms: dict[Path, PRTerm] | None = None
-
-
-def compile_spec(spec: BoundedSpec) -> CompiledRelation:
-    return compile_formula(spec.formula, tuple(spec.var_order),
-                           spec.pr_bounds, spec.pr_atoms)
 
 
 @dataclass(frozen=True)
@@ -68,8 +43,60 @@ class CompiledRelation:
 
     def __call__(self, rho: dict[int, int] | None = None) -> bool:
         rho = rho or {}
-        args = tuple(rho[v] for v in self.var_order) or (0,)
+        try:
+            args = tuple(rho[v] for v in self.var_order) or (0,)
+        except KeyError as exc:
+            raise UnboundVariableError(f"v{exc.args[0]} has no value") from None
         return self._evaluator.eval(self.term, args) == 1
+
+
+def _term(u: Term, env: dict[int, Arg]) -> Expr | int:
+    match u:
+        case ConstZero():
+            return 0
+        case ConstOne():
+            return 1
+        case Var(i):
+            if i not in env:
+                raise CompileError(f"variable v{i} is not in scope {sorted(env)}")
+            return env[i]
+        # applied, not + and *, which would fold two constants in Python
+        case Add(l, r):
+            return ADD(_term(l, env), _term(r, env))
+        case Mul(l, r):
+            return MUL(_term(l, env), _term(r, env))
+    raise CompileError(f"not a term: {u!r}")
+
+
+def _formula(f: Formula, env: dict[int, Arg]) -> Expr:
+    match f:
+        case Eq(l, r):
+            return CHI_EQ(_term(l, env), _term(r, env))
+        case Le(l, r):
+            return CHI_LE(_term(l, env), _term(r, env))
+        case Not(b):
+            return not_(_formula(b, env))
+        case Implies(l, r):
+            return implies(_formula(l, env), _formula(r, env))
+        case And(l, r):
+            return and_(_formula(l, env), _formula(r, env))
+        case Or(l, r):
+            return or_(_formula(l, env), _formula(r, env))
+        case BForall(v, t, b) | BExists(v, t, b):
+            quant = fa if isinstance(f, BForall) else ex
+            return quant(_term(t, env), lambda a: _formula(b, {**env, v: a}))
+        case UForall() | UExists():
+            raise NotDelta0Error("only bounded quantifiers can be compiled")
+    raise CompileError(f"not a formula: {f!r}")
+
+
+def _scoped(scope: tuple[int | None, ...],
+            lower: Callable[[dict[int, Arg]], Expr | int]) -> PRTerm:
+    """lower(env) over one builder argument per scope slot; None names no
+    variable."""
+    def body(*args: Arg):
+        return lower({v: a for v, a in zip(scope, args) if v is not None})
+    return fn(body, len(scope))
 
 
 def compile_term(t: Term, scope: tuple[int | None, ...]) -> PRTerm:
@@ -77,95 +104,23 @@ def compile_term(t: Term, scope: tuple[int | None, ...]) -> PRTerm:
 
     Shadowed variables resolve to their innermost (rightmost) slot.
     """
-    n = len(scope)
-
-    def walk(u: Term) -> PRTerm:
-        match u:
-            case ConstZero():
-                return const(0, n)
-            case ConstOne():
-                return const(1, n)
-            case Var(i):
-                for pos in range(n - 1, -1, -1):
-                    if scope[pos] == i:
-                        return Proj(pos + 1, n)
-                raise CompileError(f"variable v{i} is not in scope {scope}")
-            case Add(l, r):
-                return Comp(ADD, (walk(l), walk(r)))
-            case Mul(l, r):
-                return Comp(MUL, (walk(l), walk(r)))
-        raise CompileError(f"not a term: {u!r}")
-
-    return walk(t)
+    return _scoped(scope, lambda env: _term(t, env))
 
 
 def compile_formula(phi: Formula,
-                    var_order: tuple[int, ...] | None = None,
-                    pr_bounds: dict[Path, PRTerm] | None = None,
-                    pr_atoms: dict[Path, PRTerm] | None = None) -> CompiledRelation:
+                    var_order: tuple[int, ...] | None = None) -> CompiledRelation:
     """Characteristic PR function of a bounded formula.
 
     var_order defaults to the free variables in increasing index order.
-    pr_bounds maps quantifier node paths (as from quantifier_paths) to
-    replacement PR bound terms; a replacement's arity must match the
-    scope at that node: the outer variables followed by the enclosing
-    bound variables, innermost last.  pr_atoms does the same for atomic
-    nodes, replacing the compiled atom by an arbitrary PR relation of the
-    scope.
     """
+    free = free_vars(phi)
     if var_order is None:
-        var_order = tuple(sorted(free_vars(phi)))
-    missing = free_vars(phi) - set(var_order)
+        var_order = tuple(sorted(free))
+    missing = free - set(var_order)
     if missing:
         raise CompileError(f"free variables {sorted(missing)} not in var_order")
-    pr_bounds = dict(pr_bounds or {})
-    pr_atoms = dict(pr_atoms or {})
     # formulas with no arguments still need arity 1: one inert slot that
     # no variable resolves to
-    base: tuple[int | None, ...] = var_order if var_order else (None,)
-
-    def walk(f: Formula, scope: tuple[int | None, ...], path: Path) -> PRTerm:
-        n = len(scope)
-        match f:
-            case Eq(l, r) | Le(l, r):
-                sub = pr_atoms.pop(path, None)
-                if sub is not None:
-                    if validate(sub) != n:
-                        raise CompileError(
-                            f"replacement atom at {path} has arity {validate(sub)}, "
-                            f"scope needs {n}")
-                    return sub
-                chi = CHI_EQ if isinstance(f, Eq) else CHI_LE
-                return Comp(chi, (compile_term(l, scope), compile_term(r, scope)))
-            case Not(b):
-                return rel_not(walk(b, scope, path + (0,)))
-            case Implies(l, r):
-                return rel_implies(walk(l, scope, path + (0,)),
-                                   walk(r, scope, path + (1,)))
-            case And(l, r):
-                return rel_and(walk(l, scope, path + (0,)),
-                               walk(r, scope, path + (1,)))
-            case Or(l, r):
-                return rel_or(walk(l, scope, path + (0,)),
-                              walk(r, scope, path + (1,)))
-            case BForall(v, t, b) | BExists(v, t, b):
-                body = walk(b, scope + (v,), path + (0,))
-                quant = rel_bforall(body) if isinstance(f, BForall) else rel_bexists(body)
-                bound = pr_bounds.pop(path, None)
-                if bound is None:
-                    bound = compile_term(t, scope)
-                elif validate(bound) != n:
-                    raise CompileError(
-                        f"replacement bound at {path} has arity {validate(bound)}, "
-                        f"scope needs {n}")
-                return Comp(quant, params(n, width=n) + (bound,))
-            case UForall() | UExists():
-                raise NotDelta0Error("only bounded quantifiers can be compiled")
-        raise CompileError(f"not a formula: {f!r}")
-
-    term = walk(phi, base, ())
-    if pr_bounds:
-        raise CompileError(f"no quantifier at paths {sorted(pr_bounds)}")
-    if pr_atoms:
-        raise CompileError(f"no atom at paths {sorted(pr_atoms)}")
-    return CompiledRelation(term, var_order)
+    scope = tuple(var_order) if var_order else (None,)
+    return CompiledRelation(_scoped(scope, lambda env: _formula(phi, env)),
+                            tuple(var_order))

@@ -527,46 +527,3 @@ def parse_term(text: str) -> Term:
     if not isinstance(node, Term):
         raise ParseError("expected a term, found a formula", 0)
     return node
-
-
-# ------------------------------------------------- node paths (compiler)
-
-
-def node_at(phi: Formula, path: tuple[int, ...]) -> Formula:
-    """Follow child indices from the root.  Quantifier bodies are child 0;
-    binary connectives have children 0 and 1."""
-    cur = phi
-    for step in path:
-        match cur:
-            case Not(b) if step == 0:
-                cur = b
-            case Implies(l, r) | And(l, r) | Or(l, r) if step in (0, 1):
-                cur = l if step == 0 else r
-            case BForall(_, _, b) | BExists(_, _, b) | UForall(_, b) | UExists(_, b) if step == 0:
-                cur = b
-            case _:
-                raise FormulaError(f"no child {step} at {cur.__class__.__name__}")
-    return cur
-
-
-def quantifier_paths(phi: Formula) -> list[tuple[int, ...]]:
-    """Paths of all bounded-quantifier nodes, preorder."""
-    out = []
-
-    def walk(node: Formula, path: tuple[int, ...]):
-        match node:
-            case Eq() | Le():
-                pass
-            case Not(b):
-                walk(b, path + (0,))
-            case Implies(l, r) | And(l, r) | Or(l, r):
-                walk(l, path + (0,))
-                walk(r, path + (1,))
-            case BForall(_, _, b) | BExists(_, _, b):
-                out.append(path)
-                walk(b, path + (0,))
-            case UForall(_, b) | UExists(_, b):
-                walk(b, path + (0,))
-
-    walk(phi, ())
-    return out

@@ -32,6 +32,10 @@ skip work whose result is forced):
 
 Both can be disabled for tests that want the raw recursion equations.
 
+Calling a term on builder expressions, f(x, y), builds an App; prlib.fn
+lowers a body of such expressions over named arguments to projections and
+compositions.
+
 Nodes are hash-consed: constructing a term returns the one node with its
 class and fields, so structurally equal terms are the same object, and
 equality and hashing are identity.  Every cache (the evaluator's tables,
@@ -89,6 +93,10 @@ class PRTerm(metaclass=_Interned):
     # a tree and never finishes on assembled checkers
     def __repr__(self) -> str:
         return _abbrev(self, 4)
+
+    def __call__(self, *args: Expr | int) -> App:
+        """This term applied to the arguments of a prlib.fn body."""
+        return App(self, args)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -148,46 +156,116 @@ def _abbrev(node: PRTerm, depth: int) -> str:
     return object.__repr__(node)
 
 
+# ---------------------------------------------------- builder expressions
+
+class Expr:
+    """A value of the arguments of an enclosing prlib.fn body; + * - are ADD,
+    MUL and MONUS."""
+
+    __slots__ = ()
+
+    def __add__(self, other: Expr | int) -> App:
+        return App(ADD, (self, other))
+
+    def __mul__(self, other: Expr | int) -> App:
+        return App(MUL, (self, other))
+
+    def __rmul__(self, other: int) -> App:
+        return App(MUL, (other, self))
+
+    def __sub__(self, other: Expr | int) -> App:
+        return App(MONUS, (self, other))
+
+    def __rsub__(self, other: int) -> App:
+        return App(MONUS, (other, self))
+
+
+class Arg(Expr):
+    """One named argument; it lowers to the projection onto its position."""
+
+    __slots__ = ()
+
+
+class App(Expr):
+    """A closed term applied to expressions; calling a PRTerm builds one."""
+
+    __slots__ = ("f", "args")
+
+    def __init__(self, f: PRTerm, args: tuple[Expr | int, ...]):
+        arity = _ARITY.get(f) or validate(f)
+        if arity != len(args):
+            raise ArityError(f"term of arity {arity} applied to {len(args)} arguments")
+        self.f, self.args = f, args
+
+
 # arities of the well-formed nodes validated so far
 _ARITY: dict[PRTerm, int] = {}
 
 
 def validate(t: PRTerm) -> int:
-    """Arity of a well-formed term; raises ArityError with the offending path."""
+    """Arity of a well-formed term; raises ArityError with the offending path.
 
-    def walk(node: PRTerm, path: str) -> int:
-        got = _ARITY.get(node)
-        if got is not None:
-            return got
-        match node:
-            case Zero() | Succ():
-                a = 1
-            case Proj(_, n):
-                a = n
-            case Comp(f, gs):
-                inner = [walk(g, f"{path}.g{k + 1}") for k, g in enumerate(gs)]
-                if len(set(inner)) != 1:
-                    raise ArityError(
-                        f"composed inner functions disagree on arity {inner}", path)
-                fa = walk(f, f"{path}.f")
-                if fa != len(gs):
-                    raise ArityError(
-                        f"outer function takes {fa} arguments, got {len(gs)} inner functions",
-                        path)
-                a = inner[0]
-            case PrimRec(f, g):
-                fa = walk(f, f"{path}.f")
-                ga = walk(g, f"{path}.g")
-                if ga != fa + 2:
-                    raise ArityError(
-                        f"recursion step must have arity {fa + 2}, got {ga}", path)
-                a = fa + 1
-            case _:
-                raise ArityError(f"not a PR term: {node!r}", path)
-        _ARITY[node] = a
-        return a
+    The walk keeps its own stack, so term depth is bounded by memory, not by
+    the interpreter's recursion limit.  A path is a chain of (step, parent)
+    links, spelled out only when it is reported.
+    """
+    stack: list[tuple[PRTerm, tuple]] = [(t, ("root", None))]
+    while stack:
+        node, path = stack[-1]
+        todo = None if node in _ARITY else _check(node, path)
+        if todo:
+            stack.extend(reversed(todo))
+        else:
+            stack.pop()
+    return _ARITY[t]
 
-    return walk(t, "root")
+
+def _check(node: PRTerm, path: tuple) -> list[tuple[PRTerm, tuple]] | None:
+    """The children of node to validate first, in order, or None once
+    node's arity is in _ARITY.  A composition checks that its inner
+    functions agree before it looks at its outer one."""
+    match node:
+        case Zero() | Succ():
+            a = 1
+        case Proj(_, n):
+            a = n
+        case Comp(f, gs):
+            todo = [(g, (f".g{k}", path))
+                    for k, g in enumerate(gs, 1) if g not in _ARITY]
+            if todo:
+                return todo
+            inner = [_ARITY[g] for g in gs]
+            if len(set(inner)) != 1:
+                raise ArityError(
+                    f"composed inner functions disagree on arity {inner}", _spell(path))
+            if f not in _ARITY:
+                return [(f, (".f", path))]
+            if _ARITY[f] != len(gs):
+                raise ArityError(
+                    f"outer function takes {_ARITY[f]} arguments, got {len(gs)} "
+                    f"inner functions", _spell(path))
+            a = inner[0]
+        case PrimRec(f, g):
+            todo = [(c, (step, path)) for c, step in ((f, ".f"), (g, ".g"))
+                    if c not in _ARITY]
+            if todo:
+                return todo
+            if _ARITY[g] != _ARITY[f] + 2:
+                raise ArityError(f"recursion step must have arity {_ARITY[f] + 2}, "
+                                 f"got {_ARITY[g]}", _spell(path))
+            a = _ARITY[f] + 1
+        case _:
+            raise ArityError(f"not a PR term: {node!r}", _spell(path))
+    _ARITY[node] = a
+    return None
+
+
+def _spell(path: tuple | None) -> str:
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    return "".join(reversed(steps))
 
 
 # --------------------------------------------------- canonical arithmetic

@@ -2,9 +2,25 @@
 
 Everything here is a closed PR term built from the five combinators; the
 module also provides the generic builders (constants, bounded sums and
-products, bounded minimization, the relation algebra) that the formula
-compiler uses.  Relations are 0/1-valued; bounded operators treat the last
-argument as the inclusive bound.
+products, bounded minimization, bounded quantifiers) and the
+named-argument builder that the formula compiler and satpr use.
+Relations are 0/1-valued; bounded operators treat the last argument as
+the inclusive bound.
+
+The named-argument builder fn(lambda s, i: ...) turns a Python function of
+n named arguments into the closed arity-n term.  In the body an argument
+lowers to Proj(its position, n) and an int c to const(c, n); calling a
+closed term f builds Comp(f, the lowered arguments), except that f applied
+to exactly the scope's own arguments, in order, is f itself.  ex, fa and
+least take a bound and a body of one new argument, appended to the scope,
+and lower to Comp(op(body), params(n) + (bound,)) with op rel_bexists,
+rel_bforall or bounded_min.  and_, or_, not_, implies and select build the
+MUL and SG-of-ADD shapes the evaluator's absorbing shortcuts recognise;
++, * and - are ADD, MUL and MONUS.  Names become positions only when a
+body is lowered (de Bruijn's nameless translation), so an expression built
+in an outer body lowers afresh in each inner scope that uses it.  An argument
+used outside the fn that bound it raises ScopeError; a term applied to the
+wrong number of arguments raises ArityError at the call.
 
 Sequence coding: a finite sequence (a_0, ..., a_k) is stored as
 prod_i p_i^(a_i + 1), the empty sequence as 1.  Entries are recovered as
@@ -14,21 +30,25 @@ not divide the code.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import reduce
 from math import isqrt
 
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, P11, PARITY, POW, PRED, SG, SGBAR,
-    Comp, PRTerm, PrimRec, Proj, Succ, Zero, intrinsic, validate,
+    App, Arg, ArityError, Comp, Expr, PRError, PRTerm, PrimRec, Proj, Succ,
+    Zero, intrinsic, validate,
 )
 
 __all__ = [
     "ADD", "MUL", "SG", "SGBAR", "PRED", "MONUS", "CHI_EQ", "CHI_LE", "POW",
     "PARITY", "HALF", "PRIME", "LEN", "IDX", "LAST", "SEQ_TEST", "REPLACE",
     "PAIR3", "QUOT", "DIVIDES", "EXPONENT", "NEXTPRIME", "CHI_PRIME",
-    "CHI_LT", "STDLIB", "const", "comp1", "params",
-    "bounded_sum", "bounded_prod", "bounded_min", "rel_not", "rel_and",
-    "rel_or", "rel_implies", "rel_bforall", "rel_bexists", "rel_combine",
-    "graph_of",
+    "CHI_LT", "STDLIB", "S", "const", "comp1", "params",
+    "bounded_sum", "bounded_prod", "bounded_min", "rel_bforall",
+    "rel_bexists", "rel_combine", "graph_of", "ScopeError", "Expr", "Arg",
+    "App", "fn", "ex", "fa", "least", "and_", "or_", "not_", "implies",
+    "select",
 ]
 
 
@@ -104,23 +124,7 @@ def bounded_min(f: PRTerm) -> PRTerm:
     return bounded_sum(bounded_prod(comp1(SGBAR, f)))
 
 
-# ------------------------------------------------------- relation algebra
-
-def rel_not(f: PRTerm) -> PRTerm:
-    return comp1(SGBAR, f)
-
-
-def rel_and(f: PRTerm, g: PRTerm) -> PRTerm:
-    return Comp(MUL, (f, g))
-
-
-def rel_or(f: PRTerm, g: PRTerm) -> PRTerm:
-    return Comp(SG, (Comp(ADD, (f, g)),))
-
-
-def rel_implies(f: PRTerm, g: PRTerm) -> PRTerm:
-    return rel_or(rel_not(f), g)
-
+# ---------------------------------------------------- bounded quantifiers
 
 def rel_bforall(f: PRTerm) -> PRTerm:
     """From chi(xs, i) to chi(xs, y) = [for all i <= y, chi(xs, i)]."""
@@ -138,43 +142,127 @@ def rel_bexists(f: PRTerm) -> PRTerm:
     return PrimRec(base, step)
 
 
-def rel_combine(op: str, *fs: PRTerm) -> PRTerm:
-    table = {"not": rel_not, "and": rel_and, "or": rel_or,
-             "implies": rel_implies, "bforall": rel_bforall,
-             "bexists": rel_bexists}
-    if op not in table:
-        raise ValueError(f"unknown connective {op!r}")
-    return table[op](*fs)
-
-
 def graph_of(f: PRTerm) -> PRTerm:
     """chi(xs, y) = [f(xs) = y]."""
     n = validate(f)
     return Comp(CHI_EQ, (Comp(f, params(n, width=n + 1)), Proj(n + 1, n + 1)))
 
 
+# ------------------------------------------------- named-argument builder
+
+class ScopeError(PRError):
+    """A builder argument was used outside the fn that bound it."""
+
+
+class _Bounded(Expr):
+    __slots__ = ("op", "bound", "body")
+
+    def __init__(self, op: Callable[[PRTerm], PRTerm], bound: Expr | int,
+                 body: Callable[[Arg], Expr | int]):
+        self.op, self.bound, self.body = op, bound, body
+
+
+def ex(bound: Expr | int, body: Callable[[Arg], Expr | int]) -> Expr:
+    """[some v <= bound has body(v)]."""
+    return _Bounded(rel_bexists, bound, body)
+
+
+def fa(bound: Expr | int, body: Callable[[Arg], Expr | int]) -> Expr:
+    """[every v <= bound has body(v)]."""
+    return _Bounded(rel_bforall, bound, body)
+
+
+def least(bound: Expr | int, body: Callable[[Arg], Expr | int]) -> Expr:
+    """Least v <= bound with body(v) > 0, and bound + 1 when there is none."""
+    return _Bounded(bounded_min, bound, body)
+
+
+def and_(*fs: Expr | int) -> Expr | int:
+    """Conjunction of 0/1 values, nested to the right."""
+    return reduce(lambda rest, f: App(MUL, (f, rest)), reversed(fs))
+
+
+def or_(*fs: Expr | int) -> Expr | int:
+    """Disjunction of 0/1 values, nested to the right."""
+    return reduce(lambda rest, f: App(SG, (App(ADD, (f, rest)),)), reversed(fs))
+
+
+def not_(f: Expr | int) -> App:
+    return App(SGBAR, (f,))
+
+
+def implies(f: Expr | int, g: Expr | int) -> Expr:
+    return or_(not_(f), g)
+
+
+def select(cond: Expr | int, a: Expr | int, b: Expr | int) -> App:
+    """cond ? a : b for 0/1 cond; the evaluator computes only the arm picked."""
+    return App(ADD, (and_(cond, a), and_(not_(cond), b)))
+
+
+def fn(body: Callable[..., Expr | int], arity: int | None = None) -> PRTerm:
+    """The closed term of body's named arguments, in order.
+
+    arity defaults to the number of body's positional parameters; a body
+    taking *args needs it given.
+    """
+    n = body.__code__.co_argcount if arity is None else arity
+    if n < 1:
+        raise ArityError("a PR function takes at least one argument")
+    args = tuple(Arg() for _ in range(n))
+    return _lower(body(*args), args, params(n))
+
+
+def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...]) -> PRTerm:
+    """e as a term whose arguments are the scope's, outermost first; ids
+    are the projections onto them."""
+    match e:
+        case App(f=f, args=args):
+            gs = tuple([_lower(a, scope, ids) for a in args])
+            return f if gs == ids else Comp(f, gs)
+        case Arg():
+            if e not in scope:
+                raise ScopeError("argument used outside the fn that bound it")
+            return ids[scope.index(e)]
+        case int():
+            if e < 0:
+                raise PRError(f"constants are naturals, got {e}")
+            return const(e, len(scope))
+        case _Bounded(op=op, bound=bound, body=body):
+            v = Arg()
+            inner = _lower(body(v), scope + (v,), params(len(scope) + 1))
+            return Comp(op(inner), ids + (_lower(bound, scope, ids),))
+    raise PRError(f"not a builder expression: {e!r}")
+
+
+def rel_combine(op: str, *fs: PRTerm) -> PRTerm:
+    """The connective op over relations of one arity, or the bounded
+    quantifier op over a relation whose last argument is the bound."""
+    if op in ("bforall", "bexists"):
+        return (rel_bforall if op == "bforall" else rel_bexists)(*fs)
+    connective = {"not": not_, "and": and_, "or": or_, "implies": implies}.get(op)
+    if connective is None:
+        raise ValueError(f"unknown connective {op!r}")
+    return fn(lambda *xs: connective(*(f(*xs) for f in fs)), validate(fs[0]))
+
+
 # ------------------------------------------------- arithmetic predicates
 
-CHI_LT = Comp(CHI_LE, (Comp(Succ(), (Proj(1, 2),)), Proj(2, 2)))
+# the successor, applied as S(x) in builder bodies
+S = Succ()
+
+CHI_LT = fn(lambda a, b: CHI_LE(S(a), b))
 
 # quot(a, b) = least q <= a with (q+1)*b > a; floor(a/b) for b >= 1,
 # and a + 1 when b = 0.
-_QUOT_TEST = Comp(CHI_LE, (Comp(Succ(), (Proj(1, 3),)),
-                           Comp(MUL, (Comp(Succ(), (Proj(3, 3),)), Proj(2, 3)))))
-QUOT = Comp(bounded_min(_QUOT_TEST), (Proj(1, 2), Proj(2, 2), Proj(1, 2)))
+QUOT = fn(lambda a, b: least(a, lambda q: CHI_LE(S(a), S(q) * b)))
 
 # divides(d, x) = [d * quot(x, d) = x]
-DIVIDES = Comp(CHI_EQ, (Comp(MUL, (Proj(1, 2), Comp(QUOT, (Proj(2, 2), Proj(1, 2))))),
-                        Proj(2, 2)))
+DIVIDES = fn(lambda d, x: CHI_EQ(d * QUOT(x, d), x))
 
 # chi_prime(x) = [x >= 2 and every divisor of x is 1 or x]
-_PRIME_INNER = rel_implies(
-    Comp(DIVIDES, (Proj(2, 2), Proj(1, 2))),
-    rel_or(Comp(CHI_EQ, (Proj(2, 2), const(1, 2))),
-           Comp(CHI_EQ, (Proj(2, 2), Proj(1, 2)))))
-CHI_PRIME = rel_and(
-    Comp(CHI_LE, (const(2, 1), P11)),
-    Comp(rel_bforall(_PRIME_INNER), (P11, P11)))
+CHI_PRIME = fn(lambda x: and_(CHI_LE(2, x), fa(x, lambda d: implies(
+    DIVIDES(d, x), or_(CHI_EQ(d, 1), CHI_EQ(d, x))))))
 
 # trial division up to sqrt(x) stays under 2^11 divisions below this cap;
 # above it the equations run, whose sweep over every i <= x is no better
@@ -195,53 +283,40 @@ def _chi_prime(a: tuple[int, ...]) -> int | None:
 intrinsic(CHI_PRIME, _chi_prime)
 
 # nextprime(x) = least prime above x; it exists below 2(x + 1)
-_NEXT_TEST = rel_and(comp1(CHI_PRIME, Proj(2, 2)),
-                     Comp(CHI_LT, (Proj(1, 2), Proj(2, 2))))
-NEXTPRIME = Comp(bounded_min(_NEXT_TEST),
-                 (P11, Comp(MUL, (const(2, 1), Comp(Succ(), (P11,))))))
+NEXTPRIME = fn(lambda x: least(2 * S(x), lambda p: and_(CHI_PRIME(p), CHI_LT(x, p))))
 
 # prime(i) = the i-th prime, counting from prime(0) = 2
-PRIME = Comp(PrimRec(const(2, 1), Comp(NEXTPRIME, (Proj(1, 3),))), (P11, P11))
+_PRIMES = PrimRec(const(2, 1), fn(lambda p, x, i: NEXTPRIME(p)))
+PRIME = fn(lambda i: _PRIMES(i, i))
 
 # exponent(k, x) = largest e with prime(k)^e dividing x (x >= 1)
-_EXP_TEST = rel_not(Comp(DIVIDES, (
-    Comp(POW, (Comp(PRIME, (Proj(1, 3),)), Comp(Succ(), (Proj(3, 3),)))),
-    Proj(2, 3))))
-EXPONENT = Comp(bounded_min(_EXP_TEST), (Proj(1, 2), Proj(2, 2), Proj(2, 2)))
+EXPONENT = fn(lambda k, x: least(x, lambda e: not_(DIVIDES(POW(PRIME(k), S(e)), x))))
 
 # ------------------------------------------------------- sequence coding
 
 # len(x) = first i with prime(i) not dividing x
-_LEN_TEST = rel_not(Comp(DIVIDES, (Comp(PRIME, (Proj(2, 2),)), Proj(1, 2))))
-LEN = Comp(bounded_min(_LEN_TEST), (P11, P11))
+LEN = fn(lambda x: least(x, lambda i: not_(DIVIDES(PRIME(i), x))))
 
 # idx(i, x) = entry i of sequence x, exponent minus one
-IDX = comp1(PRED, EXPONENT)
+IDX = fn(lambda i, x: PRED(EXPONENT(i, x)))
 
 # last(x) = idx(len(x) - 1, x)
-LAST = Comp(IDX, (comp1(PRED, LEN), P11))
+LAST = fn(lambda x: IDX(PRED(LEN(x)), x))
 
 # seq_test(x) = [x is a product of an initial segment of prime powers].
 # Rebuild prod over i < len(x) of prime(i)^exponent(i, x) and compare with
 # x; sweeping prime indices up to x itself would be hopelessly slow.
-_FACTOR = Comp(POW, (Comp(PRIME, (Proj(2, 2),)),
-                     Comp(EXPONENT, (Proj(2, 2), Proj(1, 2)))))
-_REBUILD = Comp(bounded_prod(_FACTOR), (P11, comp1(PRED, LEN)))
-SEQ_TEST = rel_or(
-    rel_and(comp1(SGBAR, LEN), Comp(CHI_EQ, (P11, const(1, 1)))),
-    rel_and(comp1(SG, LEN), Comp(CHI_EQ, (P11, _REBUILD))))
+_REBUILD = bounded_prod(fn(lambda x, i: POW(PRIME(i), EXPONENT(i, x))))
+SEQ_TEST = fn(lambda x: or_(
+    and_(SGBAR(LEN(x)), CHI_EQ(x, 1)),
+    and_(SG(LEN(x)), CHI_EQ(x, _REBUILD(x, PRED(LEN(x)))))))
 
 # replace(z, k, r): sequence z with entry k set to r
-_PK = Comp(PRIME, (Proj(2, 3),))
-REPLACE = Comp(MUL, (
-    Comp(QUOT, (Proj(1, 3), Comp(POW, (_PK, Comp(EXPONENT, (Proj(2, 3), Proj(1, 3))))))),
-    Comp(POW, (_PK, Comp(Succ(), (Proj(3, 3),))))))
+REPLACE = fn(lambda z, k, r:
+             QUOT(z, POW(PRIME(k), EXPONENT(k, z))) * POW(PRIME(k), S(r)))
 
 # pair3(i, z, w) = 2^i * 3^z * 5^w
-PAIR3 = Comp(MUL, (
-    Comp(MUL, (Comp(POW, (const(2, 3), Proj(1, 3))),
-               Comp(POW, (const(3, 3), Proj(2, 3))))),
-    Comp(POW, (const(5, 3), Proj(3, 3)))))
+PAIR3 = fn(lambda i, z, w: POW(2, i) * POW(3, z) * POW(5, w))
 
 
 STDLIB: dict[str, PRTerm] = {

@@ -10,14 +10,19 @@ where s ranges over building sequences of the coded formula, t over
 sequences of annotation triples <i, z, w> = 2^i 3^z 5^w, and satseq checks
 every triple against the clause for its entry's shape: true equation, true
 inequality, negation, implication, or bounded universal with valuation
-updates z[r/v].  The quantifier shell is compiled from a BoundedSpec whose
-bounds and matrix are installed as PR replacements, and the matrix is the
-clause algebra assembled from the same rel_* combinators the compiler
-emits, over a per-scheme kit of sequence readers and code builders:
-prime-exponent sequences use the stdlib ops, bit-packed sequences get a
-gamma-stream reader (zero-run scan, entry slicing, offset tracking) built
-here.  The reader's bit-length, shift, zero-run, hop and length searches
-are registered as evaluator intrinsics with exact Python twins.
+updates z[r/v].  Every term here is written with prlib's named-argument
+builder, the one routine that also lowers compiled formulas, so no
+projection is numbered by hand.  The quantifier shell is
+
+    fn(lambda x, y: ex(b1(x, y), lambda s: and_(
+        sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t)))))
+
+and the matrix is the clause algebra over a per-scheme kit of sequence
+readers and code builders: prime-exponent sequences use the stdlib ops,
+bit-packed sequences get a gamma-stream reader (zero-run scan, entry
+slicing, offset tracking) built here.  The reader's bit-length, shift,
+zero-run, hop and length searches are registered as evaluator intrinsics
+with exact Python twins.
 
 The atom and bounded-universal clauses read a term's value off the value
 run along its least building sequence s*, and confirm each such value with
@@ -48,65 +53,23 @@ takes the other 99, x = 77 first.
 from __future__ import annotations
 
 from .coding import COMPACT, Coding, CodingError, CompactCoding
-from .compiler import BoundedSpec, compile_spec
 from .formulas import (
-    And, BExists, BForall, ConstZero, Eq, Formula, Implies, Le, Not,
-    UForall, Var, desugar, is_delta0,
+    BForall, Eq, Formula, Implies, Le, Not, UForall, desugar, is_delta0,
 )
 from .numbers import nthprime
 from .primrec import (
-    ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, PARITY, POW, PRED, Comp,
-    RESULT_BITS_CAP, FeasibilityError, PRTerm, PrimRec, Proj, Succ, eval_pr,
-    intrinsic,
+    CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, RESULT_BITS_CAP, Comp,
+    FeasibilityError, PRTerm, PrimRec, Zero, eval_pr, intrinsic,
 )
 from .prlib import (
-    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST,
-    bounded_min, comp1, const, params, rel_and, rel_bexists, rel_bforall,
-    rel_implies, rel_not, rel_or,
+    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST, S,
+    and_, bounded_min, ex, fa, fn, implies, least, or_, select,
 )
 from .satisfaction import sat_valuation
 
 __all__ = [
     "contains_subterm", "sat_as_pr", "sat_pr_eval", "sat_pr_parts",
 ]
-
-P1 = Proj(1, 1)
-
-
-def _ap(f: PRTerm, *gs: PRTerm) -> PRTerm:
-    return Comp(f, gs)
-
-
-def _s(t: PRTerm) -> PRTerm:
-    return Comp(Succ(), (t,))
-
-
-def _and(*fs: PRTerm) -> PRTerm:
-    out = fs[-1]
-    for f in fs[-2::-1]:
-        out = rel_and(f, out)
-    return out
-
-
-def _or(*fs: PRTerm) -> PRTerm:
-    out = fs[-1]
-    for f in fs[-2::-1]:
-        out = rel_or(f, out)
-    return out
-
-
-def _ex(body: PRTerm, n: int, bound: PRTerm) -> PRTerm:
-    """exists v <= bound of body(args, v); body has arity n + 1."""
-    return Comp(rel_bexists(body), params(n, width=n) + (bound,))
-
-
-def _fa(body: PRTerm, n: int, bound: PRTerm) -> PRTerm:
-    return Comp(rel_bforall(body), params(n, width=n) + (bound,))
-
-
-def _sel(cond: PRTerm, a: PRTerm, b: PRTerm) -> PRTerm:
-    """cond ? a : b for 0/1 cond; both arms stay unevaluated until picked."""
-    return _ap(ADD, rel_and(cond, a), rel_and(rel_not(cond), b))
 
 
 # ---------------------------------------------------------------------------
@@ -123,22 +86,18 @@ def _plen(c: int) -> int:
 
 
 # bit length as least k <= x with x < 2^k
-_BL_TEST = _ap(CHI_LE, _s(Proj(1, 2)), _ap(POW, const(2, 2), Proj(2, 2)))
 BITLEN_MIN = intrinsic(
-    bounded_min(_BL_TEST),
+    bounded_min(fn(lambda x, k: CHI_LE(S(x), POW(2, k)))),
     lambda a: min(a[0].bit_length(), a[1] + 1))
-BITLEN = Comp(BITLEN_MIN, (P1, P1))
-PLEN = _ap(MONUS, BITLEN, const(1, 1))
+BITLEN = fn(lambda x: BITLEN_MIN(x, x))
+PLEN = fn(lambda c: BITLEN(c) - 1)
 
 # shift right by iterated halving; a quotient search would cost O(x)
-SHR = intrinsic(PrimRec(P1, comp1(HALF, Proj(1, 3))), lambda a: a[0] >> a[1])
+SHR = intrinsic(PrimRec(P11, fn(lambda acc, c, i: HALF(acc))),
+                lambda a: a[0] >> a[1])
 
 # payload bit at offset d, most significant first
-_BIT = comp1(PARITY,
-             _ap(SHR, Proj(1, 2),
-                 _ap(MONUS,
-                     _ap(MONUS, comp1(PLEN, Proj(1, 2)), const(1, 2)),
-                     Proj(2, 2))))
+_BIT = fn(lambda c, d: PARITY(SHR(c, PLEN(c) - 1 - d)))
 
 
 def _zrun(c: int, d: int, y: int) -> int:
@@ -153,11 +112,9 @@ def _zrun(c: int, d: int, y: int) -> int:
     return min(k, y + 1)
 
 
-_ZR_TEST = _ap(CHI_EQ,
-               _ap(_BIT, Proj(1, 3), _ap(ADD, Proj(2, 3), Proj(3, 3))),
-               const(1, 3))
-ZRUN_MIN = intrinsic(bounded_min(_ZR_TEST), lambda a: _zrun(*a))
-ZRUN = _ap(ZRUN_MIN, Proj(1, 2), Proj(2, 2), comp1(PLEN, Proj(1, 2)))
+ZRUN_MIN = intrinsic(bounded_min(fn(lambda c, d, k: CHI_EQ(_BIT(c, d + k), 1))),
+                     lambda a: _zrun(*a))
+ZRUN = fn(lambda c, d: ZRUN_MIN(c, d, PLEN(c)))
 
 
 def _hop(c: int, d: int) -> int:
@@ -168,14 +125,16 @@ def _hop(c: int, d: int) -> int:
     return nxt if nxt <= plen else plen + 1
 
 
-_PL2 = comp1(PLEN, Proj(1, 2))
-_NXT = _ap(ADD, Proj(2, 2), _s(_ap(MUL, const(2, 2), ZRUN)))
-_POISON = _s(_PL2)
-_STEP = _sel(_ap(CHI_LE, _PL2, Proj(2, 2)), _POISON,
-             _sel(_ap(CHI_LE, _NXT, _PL2), _NXT, _POISON))
-HOP = intrinsic(_ap(_STEP, Proj(2, 3), Proj(1, 3)), lambda a: _hop(a[1], a[0]))
+def _next(c, d):
+    """The offset past the gamma entry at offset d, unchecked."""
+    return d + S(2 * ZRUN(c, d))
+
+
+_STEP = fn(lambda c, d: select(CHI_LE(PLEN(c), d), S(PLEN(c)), select(
+    CHI_LE(_next(c, d), PLEN(c)), _next(c, d), S(PLEN(c)))))
+HOP = intrinsic(fn(lambda d, c, i: _STEP(c, d)), lambda a: _hop(a[1], a[0]))
 # offset of entry n, plen once the stream is used up exactly
-POSN = PrimRec(const(0, 1), HOP)
+POSN = PrimRec(Zero(), HOP)
 
 
 def _seqlen(c: int, y: int) -> int:
@@ -194,9 +153,9 @@ def _seqlen(c: int, y: int) -> int:
     return y + 1
 
 
-_SL_TEST = _ap(CHI_EQ, _ap(POSN, Proj(1, 2), Proj(2, 2)), _PL2)
-SEQLEN_MIN = intrinsic(bounded_min(_SL_TEST), lambda a: _seqlen(*a))
-SEQLEN = _ap(SEQLEN_MIN, P1, PLEN)
+SEQLEN_MIN = intrinsic(bounded_min(fn(lambda c, n: CHI_EQ(POSN(c, n), PLEN(c)))),
+                       lambda a: _seqlen(*a))
+SEQLEN = fn(lambda c: SEQLEN_MIN(c, PLEN(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,125 +167,82 @@ SEQLEN = _ap(SEQLEN_MIN, P1, PLEN)
 # code, the bound code, the body code), trm_bound (covers the canonical
 # building sequence of a term code), b1/b2 (the wrapper search bounds).
 
+_B1 = fn(lambda x, y: POW(PRIME(x), S(x) * S(x)))
+
 
 def _compact_ops() -> dict[str, object]:
-    pow2 = _ap(POW, const(2, 1), P1)
-    pay = _ap(MONUS, P1, comp1(pow2, PLEN))
-    mod2k = _ap(MONUS, Proj(1, 2),
-                _ap(MUL, _ap(POW, const(2, 2), Proj(2, 2)), SHR))
+    pow2 = fn(lambda k: POW(2, k))
+    pay = fn(lambda c: c - pow2(PLEN(c)))
+    mod2k = fn(lambda a, k: a - POW(2, k) * SHR(a, k))
     # code concatenation: append c's payload bits to a
-    cat = _ap(ADD,
-              _ap(MUL, Proj(1, 2), comp1(pow2, comp1(PLEN, Proj(2, 2)))),
-              comp1(pay, Proj(2, 2)))
-    gamma = _ap(ADD,
-                comp1(pow2, _ap(MONUS, _ap(MUL, const(2, 1), BITLEN),
-                                const(1, 1))),
-                P1)
-    sapp = _ap(cat, Proj(1, 2), comp1(gamma, _s(Proj(2, 2))))
-    isseq = rel_and(_ap(CHI_LE, const(1, 1), P1),
-                    _ap(CHI_LE, SEQLEN, PLEN))
-    gdec = _ap(mod2k,
-               _ap(SHR, comp1(pay, Proj(1, 2)), _ap(MONUS, _PL2, _NXT)),
-               _s(ZRUN))
-    entry = comp1(PRED, _ap(gdec, Proj(2, 2),
-                            _ap(POSN, Proj(2, 2), Proj(1, 2))))
-    slast = _ap(entry, _ap(MONUS, SEQLEN, const(1, 1)), P1)
-    vget = _ap(MUL,
-               _ap(CHI_LT, Proj(2, 2), comp1(SEQLEN, Proj(1, 2))),
-               _ap(entry, Proj(2, 2), Proj(1, 2)))
+    cat = fn(lambda a, c: a * pow2(PLEN(c)) + pay(c))
+    gamma = fn(lambda v: pow2(2 * BITLEN(v) - 1) + v)
+    sapp = fn(lambda s, e: cat(s, gamma(S(e))))
+    isseq = fn(lambda c: and_(CHI_LE(1, c), CHI_LE(SEQLEN(c), PLEN(c))))
+    gdec = fn(lambda c, d: mod2k(SHR(pay(c), PLEN(c) - _next(c, d)), S(ZRUN(c, d))))
+    entry = fn(lambda i, c: PRED(gdec(c, POSN(c, i))))
+    vget = fn(lambda z, n: CHI_LT(n, SEQLEN(z)) * entry(n, z))
     # rebuild with entry k set to r, zero padded to length max(len, k+1)
-    bstep = _ap(sapp, Proj(1, 5),
-                _sel(_ap(CHI_EQ, Proj(5, 5), Proj(3, 5)), Proj(4, 5),
-                     _ap(vget, Proj(2, 5), Proj(5, 5))))
-    build = PrimRec(const(1, 3), bstep)
-    sl3 = comp1(SEQLEN, Proj(1, 3))
-    repl = _ap(build, Proj(1, 3), Proj(2, 3), Proj(3, 3),
-               _ap(ADD, sl3, _ap(MONUS, _s(Proj(2, 3)), sl3)))
-    mk_eq = _ap(cat, _ap(cat, const(2, 2), Proj(1, 2)), Proj(2, 2))
-    mk_le = _ap(cat, _ap(cat, const(6, 2), Proj(1, 2)), Proj(2, 2))
-    mk_not = _ap(cat, const(14, 1), P1)
-    mk_imp = _ap(cat, _ap(cat, const(30, 2), Proj(1, 2)), Proj(2, 2))
-    mk_add = _ap(cat, _ap(cat, const(30, 2), Proj(1, 2)), Proj(2, 2))
-    mk_mul = _ap(cat, _ap(cat, const(31, 2), Proj(1, 2)), Proj(2, 2))
-    mk_var = _ap(cat, const(14, 1), comp1(gamma, _s(P1)))
+    build = PrimRec(fn(lambda z, k, r: 1),
+                    fn(lambda acc, z, k, r, i:
+                       sapp(acc, select(CHI_EQ(i, k), r, vget(z, i)))))
+
+    def tagged(tag: int) -> PRTerm:
+        return fn(lambda a, b: cat(cat(tag, a), b))
+
     # variable payload minus its three tag bits, as a code
-    pm3 = _ap(MONUS, PLEN, const(3, 1))
-    gpart = _ap(ADD, comp1(pow2, pm3), _ap(mod2k, pay, pm3))
-    # candidate index read off the bits; callers confirm by rebuilding,
-    # a search over indices would cost O(v) on non-variable codes
-    varn = comp1(PRED, comp1(pay, gpart))
-    mk_bfa = _ap(cat,
-                 _ap(cat,
-                     _ap(MUL,
-                         _ap(cat, const(31, 3), comp1(gpart, Proj(1, 3))),
-                         const(2, 3)),
-                     Proj(2, 3)),
-                 Proj(3, 3))
-    # a canonical building sequence has at most plen(u) entries of at most
-    # bitlen(u) + 1 bits each once gamma coded
-    trm_bound = comp1(pow2, _s(_ap(MUL, PLEN,
-                                   _s(_ap(MUL, const(2, 1), BITLEN)))))
-    b1 = _ap(POW, comp1(PRIME, Proj(1, 2)),
-             _ap(MUL, _s(Proj(1, 2)), _s(Proj(1, 2))))
+    gpart = fn(lambda c: pow2(PLEN(c) - 3) + mod2k(pay(c), PLEN(c) - 3))
+
     # quantifier-free runs keep z = y in every triple, so the annotation
     # code has at most bitlen(b1) triples of bitlen(b1) + 2y + 4 bits each
-    lam = comp1(BITLEN, b1)
-    b2 = comp1(pow2, _s(_ap(MUL, lam,
-                            _ap(ADD, _ap(MUL, const(2, 2), lam),
-                                _ap(ADD, _ap(MUL, const(4, 2), Proj(2, 2)),
-                                    const(8, 2))))))
-    return dict(zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
-                slast=slast, vget=vget, repl=repl, sapp=sapp, varn=varn,
-                mk_eq=mk_eq, mk_le=mk_le, mk_not=mk_not, mk_imp=mk_imp,
-                mk_add=mk_add, mk_mul=mk_mul, mk_var=mk_var, mk_bfa=mk_bfa,
-                trm_bound=trm_bound, b1=b1, b2=b2)
+    def b2(x, y):
+        lam = BITLEN(_B1(x, y))
+        return pow2(S(lam * (2 * lam + (4 * y + 8))))
+
+    return dict(
+        zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
+        slast=fn(lambda c: entry(SEQLEN(c) - 1, c)), vget=vget,
+        repl=fn(lambda z, k, r: build(z, k, r, SEQLEN(z) + (S(k) - SEQLEN(z)))),
+        sapp=sapp,
+        # candidate index read off the bits; callers confirm by rebuilding,
+        # a search over indices would cost O(v) on non-variable codes
+        varn=fn(lambda c: PRED(pay(gpart(c)))),
+        mk_eq=tagged(2), mk_le=tagged(6), mk_not=fn(lambda a: cat(14, a)),
+        mk_imp=tagged(30), mk_add=tagged(30), mk_mul=tagged(31),
+        mk_var=fn(lambda v: cat(14, gamma(S(v)))),
+        mk_bfa=fn(lambda v, t, b: cat(cat(cat(31, gpart(v)) * 2, t), b)),
+        # a canonical building sequence has at most plen(u) entries of at
+        # most bitlen(u) + 1 bits each once gamma coded
+        trm_bound=fn(lambda u: pow2(S(PLEN(u) * S(2 * BITLEN(u))))),
+        b1=_B1, b2=fn(b2))
 
 
 def _paper_ops() -> dict[str, object]:
     # symbol tags enter the product as 2^(symbol+1); keep them in that shape
     # rather than as unary numerals
-    def tag(symbol: int, width: int) -> PRTerm:
-        return _ap(POW, const(2, width), const(symbol + 1, width))
+    def tag(symbol: int):
+        return POW(2, symbol + 1)
 
-    s1imit = _s(Proj(1, 2))
-    s2 = _s(Proj(2, 2))
-    mk_eq = _ap(MUL, _ap(MUL, tag(9, 2), _ap(POW, const(3, 2), s1imit)),
-                _ap(POW, const(5, 2), s2))
-    mk_le = _ap(MUL, _ap(MUL, tag(11, 2), _ap(POW, const(3, 2), s1imit)),
-                _ap(POW, const(5, 2), s2))
-    mk_not = _ap(MUL, tag(13, 1), _ap(POW, const(3, 1), _s(P1)))
-    mk_imp = _ap(MUL, _ap(MUL, tag(15, 2), _ap(POW, const(3, 2), s1imit)),
-                 _ap(POW, const(5, 2), s2))
-    mk_add = _ap(MUL, _ap(MUL, tag(5, 2), _ap(POW, const(3, 2), s1imit)),
-                 _ap(POW, const(5, 2), s2))
-    mk_mul = _ap(MUL, _ap(MUL, tag(7, 2), _ap(POW, const(3, 2), s1imit)),
-                 _ap(POW, const(5, 2), s2))
-    mk_var = _ap(ADD, _ap(MUL, const(2, 1), P1), const(2, 1))
-    mk_bfa = _ap(MUL,
-                 _ap(MUL,
-                     _ap(MUL, tag(17, 3),
-                         _ap(POW, const(3, 3), _s(Proj(1, 3)))),
-                     _ap(POW, const(5, 3), _s(Proj(2, 3)))),
-                 _ap(POW, const(7, 3), _s(Proj(3, 3))))
-    varn = comp1(PRED, comp1(HALF, P1))
-    sapp = _ap(MUL, Proj(1, 2),
-               _ap(POW, comp1(PRIME, comp1(LEN, Proj(1, 2))), _s(Proj(2, 2))))
-    vget = _ap(IDX, Proj(2, 2), Proj(1, 2))
-    trm_bound = _ap(POW, comp1(PRIME, P1), _ap(MUL, _s(P1), _s(P1)))
-    b1 = _ap(POW, comp1(PRIME, Proj(1, 2)),
-             _ap(MUL, _s(Proj(1, 2)), _s(Proj(1, 2))))
-    prx = comp1(PRIME, Proj(1, 2))
-    tower = _ap(POW, prx, _ap(POW, prx, _ap(MUL, s2, s2)))
-    b2 = _ap(POW, comp1(PRIME, _ap(MUL, Proj(1, 2), Proj(1, 2))),
-             _ap(MUL,
-                 _ap(MUL, _ap(POW, const(2, 2), b1),
-                     _ap(POW, const(3, 2), tower)),
-                 const(5, 2)))
-    return dict(zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX,
-                slast=LAST, vget=vget, repl=REPLACE, sapp=sapp, varn=varn,
-                mk_eq=mk_eq, mk_le=mk_le, mk_not=mk_not, mk_imp=mk_imp,
-                mk_add=mk_add, mk_mul=mk_mul, mk_var=mk_var, mk_bfa=mk_bfa,
-                trm_bound=trm_bound, b1=b1, b2=b2)
+    def tagged(symbol: int) -> PRTerm:
+        return fn(lambda a, b: tag(symbol) * POW(3, S(a)) * POW(5, S(b)))
+
+    def b2(x, y):
+        tower = POW(PRIME(x), POW(PRIME(x), S(y) * S(y)))
+        return POW(PRIME(x * x), POW(2, _B1(x, y)) * POW(3, tower) * 5)
+
+    return dict(
+        zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
+        vget=fn(lambda z, n: IDX(n, z)), repl=REPLACE,
+        sapp=fn(lambda s, e: s * POW(PRIME(LEN(s)), S(e))),
+        varn=fn(lambda c: PRED(HALF(c))),
+        mk_eq=tagged(9), mk_le=tagged(11),
+        mk_not=fn(lambda a: tag(13) * POW(3, S(a))),
+        mk_imp=tagged(15), mk_add=tagged(5), mk_mul=tagged(7),
+        mk_var=fn(lambda i: 2 * i + 2),
+        mk_bfa=fn(lambda v, t, b: tag(17) * POW(3, S(v)) * POW(5, S(t))
+                  * POW(7, S(b))),
+        trm_bound=fn(lambda u: POW(PRIME(u), S(u) * S(u))),
+        b1=_B1, b2=fn(b2))
 
 
 # ---------------------------------------------------------------------------
@@ -334,125 +250,95 @@ def _paper_ops() -> dict[str, object]:
 
 
 def _assemble(ops: dict[str, object]) -> dict[str, PRTerm]:
-    isseq, seqlen, entry, slast = (ops["isseq"], ops["seqlen"],
-                                   ops["entry"], ops["slast"])
-    zero_c, one_c = ops["zero"], ops["one"]
+    isseq, seqlen, entry, slast, varn, vget, trm_bound, mk_add, mk_mul = (
+        ops[k] for k in ("isseq", "seqlen", "entry", "slast", "varn", "vget",
+                         "trm_bound", "mk_add", "mk_mul"))
     # a code is a variable iff rebuilding from its read-off index returns it
-    isvar = _ap(CHI_EQ, P1, comp1(ops["mk_var"], ops["varn"]))
-    im1_2 = _ap(MONUS, Proj(2, 2), const(1, 2))
-    im1_3 = _ap(MONUS, Proj(2, 3), const(1, 3))
+    isvar = fn(lambda c: CHI_EQ(c, ops["mk_var"](varn(c))))
 
-    # -- term building sequences: (s, i) ambient, entries from earlier ones
-    e2 = _ap(entry, Proj(2, 2), Proj(1, 2))
-    e4 = _ap(entry, Proj(2, 4), Proj(1, 4))
-    ej4 = _ap(entry, Proj(3, 4), Proj(1, 4))
-    ek4 = _ap(entry, Proj(4, 4), Proj(1, 4))
-    comp_body = _and(_ap(CHI_LT, Proj(3, 4), Proj(2, 4)),
-                     _ap(CHI_LT, Proj(4, 4), Proj(2, 4)),
-                     _or(_ap(CHI_EQ, e4, _ap(ops["mk_add"], ej4, ek4)),
-                         _ap(CHI_EQ, e4, _ap(ops["mk_mul"], ej4, ek4))))
-    tent = _or(_ap(CHI_EQ, e2, const(zero_c, 2)),
-               _ap(CHI_EQ, e2, const(one_c, 2)),
-               comp1(isvar, e2),
-               _ex(_ex(comp_body, 3, im1_3), 2, im1_2))
-    tloop = rel_implies(_ap(CHI_LT, Proj(2, 2), comp1(seqlen, Proj(1, 2))),
-                        tent)
-    trmseq = rel_and(isseq,
-                     _ap(rel_bforall(tloop), P1,
-                         _ap(MONUS, seqlen, const(1, 1))))
+    def each(s, clause):
+        """clause(i) for every entry index i of the sequence s."""
+        return fa(seqlen(s) - 1, lambda i: implies(CHI_LT(i, seqlen(s)), clause(i)))
+
+    def pairs(i, body):
+        """body(j, k) for some j, k <= i - 1."""
+        return ex(i - 1, lambda j: ex(i - 1, lambda k: body(j, k)))
+
+    def sum_or_product(e, a, b):
+        return or_(CHI_EQ(e, mk_add(a, b)), CHI_EQ(e, mk_mul(a, b)))
+
+    # -- term building sequences: each entry e at i is a constant, a
+    # variable, or the sum or product of two earlier entries
+    def term_entry(s, i):
+        e = entry(i, s)
+        return or_(CHI_EQ(e, ops["zero"]), CHI_EQ(e, ops["one"]), isvar(e),
+                   pairs(i, lambda j, k: and_(
+                       CHI_LT(j, i), CHI_LT(k, i),
+                       sum_or_product(e, entry(j, s), entry(k, s)))))
+
+    trmseq = fn(lambda s: and_(isseq(s), each(s, lambda i: term_entry(s, i))))
 
     # -- term codes, witnessed by a non-empty building sequence; the least
     # witness is reused to read values off, so it is shared, not re-swept
-    trm_body = _and(_ap(CHI_EQ, comp1(slast, Proj(2, 2)), Proj(1, 2)),
-                    _ap(CHI_LE, const(1, 2), comp1(seqlen, Proj(2, 2))),
-                    comp1(trmseq, Proj(2, 2)))
-    sstar = Comp(bounded_min(trm_body), (P1, ops["trm_bound"]))
-    trm = _ap(CHI_LE, sstar, ops["trm_bound"])
+    def builds(s, u):
+        return CHI_EQ(slast(s), u), CHI_LE(1, seqlen(s)), trmseq(s)
+
+    sstar = fn(lambda u: least(trm_bound(u), lambda s: and_(*builds(s, u))))
+    trm = fn(lambda u: CHI_LE(sstar(u), trm_bound(u)))
 
     # -- atomic formula codes
-    atm_body = _and(_or(_ap(CHI_EQ, Proj(1, 3),
-                            _ap(ops["mk_eq"], Proj(2, 3), Proj(3, 3))),
-                        _ap(CHI_EQ, Proj(1, 3),
-                            _ap(ops["mk_le"], Proj(2, 3), Proj(3, 3)))),
-                    comp1(trm, Proj(2, 3)),
-                    comp1(trm, Proj(3, 3)))
-    atm = _ex(_ex(atm_body, 2, Proj(1, 2)), 1, P1)
+    atm = fn(lambda e: ex(e, lambda a: ex(e, lambda b: and_(
+        or_(CHI_EQ(e, ops["mk_eq"](a, b)), CHI_EQ(e, ops["mk_le"](a, b))),
+        trm(a), trm(b)))))
 
     # -- entrywise values of a term sequence, built functionally
-    # step ambient: (acc, z, s, i)
-    pe = _ap(entry, Proj(4, 4), Proj(3, 4))
-    ej5 = _ap(entry, Proj(4, 5), Proj(1, 5))
-    ek5 = _ap(entry, Proj(5, 5), Proj(1, 5))
-    jk_body = _and(_ap(CHI_LT, Proj(5, 5), Proj(2, 5)),
-                   _or(_ap(CHI_EQ, Proj(3, 5), _ap(ops["mk_add"], ej5, ek5)),
-                       _ap(CHI_EQ, Proj(3, 5), _ap(ops["mk_mul"], ej5, ek5))))
-    jok = rel_and(_ap(CHI_LT, Proj(4, 4), Proj(2, 4)),
-                  _ex(jk_body, 4, _ap(MONUS, Proj(2, 4), const(1, 4))))
-    jstar = _ap(bounded_min(jok), Proj(1, 3), Proj(2, 3), Proj(3, 3),
-                _ap(MONUS, Proj(2, 3), const(1, 3)))
-    kstar = _ap(bounded_min(jk_body), Proj(1, 4), Proj(2, 4), Proj(3, 4),
-                Proj(4, 4), _ap(MONUS, Proj(2, 4), const(1, 4)))
-    js = _ap(jstar, Proj(3, 4), Proj(4, 4), pe)
-    ks = _ap(kstar, Proj(3, 4), Proj(4, 4), pe, js)
-    vj = _ap(entry, js, Proj(1, 4))
-    vk = _ap(entry, ks, Proj(1, 4))
-    comp_val = _sel(_ap(CHI_EQ, pe, _ap(ops["mk_add"],
-                                        _ap(entry, js, Proj(3, 4)),
-                                        _ap(entry, ks, Proj(3, 4)))),
-                    _ap(ADD, vj, vk), _ap(MUL, vj, vk))
-    ventry = _sel(_ap(CHI_EQ, pe, const(zero_c, 4)), const(0, 4),
-                  _sel(_ap(CHI_EQ, pe, const(one_c, 4)), const(1, 4),
-                       _sel(comp1(isvar, pe),
-                            _ap(ops["vget"], Proj(2, 4),
-                                comp1(ops["varn"], pe)),
-                            comp_val)))
-    valcode = PrimRec(const(1, 2), _ap(ops["sapp"], Proj(1, 4), ventry))
-    valfull = _ap(valcode, Proj(1, 2), Proj(2, 2),
-                  comp1(seqlen, Proj(2, 2)))
+    def split(s, i, e, j, k):
+        return and_(CHI_LT(k, i), sum_or_product(e, entry(j, s), entry(k, s)))
 
-    # -- value sequences: (y, s, t) with t matching s entrywise
-    se4 = _ap(entry, Proj(4, 4), Proj(2, 4))
-    te4 = _ap(entry, Proj(4, 4), Proj(3, 4))
-    se6 = _ap(entry, Proj(4, 6), Proj(2, 6))
-    sej6 = _ap(entry, Proj(5, 6), Proj(2, 6))
-    sek6 = _ap(entry, Proj(6, 6), Proj(2, 6))
-    te6 = _ap(entry, Proj(4, 6), Proj(3, 6))
-    tej6 = _ap(entry, Proj(5, 6), Proj(3, 6))
-    tek6 = _ap(entry, Proj(6, 6), Proj(3, 6))
-    vcomp = _and(_ap(CHI_LT, Proj(5, 6), Proj(4, 6)),
-                 _ap(CHI_LT, Proj(6, 6), Proj(4, 6)),
-                 _or(rel_and(_ap(CHI_EQ, se6, _ap(ops["mk_add"], sej6, sek6)),
-                             _ap(CHI_EQ, te6, _ap(ADD, tej6, tek6))),
-                     rel_and(_ap(CHI_EQ, se6, _ap(ops["mk_mul"], sej6, sek6)),
-                             _ap(CHI_EQ, te6, _ap(MUL, tej6, tek6)))))
-    vent = _or(rel_and(_ap(CHI_EQ, se4, const(zero_c, 4)),
-                       _ap(CHI_EQ, te4, const(0, 4))),
-               rel_and(_ap(CHI_EQ, se4, const(one_c, 4)),
-                       _ap(CHI_EQ, te4, const(1, 4))),
-               rel_and(comp1(isvar, se4),
-                       _ap(CHI_EQ, te4,
-                           _ap(ops["vget"], Proj(1, 4),
-                               comp1(ops["varn"], se4)))),
-               _ex(_ex(vcomp, 5, _ap(MONUS, Proj(4, 5), const(1, 5))),
-                   4, _ap(MONUS, Proj(4, 4), const(1, 4))))
-    vloop = rel_implies(_ap(CHI_LT, Proj(4, 4), comp1(seqlen, Proj(2, 4))),
-                        vent)
-    valseq = _and(comp1(isseq, Proj(1, 3)),
-                  comp1(isseq, Proj(2, 3)),
-                  comp1(isseq, Proj(3, 3)),
-                  _ap(CHI_EQ, comp1(seqlen, Proj(3, 3)),
-                      comp1(seqlen, Proj(2, 3))),
-                  _ap(rel_bforall(vloop), Proj(1, 3), Proj(2, 3), Proj(3, 3),
-                      _ap(MONUS, comp1(seqlen, Proj(2, 3)), const(1, 3))))
+    jstar = fn(lambda s, i, e: least(i - 1, lambda j: and_(
+        CHI_LT(j, i), ex(i - 1, lambda k: split(s, i, e, j, k)))))
+    kstar = fn(lambda s, i, e, j: least(i - 1, lambda k: split(s, i, e, j, k)))
+
+    def value_entry(acc, z, s, i):
+        e = entry(i, s)
+        j = jstar(s, i, e)
+        k = kstar(s, i, e, j)
+        vj, vk = entry(j, acc), entry(k, acc)
+        return select(CHI_EQ(e, ops["zero"]), 0,
+                      select(CHI_EQ(e, ops["one"]), 1,
+                             select(isvar(e), vget(z, varn(e)),
+                                    select(CHI_EQ(e, mk_add(entry(j, s), entry(k, s))),
+                                           vj + vk, vj * vk))))
+
+    valcode = PrimRec(fn(lambda z, s: 1), fn(
+        lambda acc, z, s, i: ops["sapp"](acc, value_entry(acc, z, s, i))))
+    valfull = fn(lambda z, s: valcode(z, s, seqlen(s)))
+
+    # -- value sequences: (z, s, t) with t matching s entrywise
+    def value_ok(z, s, t, i):
+        se, te = entry(i, s), entry(i, t)
+
+        def combined(j, k):
+            sj, sk, tj, tk = entry(j, s), entry(k, s), entry(j, t), entry(k, t)
+            return and_(CHI_LT(j, i), CHI_LT(k, i), or_(
+                and_(CHI_EQ(se, mk_add(sj, sk)), CHI_EQ(te, tj + tk)),
+                and_(CHI_EQ(se, mk_mul(sj, sk)), CHI_EQ(te, tj * tk))))
+
+        return or_(and_(CHI_EQ(se, ops["zero"]), CHI_EQ(te, 0)),
+                   and_(CHI_EQ(se, ops["one"]), CHI_EQ(te, 1)),
+                   and_(isvar(se), CHI_EQ(te, vget(z, varn(se)))),
+                   pairs(i, combined))
+
+    valseq = fn(lambda z, s, t: and_(
+        isseq(z), isseq(s), isseq(t), CHI_EQ(seqlen(t), seqlen(s)),
+        each(s, lambda i: value_ok(z, s, t, i))))
 
     # -- val(u, z, x): some building sequence of u whose value run ends in x
-    vf4 = _ap(valfull, Proj(2, 4), Proj(4, 4))
-    val_body = _and(_ap(CHI_EQ, comp1(slast, Proj(4, 4)), Proj(1, 4)),
-                    _ap(CHI_LE, const(1, 4), comp1(seqlen, Proj(4, 4))),
-                    comp1(trmseq, Proj(4, 4)),
-                    _ap(CHI_EQ, comp1(slast, vf4), Proj(3, 4)),
-                    _ap(valseq, Proj(2, 4), Proj(4, 4), vf4))
-    val = _ex(val_body, 3, comp1(ops["trm_bound"], Proj(1, 3)))
+    def valued(u, z, x, s):
+        run = valfull(z, s)
+        return and_(*builds(s, u), CHI_EQ(slast(run), x), valseq(z, s, run))
+
+    val = fn(lambda u, z, x: ex(trm_bound(u), lambda s: valued(u, z, x, s)))
 
     # val is functional in its last slot, so the clauses read the value off
     # the least witness sequence s* directly; a search over candidate values
@@ -460,159 +346,108 @@ def _assemble(ops: dict[str, object]) -> dict[str, PRTerm]:
     # confirms that read with valseq on the same s* and value run nodes, so
     # the evaluator's cache shares them; going through val would sweep the
     # building sequences a second time
-    su = comp1(sstar, Proj(1, 2))
-    vrun = _ap(valfull, Proj(2, 2), su)
-    valof = _ap(slast, vrun)
-    valok = _ap(valseq, Proj(2, 2), su, vrun)
+    valof = fn(lambda u, z: slast(valfull(z, sstar(u))))
+    valok = fn(lambda u, z: valseq(z, sstar(u), valfull(z, sstar(u))))
 
     # the written caps: p_{u+v}^{(z^{u+v}+1)^2} for atoms, p_u^{z^u+1} for
     # the universal witness
-    uv = _ap(ADD, Proj(1, 3), Proj(2, 3))
-    zq = _s(_ap(POW, Proj(3, 3), uv))
-    pb = _ap(POW, comp1(PRIME, uv), _ap(MUL, zq, zq))
-    pfa = _ap(POW, comp1(PRIME, Proj(1, 2)),
-              _s(_ap(POW, Proj(2, 2), Proj(1, 2))))
+    def atom_cap(u, v, z):
+        zq = S(POW(z, u + v))
+        return POW(PRIME(u + v), zq * zq)
 
-    # -- clause: true equation / inequality, ambient (e, z, w, u, v); the
-    # value checks sit inside the witness bit, since w = 0 is allowed when
-    # no value witness exists
-    pb5 = _ap(pb, Proj(4, 5), Proj(5, 5), Proj(2, 5))
-    a5 = _ap(valof, Proj(4, 5), Proj(2, 5))
-    b5 = _ap(valof, Proj(5, 5), Proj(2, 5))
-    ok5 = rel_and(_ap(valok, Proj(4, 5), Proj(2, 5)),
-                  _ap(valok, Proj(5, 5), Proj(2, 5)))
-    w_eq = _and(ok5, _ap(CHI_LE, a5, pb5), _ap(CHI_EQ, a5, b5))
-    w_le = _and(ok5, _ap(CHI_LE, a5, pb5), _ap(CHI_LE, b5, pb5),
-                _ap(CHI_LE, a5, b5))
-    ceq_body = _and(_ap(CHI_EQ, Proj(1, 5),
-                        _ap(ops["mk_eq"], Proj(4, 5), Proj(5, 5))),
-                    comp1(trm, Proj(4, 5)), comp1(trm, Proj(5, 5)),
-                    _ap(CHI_EQ, Proj(3, 5), w_eq))
-    c_eq = _ex(_ex(ceq_body, 4, Proj(1, 4)), 3, Proj(1, 3))
-    cle_body = _and(_ap(CHI_EQ, Proj(1, 5),
-                        _ap(ops["mk_le"], Proj(4, 5), Proj(5, 5))),
-                    comp1(trm, Proj(4, 5)), comp1(trm, Proj(5, 5)),
-                    _ap(CHI_EQ, Proj(3, 5), w_le))
-    c_le = _ex(_ex(cle_body, 4, Proj(1, 4)), 3, Proj(1, 3))
+    pb = fn(atom_cap)
+    pfa = fn(lambda u, z: POW(PRIME(u), S(POW(z, u))))
 
-    # -- clause: negation, ambient (e, z, w, i, s, l, t) then j, p
-    tr9 = _ap(entry, Proj(9, 9), Proj(7, 9))
-    want9 = _ap(PAIR3, Proj(8, 9), Proj(2, 9),
-                _ap(MONUS, const(1, 9), Proj(3, 9)))
-    not_p = rel_and(_ap(CHI_LT, Proj(9, 9), Proj(6, 9)),
-                    _ap(CHI_EQ, tr9, want9))
-    not_j = _and(_ap(CHI_LT, Proj(8, 8), Proj(4, 8)),
-                 _ap(CHI_EQ, Proj(1, 8),
-                     _ap(ops["mk_not"], _ap(entry, Proj(8, 8), Proj(5, 8)))),
-                 _ex(not_p, 8, _ap(MONUS, Proj(6, 8), const(1, 8))))
-    c_not = _ex(not_j, 7, _ap(MONUS, Proj(4, 7), const(1, 7)))
+    # -- clause: true equation / inequality over (e, z, w); the value checks
+    # sit inside the witness bit, since w = 0 is allowed when no value
+    # witness exists
+    def atom_clause(mk, tests):
+        def witness(u, v, z):
+            a, b = valof(u, z), valof(v, z)
+            return and_(and_(valok(u, z), valok(v, z)), *tests(a, b, pb(u, v, z)))
 
-    # -- clause: implication, adds j, k, w', w'', then lookups p / q
-    ej9 = _ap(entry, Proj(8, 9), Proj(5, 9))
-    ek9 = _ap(entry, Proj(9, 9), Proj(5, 9))
-    tgt11 = rel_or(_ap(CHI_EQ, Proj(10, 11), const(0, 11)),
-                   _ap(CHI_EQ, Proj(11, 11), const(1, 11)))
-    look1 = rel_and(_ap(CHI_LT, Proj(12, 12), Proj(6, 12)),
-                    _ap(CHI_EQ, _ap(entry, Proj(12, 12), Proj(7, 12)),
-                        _ap(PAIR3, Proj(8, 12), Proj(2, 12), Proj(10, 12))))
-    look2 = rel_and(_ap(CHI_LT, Proj(12, 12), Proj(6, 12)),
-                    _ap(CHI_EQ, _ap(entry, Proj(12, 12), Proj(7, 12)),
-                        _ap(PAIR3, Proj(9, 12), Proj(2, 12), Proj(11, 12))))
-    imp_w = _and(_ap(CHI_EQ, Proj(3, 11), tgt11),
-                 _ex(look1, 11, _ap(MONUS, Proj(6, 11), const(1, 11))),
-                 _ex(look2, 11, _ap(MONUS, Proj(6, 11), const(1, 11))))
-    imp_jk = _and(_ap(CHI_LT, Proj(8, 9), Proj(4, 9)),
-                  _ap(CHI_LT, Proj(9, 9), Proj(4, 9)),
-                  _ap(CHI_EQ, Proj(1, 9), _ap(ops["mk_imp"], ej9, ek9)),
-                  _ex(_ex(imp_w, 10, const(1, 10)), 9, const(1, 9)))
-    c_imp = _ex(_ex(imp_jk, 8, _ap(MONUS, Proj(4, 8), const(1, 8))),
-                7, _ap(MONUS, Proj(4, 7), const(1, 7)))
+        return fn(lambda e, z, w: ex(e, lambda u: ex(e, lambda v: and_(
+            CHI_EQ(e, mk(u, v)), trm(u), trm(v), CHI_EQ(w, witness(u, v, z))))))
 
-    # -- clause: bounded universal, adds j, v, u then r, p, w'
-    fa_match = _ap(CHI_EQ, Proj(1, 10),
-                   _ap(ops["mk_bfa"], Proj(9, 10), Proj(10, 10),
-                       _ap(entry, Proj(8, 10), Proj(5, 10))))
-    pfa10 = _ap(pfa, Proj(10, 10), Proj(2, 10))
-    bx10 = _ap(valof, Proj(10, 10), Proj(2, 10))
-    z_r12 = _ap(ops["repl"], Proj(2, 12),
-                comp1(ops["varn"], Proj(9, 12)), Proj(11, 12))
-    z_r13 = _ap(ops["repl"], Proj(2, 13),
-                comp1(ops["varn"], Proj(9, 13)), Proj(11, 13))
-    look_any = rel_and(_ap(CHI_LT, Proj(12, 13), Proj(6, 13)),
-                       _ap(CHI_EQ, _ap(entry, Proj(12, 13), Proj(7, 13)),
-                           _ap(PAIR3, Proj(8, 13), z_r13, Proj(13, 13))))
-    complete = _fa(_ex(_ex(look_any, 12, const(1, 12)),
-                       11, _ap(MONUS, Proj(6, 11), const(1, 11))),
-                   10, bx10)
-    look_one = rel_and(_ap(CHI_LT, Proj(12, 12), Proj(6, 12)),
-                       _ap(CHI_EQ, _ap(entry, Proj(12, 12), Proj(7, 12)),
-                           _ap(PAIR3, Proj(8, 12), z_r12, const(1, 12))))
-    alltrue = _fa(_ex(look_one, 11, _ap(MONUS, Proj(6, 11), const(1, 11))),
-                  10, bx10)
-    fa_body = _and(fa_match,
-                   comp1(trm, Proj(10, 10)),
-                   _ap(valok, Proj(10, 10), Proj(2, 10)),
-                   _ap(CHI_LE, bx10, pfa10),
-                   complete,
-                   _ap(CHI_EQ, Proj(3, 10), alltrue))
-    fa_v = rel_and(comp1(isvar, Proj(9, 9)), _ex(fa_body, 9, Proj(1, 9)))
-    fa_j = rel_and(_ap(CHI_LT, Proj(8, 8), Proj(4, 8)),
-                   _ex(fa_v, 8, Proj(1, 8)))
-    c_fa = _ex(fa_j, 7, _ap(MONUS, Proj(4, 7), const(1, 7)))
+    c_eq = atom_clause(ops["mk_eq"], lambda a, b, cap: (CHI_LE(a, cap), CHI_EQ(a, b)))
+    c_le = atom_clause(ops["mk_le"], lambda a, b, cap: (
+        CHI_LE(a, cap), CHI_LE(b, cap), CHI_LE(a, b)))
+
+    # -- the compound clauses read entry e at i of s, annotated (z, w), at
+    # position l of the run t; triple p of t is logged before l
+    def logged(l, t, p, want):
+        return and_(CHI_LT(p, l), CHI_EQ(entry(p, t), want))
+
+    def earlier(l, t, want):
+        return ex(l - 1, lambda p: logged(l, t, p, want))
+
+    def negation(e, s, i, j):
+        return CHI_LT(j, i), CHI_EQ(e, ops["mk_not"](entry(j, s)))
+
+    def implication(e, s, i, j, k):
+        return (CHI_LT(j, i), CHI_LT(k, i),
+                CHI_EQ(e, ops["mk_imp"](entry(j, s), entry(k, s))))
+
+    def universal(e, s, i, body):
+        """body(j, v, u) for some j < i, some variable code v <= e, u <= e."""
+        return ex(i - 1, lambda j: and_(CHI_LT(j, i), ex(e, lambda v: and_(
+            isvar(v), ex(e, lambda u: body(j, v, u))))))
+
+    def bfa(e, s, j, v, u):
+        return CHI_EQ(e, ops["mk_bfa"](v, u, entry(j, s))), trm(u)
+
+    c_not = fn(lambda e, z, w, i, s, l, t: ex(i - 1, lambda j: and_(
+        *negation(e, s, i, j), earlier(l, t, PAIR3(j, z, 1 - w)))))
+
+    c_imp = fn(lambda e, z, w, i, s, l, t: pairs(i, lambda j, k: and_(
+        *implication(e, s, i, j, k),
+        ex(1, lambda wj: ex(1, lambda wk: and_(
+            CHI_EQ(w, or_(CHI_EQ(wj, 0), CHI_EQ(wk, 1))),
+            earlier(l, t, PAIR3(j, z, wj)), earlier(l, t, PAIR3(k, z, wk))))))))
+
+    def fa_clause(e, z, w, i, s, l, t):
+        def checked(j, v, u):
+            bound = valof(u, z)
+
+            def zr(r):
+                return ops["repl"](z, varn(v), r)
+
+            complete = fa(bound, lambda r: ex(l - 1, lambda p: ex(1, lambda wr: logged(
+                l, t, p, PAIR3(j, zr(r), wr)))))
+            alltrue = fa(bound, lambda r: earlier(l, t, PAIR3(j, zr(r), 1)))
+            return and_(*bfa(e, s, j, v, u), valok(u, z), CHI_LE(bound, pfa(u, z)),
+                        complete, CHI_EQ(w, alltrue))
+
+        return universal(e, s, i, checked)
+
+    c_fa = fn(fa_clause)
 
     # -- formula building sequences
-    e3 = _ap(entry, Proj(2, 3), Proj(1, 3))
-    e5 = _ap(entry, Proj(2, 5), Proj(1, 5))
-    fnot = rel_and(_ap(CHI_LT, Proj(3, 3), Proj(2, 3)),
-                   _ap(CHI_EQ, e3,
-                       _ap(ops["mk_not"], _ap(entry, Proj(3, 3), Proj(1, 3)))))
-    fimp = _and(_ap(CHI_LT, Proj(3, 4), Proj(2, 4)),
-                _ap(CHI_LT, Proj(4, 4), Proj(2, 4)),
-                _ap(CHI_EQ, e4, _ap(ops["mk_imp"], ej4, ek4)))
-    fbfa_u = rel_and(_ap(CHI_EQ, e5,
-                         _ap(ops["mk_bfa"], Proj(4, 5), Proj(5, 5),
-                             _ap(entry, Proj(3, 5), Proj(1, 5)))),
-                     comp1(trm, Proj(5, 5)))
-    fbfa_v = rel_and(comp1(isvar, Proj(4, 4)), _ex(fbfa_u, 4, e4))
-    fbfa_j = rel_and(_ap(CHI_LT, Proj(3, 3), Proj(2, 3)), _ex(fbfa_v, 3, e3))
-    fent = _or(comp1(atm, e2),
-               _ex(fnot, 2, im1_2),
-               _ex(_ex(fimp, 3, im1_3), 2, im1_2),
-               _ex(fbfa_j, 2, im1_2))
-    floop = rel_implies(_ap(CHI_LT, Proj(2, 2), comp1(seqlen, Proj(1, 2))),
-                        fent)
-    fmlseq = rel_and(isseq,
-                     _ap(rel_bforall(floop), P1,
-                         _ap(MONUS, seqlen, const(1, 1))))
+    def formula_entry(s, i):
+        e = entry(i, s)
+        return or_(atm(e),
+                   ex(i - 1, lambda j: and_(*negation(e, s, i, j))),
+                   pairs(i, lambda j, k: and_(*implication(e, s, i, j, k))),
+                   universal(e, s, i, lambda j, v, u: and_(*bfa(e, s, j, v, u))))
+
+    fmlseq = fn(lambda s: and_(isseq(s), each(s, lambda i: formula_entry(s, i))))
 
     # -- the annotated run checker and the wrapper matrix
-    tau = _ap(entry, Proj(3, 3), Proj(2, 3))
-    i_ = _ap(EXPONENT, const(0, 3), tau)
-    z_ = _ap(EXPONENT, const(1, 3), tau)
-    w_ = _ap(EXPONENT, const(2, 3), tau)
-    e_ = _ap(entry, i_, Proj(1, 3))
-    seven = (e_, z_, w_, i_, Proj(1, 3), Proj(3, 3), Proj(2, 3))
-    triple_ok = _and(_ap(CHI_LE, w_, const(1, 3)),
-                     _ap(CHI_LT, i_, comp1(seqlen, Proj(1, 3))),
-                     _ap(CHI_EQ, _ap(PAIR3, i_, z_, w_), tau),
-                     _or(_ap(c_eq, e_, z_, w_),
-                         _ap(c_le, e_, z_, w_),
-                         _ap(c_not, *seven),
-                         _ap(c_imp, *seven),
-                         _ap(c_fa, *seven)))
-    tloop2 = rel_implies(_ap(CHI_LT, Proj(3, 3), comp1(seqlen, Proj(2, 3))),
-                         triple_ok)
-    satseq = _and(comp1(isseq, Proj(2, 2)),
-                  comp1(fmlseq, Proj(1, 2)),
-                  _ap(rel_bforall(tloop2), Proj(1, 2), Proj(2, 2),
-                      _ap(MONUS, comp1(seqlen, Proj(2, 2)), const(1, 2))))
+    def triple_ok(s, t, m):
+        tau = entry(m, t)
+        i, z, w = EXPONENT(0, tau), EXPONENT(1, tau), EXPONENT(2, tau)
+        e = entry(i, s)
+        run = (e, z, w, i, s, m, t)
+        return and_(CHI_LE(w, 1), CHI_LT(i, seqlen(s)), CHI_EQ(PAIR3(i, z, w), tau),
+                    or_(c_eq(e, z, w), c_le(e, z, w),
+                        c_not(*run), c_imp(*run), c_fa(*run)))
 
-    sgate = _ap(CHI_EQ, comp1(slast, Proj(3, 3)), Proj(1, 3))
-    tgate = _ap(CHI_EQ, comp1(slast, Proj(4, 4)),
-                _ap(PAIR3,
-                    _ap(MONUS, comp1(seqlen, Proj(3, 4)), const(1, 4)),
-                    Proj(2, 4), const(1, 4)))
-    matrix = rel_and(tgate, _ap(satseq, Proj(3, 4), Proj(4, 4)))
+    satseq = fn(lambda s, t: and_(isseq(t), fmlseq(s),
+                                  each(t, lambda m: triple_ok(s, t, m))))
+
+    sgate = fn(lambda x, y, s: CHI_EQ(slast(s), x))
+    matrix = fn(lambda x, y, s, t: and_(
+        CHI_EQ(slast(t), PAIR3(seqlen(s) - 1, y, 1)), satseq(s, t)))
 
     return dict(trmseq=trmseq, trm=trm, atm=atm, valfull=valfull,
                 valseq=valseq, val=val, fmlseq=fmlseq, satseq=satseq,
@@ -630,15 +465,9 @@ def sat_pr_parts(scheme: Coding = COMPACT) -> dict[str, PRTerm]:
     """
     ops = _compact_ops() if isinstance(scheme, CompactCoding) else _paper_ops()
     parts = _assemble(ops)
-    shell = BExists(2, ConstZero(),
-                    And(Eq(Var(2), Var(0)),
-                        BExists(3, ConstZero(), Le(Var(3), Var(1)))))
-    spec = BoundedSpec(
-        shell, (0, 1),
-        pr_bounds={(): parts["b1"],
-                   (0, 1): Comp(parts["b2"], (Proj(1, 3), Proj(2, 3)))},
-        pr_atoms={(0, 0): parts["sgate"], (0, 1, 0): parts["matrix"]})
-    parts["term"] = compile_spec(spec).term
+    b1, b2, sgate, matrix = (parts[k] for k in ("b1", "b2", "sgate", "matrix"))
+    parts["term"] = fn(lambda x, y: ex(b1(x, y), lambda s: and_(
+        sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t)))))
     return parts
 
 

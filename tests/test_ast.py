@@ -7,7 +7,6 @@ from delta0lab import (
     eval_delta0, free_vars, fresh_index, is_delta0, lt, numeral, parse,
     parse_formula, parse_term, show, substitute,
 )
-from delta0lab.formulas import node_at, quantifier_paths
 
 
 def test_show_round_trip_examples():
@@ -116,16 +115,6 @@ def test_substitute_raises_on_capture():
     chi = parse_formula("(A v0 <= v1)(v0 = v0)")
     with pytest.raises(CaptureError):
         substitute(chi, 1, Var(0))
-
-
-def test_node_at_and_quantifier_paths():
-    phi = parse_formula("((A v0 <= v1)(v0 = v0) -> ~(E v2 <= v1)(v2 = v2))")
-    assert quantifier_paths(phi) == [(0,), (1, 0)]
-    assert isinstance(node_at(phi, (0,)), BForall)
-    assert isinstance(node_at(phi, (1, 0)), BExists)
-    assert node_at(phi, (0, 0)) == Eq(Var(0), Var(0))
-    with pytest.raises(FormulaError):
-        node_at(phi, (2,))
 
 
 # ---------------------------------------------------------------- random

@@ -2,10 +2,15 @@ from hypothesis import given, settings
 
 import pytest
 
-from delta0lab import Evaluator, NotDelta0Error, eval_delta0, parse_formula
-from delta0lab.compiler import CompileError, compile_formula, compile_term
-from delta0lab.formulas import ZERO, parse_term, quantifier_paths
-from delta0lab.prlib import const
+from delta0lab import (
+    ArityError, Evaluator, NotDelta0Error, UnboundVariableError, eval_delta0,
+    parse_formula,
+)
+from delta0lab.compiler import (
+    CompileError, CompiledRelation, compile_formula, compile_term,
+)
+from delta0lab.formulas import ZERO, parse_term
+from delta0lab.prlib import CHI_EQ, const, ex, fn
 
 from test_ast import _formulas, _rho
 
@@ -73,22 +78,26 @@ def test_pr_bound_override():
     phi = parse_formula("(E v0 <= 0)(v0 = v1)")
     plain = compile_formula(phi, var_order=(1,))
     assert not plain({1: 3})
-    [path] = quantifier_paths(phi)
-    wide = compile_formula(phi, var_order=(1,), pr_bounds={path: const(5, 1)})
+    assert fn(lambda v1: ex(0, lambda v0: CHI_EQ(v0, v1))) is plain.term
+    # the same quantifier with its bound given as a PR term
+    five = const(5, 1)
+    wide = CompiledRelation(
+        fn(lambda v1: ex(five(v1), lambda v0: CHI_EQ(v0, v1))), (1,))
     assert wide({1: 3})
     assert not wide({1: 6})
 
 
 def test_pr_bound_override_arity_checked():
-    phi = parse_formula("(E v0 <= 0)(v0 = v1)")
-    with pytest.raises(CompileError):
-        compile_formula(phi, var_order=(1,), pr_bounds={(): const(5, 2)})
+    with pytest.raises(ArityError):
+        fn(lambda v1: ex(const(5, 2)(v1), lambda v0: CHI_EQ(v0, v1)))
 
 
-def test_pr_bound_override_path_checked():
-    phi = parse_formula("(v0 = v0)")
-    with pytest.raises(CompileError):
-        compile_formula(phi, var_order=(0,), pr_bounds={(0,): const(5, 1)})
+def test_missing_variable_is_the_interpreters_error():
+    phi = parse_formula("(v0 = v1)")
+    with pytest.raises(UnboundVariableError, match="v1 has no value"):
+        eval_delta0(phi, {0: 1})
+    with pytest.raises(UnboundVariableError, match="v1 has no value"):
+        compile_formula(phi)({0: 1})
 
 
 @given(_formulas, _rho)

@@ -11,9 +11,10 @@ from delta0lab import (
     Succ, Zero, eval_pr, parse_pr, sat_pr_eval, serialize, validate,
 )
 from delta0lab.prlib import (
-    ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MUL,
-    NEXTPRIME, PRIME, QUOT, SEQ_TEST, STDLIB, bounded_min, const, graph_of,
-    rel_bexists, rel_bforall, rel_combine,
+    ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MONUS, MUL,
+    NEXTPRIME, PRIME, QUOT, SEQ_TEST, STDLIB, ScopeError, and_, bounded_min,
+    const, ex, fa, fn, graph_of, implies, least, not_, or_, rel_bexists,
+    rel_bforall, rel_combine, select,
 )
 from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN
 import delta0lab.primrec as primrec_module
@@ -51,6 +52,10 @@ def test_validate_rejects_malformed():
     with pytest.raises(ArityError) as err2:
         validate(Comp(Succ(), (Comp(ADD, (Zero(),)),)))
     assert ".g1" in str(err2.value)
+
+
+def test_validate_walks_deep_terms():
+    assert validate(const(40_000, 1)) == 1
 
 
 def test_serialize_canonical_add():
@@ -244,6 +249,48 @@ def test_arity1_builders_use_dummy_argument():
     assert ev.eval(mu, (5,)) == 3
     assert ev.eval(mu, (2,)) == 3   # no witness below 2: returns y + 1
     assert validate(odd) == 1
+
+
+def test_builder_numbers_named_arguments():
+    t = fn(lambda s, i: ex(i - 1, lambda j: CHI_LT(j, i)))
+    assert t is Comp(rel_bexists(Comp(CHI_LT, (Proj(3, 3), Proj(2, 3)))),
+                     (Proj(1, 2), Proj(2, 2), Comp(MONUS, (Proj(2, 2), const(1, 2)))))
+
+
+def test_builder_argument_outside_its_fn():
+    leaked = []
+    fn(lambda x: leaked.append(x) or x)
+    with pytest.raises(ScopeError):
+        fn(lambda y: leaked[0] + y)
+    assert issubclass(ScopeError, PRError)
+
+
+def test_builder_checks_arity_of_applications():
+    with pytest.raises(ArityError):
+        fn(lambda x, y: ADD(x))
+    with pytest.raises(ArityError):
+        fn(lambda x: ex(x, lambda j: CHI_LT(j)))
+
+
+def test_builder_term_applied_to_its_own_arguments_is_the_term():
+    assert fn(lambda x, y: CHI_LT(x, y)) is CHI_LT
+    assert fn(lambda x, y: CHI_LT(y, x)) is Comp(CHI_LT, (Proj(2, 2), Proj(1, 2)))
+    assert fn(lambda x: x) is Proj(1, 1)
+
+
+def test_builder_operators_evaluate():
+    ev = Evaluator()
+    t = fn(lambda x, y: select(
+        and_(or_(CHI_LE(x, y), CHI_EQ(y, 0)), implies(CHI_EQ(x, 3), not_(y))),
+        2 * (y - x) + 1,
+        least(x, lambda k: not_(fa(k, lambda j: CHI_LT(j * y, x))))))
+    for x, y in grid(2, 0, 5):
+        if (x <= y or y == 0) and (x != 3 or y == 0):
+            want = 2 * max(y - x, 0) + 1
+        else:
+            want = next((k for k in range(x + 1)
+                         if not all(j * y < x for j in range(k + 1))), x + 1)
+        assert ev.eval(t, (x, y)) == want, (x, y)
 
 
 # ------------------------------------------------ evaluator engineering
