@@ -18,9 +18,10 @@ rel_bforall or bounded_min.  and_, or_, not_, implies and select build the
 MUL and SG-of-ADD shapes the evaluator's absorbing shortcuts recognise;
 +, * and - are ADD, MUL and MONUS.  Names become positions only when a
 body is lowered (de Bruijn's nameless translation), so an expression built
-in an outer body lowers afresh in each inner scope that uses it.  An argument
-used outside the fn that bound it raises ScopeError; a term applied to the
-wrong number of arguments raises ArityError at the call.
+in an outer body lowers afresh in each inner scope that uses it; within one
+scope each expression object is lowered once, however often it is used.
+An argument used outside the fn that bound it raises ScopeError; a term
+applied to the wrong number of arguments raises ArityError at the call.
 
 Sequence coding: a finite sequence (a_0, ..., a_k) is stored as
 prod_i p_i^(a_i + 1), the empty sequence as 1.  Entries are recovered as
@@ -31,7 +32,7 @@ not divide the code.
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import reduce
+from functools import cache, reduce
 from math import isqrt
 
 from .primrec import (
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 
+@cache
 def const(c: int, arity: int) -> PRTerm:
     """The constant-c function of the given arity."""
     if arity < 1:
@@ -66,6 +68,7 @@ def comp1(f: PRTerm, g: PRTerm) -> PRTerm:
     return Comp(f, (g,))
 
 
+@cache
 def params(arity: int, *, offset: int = 0, width: int | None = None) -> tuple[PRTerm, ...]:
     """Projections picking arity consecutive arguments out of width."""
     w = arity if width is None else width
@@ -210,29 +213,40 @@ def fn(body: Callable[..., Expr | int], arity: int | None = None) -> PRTerm:
     if n < 1:
         raise ArityError("a PR function takes at least one argument")
     args = tuple(Arg() for _ in range(n))
-    return _lower(body(*args), args, params(n))
+    ids = params(n)
+    return _lower(body(*args), args, ids, dict(zip(args, ids)))
 
 
-def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...]) -> PRTerm:
+def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...],
+           memo: dict) -> PRTerm:
     """e as a term whose arguments are the scope's, outermost first; ids
-    are the projections onto them."""
+    are the projections onto them.  memo maps each argument of the scope to
+    its projection and holds the scope's lowerings so far, keyed on the
+    expression object, so an expression used twice in one scope is lowered
+    once."""
+    term = memo.get(e)
+    if term is not None:
+        return term
     match e:
         case App(f=f, args=args):
-            gs = tuple([_lower(a, scope, ids) for a in args])
-            return f if gs == ids else Comp(f, gs)
+            # most arguments are found in memo, and a lookup costs less than a call
+            gs = tuple([memo.get(a) or _lower(a, scope, ids, memo) for a in args])
+            term = f if gs == ids else Comp(f, gs)
         case Arg():
-            if e not in scope:
-                raise ScopeError("argument used outside the fn that bound it")
-            return ids[scope.index(e)]
+            raise ScopeError("argument used outside the fn that bound it")
         case int():
             if e < 0:
                 raise PRError(f"constants are naturals, got {e}")
-            return const(e, len(scope))
+            term = const(e, len(scope))
         case _Bounded(op=op, bound=bound, body=body):
             v = Arg()
-            inner = _lower(body(v), scope + (v,), params(len(scope) + 1))
-            return Comp(op(inner), ids + (_lower(bound, scope, ids),))
-    raise PRError(f"not a builder expression: {e!r}")
+            inner_scope, inner_ids = scope + (v,), params(len(scope) + 1)
+            inner = _lower(body(v), inner_scope, inner_ids, dict(zip(inner_scope, inner_ids)))
+            term = Comp(op(inner), ids + (_lower(bound, scope, ids, memo),))
+        case _:
+            raise PRError(f"not a builder expression: {e!r}")
+    memo[e] = term
+    return term
 
 
 def rel_combine(op: str, *fs: PRTerm) -> PRTerm:

@@ -377,6 +377,13 @@ def falsify(candidate: Formula, scheme: Coding = COMPACT,
     With theta(x) = ~s(x, x) and m its code, the candidate's verdict at
     (m, m) and the actual satisfaction verdict of the formula coded m at
     m must differ whenever both are decided.
+
+    Both verdicts come from eval_delta0_verdict, where budget caps the
+    points one quantifier examines.  A quantifier over a quantifier-free
+    body may range over about m points, but root isolation decides it in
+    a number of points that grows with the bit length of m only, well
+    within the budget for compact codes; a quantifier over a quantified
+    body is swept, and past the budget its verdict is UNKNOWN.
     """
     core = desugar(candidate)
     if not is_delta0(core):

@@ -1,3 +1,6 @@
+import time
+from functools import reduce
+
 from hypothesis import given, strategies as st
 import pytest
 
@@ -6,7 +9,10 @@ from delta0lab import (
     eval_delta0_verdict, eval_fo, eval_term, parse, parse_formula,
     parse_term, parse_valuation,
 )
-from delta0lab.semantics import v_and, v_implies, v_not, v_or
+from delta0lab.formulas import (
+    ONE, ZERO, And, BExists, BForall, Eq, Implies, Le, Mul, Not, Or, Add, Var,
+)
+from delta0lab.semantics import decide_bounded, v_and, v_implies, v_not, v_or
 
 from test_ast import _formulas, _rho
 
@@ -124,3 +130,144 @@ def test_eval_fo_is_monotone_in_budget(phi, rho, budget):
     big = eval_fo(phi, rho, budget=budget + 3)
     if small.decided:
         assert small is big
+
+
+# -- bounded quantifiers decided by root isolation ----------------------------
+
+def _brute(phi, rho):
+    """The quantifier by a sweep of every point of its range."""
+    inner = dict(rho)
+    values = []
+    for a in range(eval_term(phi.bound, rho) + 1):
+        inner[phi.var] = a
+        values.append(eval_delta0(phi.body, inner))
+    return all(values) if isinstance(phi, BForall) else any(values)
+
+
+# Bodies over the bound variable v and the valued v0..v3 have two kinds of
+# atom.  In the first, each side is a sum of one or two monomials c * v^k,
+# k <= 3, whose coefficient c is 0, 1, a variable or a product of two; v0
+# and v1 are small and v2 and v3 up to 200, so that roots fall inside
+# ranges of up to 200.  A coefficient variable may be v itself, shadowing
+# its outer value, which makes the degree at most 4.  The second kind is
+# built from up to four integer roots in 0..200, repeats allowed: l - r is
+# +-(v - r1)...(v - rk), each coefficient held by a fresh variable v5, v6,
+# ... on the side its sign puts it.
+def _side(v):
+    coeff = st.sampled_from([ZERO, ONE, ONE, Var(0), Var(1), Var(2), Var(3),
+                             Mul(Var(0), Var(1)), Mul(Var(2), Var(3))])
+    mono = st.builds(lambda c, k: reduce(Mul, [Var(v)] * k, c), coeff, st.integers(0, 3))
+    return st.lists(mono, min_size=1, max_size=2).map(lambda ms: reduce(Add, ms))
+
+
+def _rooted_atom(draw, v, rho):
+    poly = [draw(st.sampled_from([1, -1]))]
+    for root in draw(st.lists(st.integers(0, 200), min_size=1, max_size=4)):
+        # times (v - root)
+        poly = [a - root * b for a, b in zip([0] + poly, poly + [0])]
+    sides = [ZERO, ZERO]
+    for k, c in enumerate(poly):
+        if c:
+            rho[len(rho) + 1] = abs(c)
+            mono = reduce(Mul, [Var(v)] * k, Var(len(rho)))
+            sides[c < 0] = mono if sides[c < 0] == ZERO else Add(sides[c < 0], mono)
+    return draw(st.sampled_from([Eq, Le]))(*sides)
+
+
+def _body(draw, v, rho, leaves=4):
+    kind = draw(st.sampled_from(["monomials", "roots", "roots", Not, And, Or, Implies]
+                                if leaves > 1 else ["monomials", "roots"]))
+    if kind == "monomials":
+        return draw(st.builds(Eq, _side(v), _side(v)) | st.builds(Le, _side(v), _side(v)))
+    if kind == "roots":
+        return _rooted_atom(draw, v, rho)
+    if kind is Not:
+        return Not(_body(draw, v, rho, leaves - 1))
+    left = _body(draw, v, rho, leaves // 2)
+    return kind(left, _body(draw, v, rho, leaves - leaves // 2))
+
+
+@st.composite
+def _qf_quantifiers(draw):
+    v = draw(st.integers(0, 3))
+    u = draw(st.sampled_from([u for u in range(5) if u != v]))
+    quantifier = draw(st.sampled_from([BForall, BExists]))
+    rho = {i: draw(st.integers(0, 12 if i < 2 else 200)) for i in range(4)}
+    rho[u] = draw(st.integers(0, 200))      # the top
+    return quantifier(v, Var(u), _body(draw, v, rho)), rho
+
+
+@given(_qf_quantifiers())
+def test_isolation_equals_the_sweep(case):
+    phi, rho = case
+    want = _brute(phi, rho)
+    assert decide_bounded(phi, rho) is want
+    assert eval_delta0(phi, rho) is want
+    assert eval_fo(phi, rho, budget=200) is Verdict.of(want)
+
+
+ISOLATION_EDGES = [
+    # top = 0
+    ("(A v2 <= v0)(v2 = v1)", {0: 0, 1: 0}),
+    ("(E v2 <= v0)((v2 + 1) <= v1)", {0: 0, 1: 0}),
+    # an atom that is identically zero
+    ("(A v2 <= v0)((v2 * v1) = (v1 * v2))", {0: 150, 1: 7}),
+    ("(E v2 <= v0)~((v2 + v2) = (v2 + v2))", {0: 150}),
+    # double roots
+    ("(E v2 <= v0)((v2 * v2) = ((1 + 1) * v2))", {0: 150}),
+    ("(A v2 <= v0)~((v2 * v2) = ((1 + 1) * v2))", {0: 150}),
+    ("(E v2 <= v0)(((v2 * v2) + v1) <= (v3 * v2))", {0: 150, 1: 49, 3: 14}),
+    ("(A v2 <= v0)~(((v2 * v2) + v1) = (v3 * v2))", {0: 150, 1: 49, 3: 14}),
+    ("(E v2 <= v0)(((v2 * (v2 * v2)) + (v1 * v2)) = ((v3 * (v2 * v2)) + v4))",
+     {0: 150, 1: 147, 3: 21, 4: 343}),
+    # an integer root inside a monotone piece: sign <0, =0, then >0
+    ("(A v2 <= v0)(v2 <= v1)", {0: 150, 1: 75}),
+    ("(E v2 <= v0)~(v2 <= v1)", {0: 150, 1: 75}),
+    # roots at 0 and at top
+    ("(E v2 <= v0)(((v2 * v2) + v0) <= ((v0 + 1) * v2))", {0: 150}),
+    ("(A v2 <= v0)(v2 <= (v0 + (v2 * 0)))", {0: 150}),
+    ("(A v2 <= v0)~(v2 = v0)", {0: 150}),
+    ("(E v2 <= v0)((v2 * v2) = (v0 * v0))", {0: 150}),
+    ("(A v2 <= v0)~((v2 * v2) = 0)", {0: 150}),
+    # the bound variable shadows a valued outer variable
+    ("(A v1 <= v0)(v1 <= v0)", {0: 150, 1: 10 ** 9}),
+    ("(E v1 <= v0)((v1 + v1) = v0)", {0: 150, 1: 75}),
+    ("(E v1 <= v0)((v1 + v1) = v0)", {0: 151, 1: 0}),
+]
+
+
+@pytest.mark.parametrize("text, rho", ISOLATION_EDGES)
+def test_isolation_edge_cases(text, rho):
+    phi = parse_formula(text)
+    want = _brute(phi, rho)
+    assert decide_bounded(phi, rho) is want
+    assert eval_delta0(phi, rho) is want
+
+
+def test_isolation_decides_ranges_beyond_any_sweep():
+    # 2^80 + 1 points: a sweep of 10^4 of them could only end UNKNOWN
+    phi = parse_formula("(E v2 <= v0)((v2 * v2) = v1)")
+    square = {0: 2 ** 80, 1: 3 ** 80}
+    assert eval_fo(phi, square, budget=10 ** 4) is Verdict.TRUE
+    assert eval_fo(phi, {**square, 1: 3 ** 80 + 1}, budget=10 ** 4) is Verdict.FALSE
+    assert decide_bounded(phi, square) is True
+
+
+def test_isolation_gives_up_early_on_a_degree_beyond_its_count():
+    # v2^(2^14) as nested squares: the polynomial walk stops at the first
+    # product whose degree alone breaks the count, and the sweep finds the
+    # counterexample at 1
+    square = Var(2)
+    for _ in range(14):
+        square = Mul(square, square)
+    phi = BForall(2, Var(0), Eq(square, ZERO))
+    start = time.perf_counter()
+    assert eval_delta0(phi, {0: 10 ** 6}) is False
+    assert time.perf_counter() - start < 1.0
+
+
+def test_isolation_keeps_the_sweep_for_quantified_bodies():
+    phi = parse_formula("(A v2 <= v0)(E v3 <= v2)(v3 = v2)")
+    with pytest.raises(ValueError):
+        decide_bounded(phi, {0: 3})
+    assert eval_delta0(phi, {0: 40}) is True

@@ -251,6 +251,23 @@ def test_falsify_diagonal_avoids_capture():
         assert not (got.candidate_value.decided and got.sat_value.decided)
 
 
+# perfbench's diagonal SWEEPING candidates: at m of 28 and 43 bits each
+# quantifier ranges over about 10^8 and 10^13 points
+SWEEPING = [
+    ("(A v1 <= v0)(v1 <= v0)", Verdict.TRUE, Verdict.FALSE),
+    ("(E v2 <= v1)((v2 + v2) = v0)", Verdict.FALSE, Verdict.TRUE),
+]
+
+
+@pytest.mark.parametrize("text, candidate_value, sat_value", SWEEPING)
+def test_falsify_decides_the_sweeping_candidates(text, candidate_value, sat_value):
+    start = time.perf_counter()
+    got = falsify(parse(text))
+    assert time.perf_counter() - start < 1.0
+    assert got.refuted is True
+    assert (got.candidate_value, got.sat_value) == (candidate_value, sat_value)
+
+
 def test_falsify_paper_scheme_budgeted():
     got = falsify(parse("(v0 = v0)"), scheme=PAPER)
     assert got.m == PAPER.encode(got.diagonal_formula)
