@@ -260,10 +260,33 @@ _P_SYM = {"zero": 1, "one": 3, "add": 5, "mul": 7, "eq": 9, "le": 11,
           "not": 13, "implies": 15, "forall": 17}
 
 
+_POW_CHECK_BITS = 4096
+
+
 def strip_prime(x: int, p: int) -> tuple[int, int]:
-    """(e, x / p^e) for the exact power of p in x, by repeated squaring."""
+    """(e, x / p^e) for the exact power of p in x >= 1.
+
+    p = 2 is read off the trailing zeros.  A large x (over 4096 bits)
+    whose log(x)/log(p) lies within 1e-6 of an integer e is confirmed as
+    the pure power p^e by one exact pow, which covers the final entry of
+    a paper sequence and the 3-part of a triple.  Every other x is
+    stripped exactly by dividing out p, p^2, p^4, ...; once those powers
+    grow to the size of x the cascade is quadratic in its bits, so a huge
+    exponent on a prime that is not the last factor (a huge non-final
+    paper-sequence entry) still costs quadratic time.
+    """
+    if x < 1:
+        raise ValueError("only positive integers have prime valuations")
+    if p == 2:
+        e = (x & -x).bit_length() - 1
+        return e, x >> e
     if x % p:
         return 0, x
+    if x.bit_length() > _POW_CHECK_BITS:
+        ratio = math.log(x) / math.log(p)
+        e = round(ratio)
+        if abs(ratio - e) < 1e-6 and p ** e == x:
+            return e, 1
     pows = [(p, 1)]
     while x % (pows[-1][0] ** 2) == 0:
         pows.append((pows[-1][0] ** 2, pows[-1][1] * 2))
@@ -291,17 +314,21 @@ class PaperCoding(Coding):
         return code
 
     def seq_decode(self, code: int) -> list[int]:
+        """Entries of prod_i p_i^(a_i + 1), stripped prime by prime.
+
+        Through strip_prime: the 2-part is read off the trailing zeros and
+        a huge final factor p_k^(a_k + 1) is confirmed by one pow, so the
+        usual sequence, whose one big entry comes last, decodes in
+        about the time of that one pow.  A huge entry before the last
+        still goes through the quadratic squaring cascade.
+        """
         if not isinstance(code, int) or code < 1:
             raise CodingError("sequence codes are positive")
         entries = []
         i = 0
         x = code
         while x > 1:
-            if i == 0:
-                e = (x & -x).bit_length() - 1
-                x >>= e
-            else:
-                e, x = strip_prime(x, nthprime(i))
+            e, x = strip_prime(x, nthprime(i))
             if e == 0:
                 raise CodingError(f"{short_code(code)} skips prime index {i}")
             entries.append(e - 1)
@@ -436,11 +463,21 @@ def _tag(bits: str, pos: int, max_ones: int) -> tuple[int, int]:
 
 
 def _gamma_parse(bits: str, pos: int) -> tuple[int, int]:
-    z = 0
-    while _take(bits, pos + z, 1) == "0":
-        z += 1
-    num = _take(bits, pos + z, z + 1)
-    return int(num, 2), pos + 2 * z + 1
+    """(m, end) for the gamma code of m starting at pos.
+
+    The zero run is found by one str.find and the digits read by one
+    slice, so a code costs time linear in its length.
+    """
+    one = bits.find("1", pos)
+    if one < 0:
+        raise CodingError("truncated code")
+    end = 2 * one - pos + 1
+    if end > len(bits):
+        raise CodingError("truncated code")
+    return int(bits[one:end], 2), end
+
+
+_RUN_BITS = 4096
 
 
 class CompactCoding(Coding):
@@ -450,18 +487,50 @@ class CompactCoding(Coding):
     # formula tags: 0 T T | 10 T T | 110 F | 1110 F F | 1111 g(i+1) d ...
 
     def seq_encode(self, entries: list[int]) -> int:
+        """The gamma codes of entry + 1, concatenated behind a leading 1.
+
+        The gamma code of m is m itself written in 2 bitlen(m) - 1 bits,
+        so the codes are joined as ints: appended one by one into runs of
+        about 4096 bits, and the runs joined pairwise in a balanced tree
+        of (a << width(b)) | b.  That is O(n log n) bit work, and no bit
+        string the size of the result is built.
+        """
+        runs: list[tuple[int, int]] = []
+        run = width = 0
         for e in entries:
             if not isinstance(e, int) or e < 0:
                 raise CodingError("sequence entries must be naturals")
             if e.bit_length() > 50_000_000:
                 raise FeasibilityError("sequence entry exceeds the bit budget")
-        return bits_to_code("".join(gamma_bits(e + 1) for e in entries))
+            w = 2 * (e + 1).bit_length() - 1
+            run = (run << w) | (e + 1)
+            width += w
+            if width > _RUN_BITS:
+                runs.append((run, width))
+                run = width = 0
+        runs.append((run, width))
+        while len(runs) > 1:
+            joined = [((a << wb) | b, wa + wb)
+                      for (a, wa), (b, wb) in zip(runs[::2], runs[1::2])]
+            if len(runs) % 2:
+                joined.append(runs[-1])
+            runs = joined
+        run, width = runs[0]
+        return (1 << width) | run
 
     def seq_decode(self, code: int) -> list[int]:
-        bits = code_to_bits(code)
+        """Entries read off bin(code) from offset 3, past "0b1".
+
+        Each gamma code is parsed by one str.find and one slice, so the
+        decode is linear in the bits of the code.
+        """
+        if not isinstance(code, int) or code < 1:
+            raise CodingError("bit codes are positive")
+        bits = bin(code)
+        n = len(bits)
         entries = []
-        pos = 0
-        while pos < len(bits):
+        pos = 3
+        while pos < n:
             m, pos = _gamma_parse(bits, pos)
             entries.append(m - 1)
         return entries

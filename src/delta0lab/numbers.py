@@ -121,10 +121,6 @@ class LazyPow:
         base = self.base if self.base is not None else nthprime(self.prime_index)
         return base ** exp
 
-    def bits_at_most(self, max_bits: int) -> bool:
-        """Certainly materializable below max_bits bits."""
-        return self.try_int(max_bits=max_bits) is not None
-
 
 def magnitude_ge(v: int | LazyPow, w: int) -> bool | None:
     """v >= w, three-valued; exact for ints."""

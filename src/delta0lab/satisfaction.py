@@ -81,12 +81,17 @@ def triple_encode(i: int, z: int, w: int) -> int:
 
 
 def triple_decode(tau: int) -> tuple[int, int, int] | None:
-    """(i, z, w) when tau = 2^i * 3^z * 5^w exactly, else None."""
+    """(i, z, w) when tau = 2^i * 3^z * 5^w exactly, else None.
+
+    The primes are stripped as 2, 5, 3: i is read off the trailing zeros,
+    w is small in any run, and what is left of a well-formed triple is the
+    pure power 3^z, which strip_prime confirms by one pow when it is large.
+    """
     if tau < 1:
         return None
     i, rest = strip_prime(tau, 2)
-    z, rest = strip_prime(rest, 3)
     w, rest = strip_prime(rest, 5)
+    z, rest = strip_prime(rest, 3)
     return (i, z, w) if rest == 1 else None
 
 
@@ -239,7 +244,13 @@ def _atom_clause(scheme: Coding, op: str, u: int, v: int,
         return Verdict.of(w == 0)
     if (a != b) if op == "eq" else (a > b):
         return Verdict.of(w == 0)
-    fit = magnitude_ge(_atom_cap(u, v, z), max(a, b))
+    # The cap is at least 2^(2^k): p_(u+v) >= 2 and z^(u+v) >= 2^k.  When
+    # that already covers the witness, the cap itself is never built.
+    k = max(0, (z.bit_length() - 1) * (u + v))
+    top = max(a, b)
+    if k >= 64 or top.bit_length() <= 2 ** k:
+        return Verdict.of(w == 1)
+    fit = magnitude_ge(_atom_cap(u, v, z), top)
     if fit is None:
         return Verdict.UNKNOWN
     return Verdict.of((w == 1) == fit)
@@ -384,6 +395,12 @@ def falsify(candidate: Formula, scheme: Coding = COMPACT,
     a number of points that grows with the bit length of m only, well
     within the budget for compact codes; a quantifier over a quantified
     body is swept, and past the budget its verdict is UNKNOWN.
+
+    Under scheme=PAPER a quantified candidate raises FeasibilityError.
+    A quantifier's prime-power code has far more than 63 bits, and the
+    diagonal formula wraps it (at least in the outer negation), so it
+    becomes a sequence entry past the bit budget of
+    PaperCoding.seq_encode and m cannot be written down.
     """
     core = desugar(candidate)
     if not is_delta0(core):

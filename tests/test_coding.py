@@ -1,5 +1,7 @@
 """Godel numbering tests: frozen codes, round trips, building sequences."""
 
+import time
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from delta0lab.coding import (
     get_scheme,
     paper_bound,
     seqdef,
+    strip_prime,
     syn,
     syn_search,
 )
@@ -131,6 +134,85 @@ def test_seq_idx_and_len():
 def test_seq_round_trip(entries):
     for scheme in (PAPER, COMPACT):
         assert scheme.seq_decode(scheme.seq_encode(entries)) == entries
+
+
+@given(st.lists(st.integers(0, 2 ** 100), max_size=40))
+@settings(max_examples=80)
+def test_compact_seq_encode_is_the_gamma_join(entries):
+    code = COMPACT.seq_encode(entries)
+    assert code == val("".join(g(e + 1) for e in entries))
+    assert COMPACT.seq_decode(code) == entries
+
+
+def test_compact_seq_encode_edges():
+    assert COMPACT.seq_encode([]) == 1
+    assert COMPACT.seq_encode([0]) == val(g(1))
+    assert COMPACT.seq_encode([2 ** 100]) == val(g(2 ** 100 + 1))
+    # long enough to be joined from many runs, an odd number of them
+    for entries in ([(k * 7919) ** 5 for k in range(301)], [2 ** 5000] * 3):
+        code = COMPACT.seq_encode(entries)
+        assert code == val("".join(g(e + 1) for e in entries))
+        assert COMPACT.seq_decode(code) == entries
+
+
+def test_compact_truncated_gamma_codes_raise():
+    # a zero run that reaches the end of the code
+    for bits in ["0", "000", g(5) + "00", g(1) + "0" * 40]:
+        with pytest.raises(CodingError, match="truncated"):
+            COMPACT.seq_decode(val(bits))
+    # a zero run whose digits are cut short
+    for bits in ["0010", "0001", g(3) + "00010", "0" * 30 + "1" * 30]:
+        with pytest.raises(CodingError, match="truncated"):
+            COMPACT.seq_decode(val(bits))
+
+
+def _strip_by_division(x, p):
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e, x
+
+
+_SMALL_PRIMES = [2, 3, 5, 7, 11]
+
+
+@given(st.sampled_from(_SMALL_PRIMES),
+       st.one_of(st.integers(0, 60), st.integers(2600, 6000)),
+       st.integers(1, 10 ** 6),
+       st.sampled_from(["times_m", "plus_1", "minus_1", "plus_p", "minus_p",
+                        "times_q"]))
+@settings(max_examples=200)
+def test_strip_prime_matches_division_loop(p, e, m, shape):
+    # p^e +- p is divisible by p and its log to base p lies within 1e-6
+    # of e, so it reaches the pow confirmation and must fail it
+    pe = p ** e
+    q = next(r for r in (13, 17) if r != p)
+    x = {"times_m": pe * m, "plus_1": pe + 1, "minus_1": max(pe - 1, 1),
+         "plus_p": pe + p, "minus_p": max(pe - p, 1), "times_q": pe * q}[shape]
+    assert strip_prime(x, p) == _strip_by_division(x, p)
+
+
+def test_strip_prime_large_powers_and_near_misses():
+    for p in _SMALL_PRIMES:
+        e = 2 * 4096 // p.bit_length() + 1
+        pe = p ** e
+        assert pe.bit_length() > 4096
+        for x in (pe, pe * p, pe * 7 ** 3, pe + 1, pe - 1, pe + p, pe - p,
+                  pe + p ** (e // 2), pe * 13, pe * 17 * p):
+            assert strip_prime(x, p) == _strip_by_division(x, p), (p, x % 1000)
+        assert strip_prime(pe, p) == (e, 1)
+    with pytest.raises(ValueError):
+        strip_prime(0, 3)
+
+
+def test_paper_seq_decode_with_a_huge_final_entry():
+    entries = [3, 0, 10 ** 6]
+    code = PAPER.seq_encode(entries)
+    assert code.bit_length() > 2_000_000
+    assert PAPER.seq_decode(code) == entries
+    with pytest.raises(CodingError, match="skips prime index 1"):
+        PAPER.seq_decode(2 * 5 ** (10 ** 6))
 
 
 # -- frozen term and formula codes ---------------------------------------------
@@ -321,9 +403,14 @@ def test_check_build_seq_accepts_canonical():
     atom = PAPER.encode(parse("(v0 = 1)"))
     assert check_build_seq(PAPER, "formula", PAPER.seq_encode([atom]), atom)
     assert check_build_seq(PAPER, "delta0", PAPER.seq_encode([atom]), atom)
+    # <v0, 1, (v0 + 1)> is 2^3 * 3^4 * 5^1080001, about 2.5 Mbit; its
+    # last factor is confirmed by one pow rather than divided out
     tp = parse_term("(v0 + 1)")
     sp = PAPER.seq_encode(canonical_term_seq(PAPER, tp))
+    assert sp.bit_length() > 2_500_000
+    start = time.perf_counter()
     assert check_build_seq(PAPER, "term", sp, PAPER.encode_term(tp))
+    assert time.perf_counter() - start < 3.0
 
 
 def test_check_build_seq_rejections():

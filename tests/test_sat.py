@@ -7,12 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta0lab.coding import COMPACT, PAPER
-from delta0lab.formulas import desugar, free_vars, parse
+from delta0lab.coding import val as term_value
+from delta0lab.formulas import desugar, free_vars, parse, parse_term
+from delta0lab.numbers import magnitude_ge
 from delta0lab.primrec import (
     Comp, FeasibilityError, PrimRec, Proj, eval_pr, validate,
 )
 from delta0lab.satisfaction import (
     SatError,
+    _atom_cap,
+    _atom_clause,
     falsify,
     sat_direct,
     sat_valuation,
@@ -102,9 +106,17 @@ def test_triple_codes_frozen():
     assert triple_decode(0) is None
 
 
-@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 1))
+@given(st.integers(0, 40), st.one_of(st.integers(0, 40), st.integers(0, 2 ** 18)),
+       st.integers(0, 3))
 def test_triple_round_trip(i, z, w):
     assert triple_decode(triple_encode(i, z, w)) == (i, z, w)
+
+
+@pytest.mark.parametrize("z", [0, 1, 5000, 2 ** 18])
+def test_triple_decode_rejects_other_primes(z):
+    assert triple_decode(7 * 3 ** z) is None
+    assert triple_decode(3 ** z * 5 * 11) is None
+    assert triple_decode(2 * 3 ** z * 5 + 1) is None
 
 
 # -- the run checker ----------------------------------------------------------
@@ -181,6 +193,32 @@ def test_witness_corruptions_rejected():
             assert satseq_check(s, t) is Verdict.FALSE, text
             mutants += 1
     assert mutants >= 20
+
+
+_ATOM_SIDES = ["0", "1", "v0", "v1", "(1 + 1)", "((1 + 1) * (1 + 1))",
+               "(v0 * v1)", "((v0 * v0) * v0)"]
+
+
+@given(st.sampled_from(["eq", "le"]),
+       st.sampled_from(_ATOM_SIDES), st.sampled_from(_ATOM_SIDES),
+       st.one_of(st.just([]), st.lists(st.integers(0, 300), max_size=2)),
+       st.integers(0, 1))
+@settings(max_examples=150)
+def test_atom_clause_cap_shortcut_keeps_verdicts(op, left, right, zs, w):
+    # the exact clause: build the stated cap and compare it with the witness;
+    # z = 1 (the empty valuation) makes the shortcut fall through to it
+    scheme = COMPACT
+    u = scheme.encode_term(parse_term(left))
+    v = scheme.encode_term(parse_term(right))
+    z = scheme.seq_encode(zs)
+    a = term_value(scheme, u, z, strict=False)
+    b = term_value(scheme, v, z, strict=False)
+    if (a != b) if op == "eq" else (a > b):
+        expected = Verdict.of(w == 0)
+    else:
+        fit = magnitude_ge(_atom_cap(u, v, z), max(a, b))
+        expected = Verdict.UNKNOWN if fit is None else Verdict.of((w == 1) == fit)
+    assert _atom_clause(scheme, op, u, v, z, w) is expected
 
 
 def test_satseq_budget_truncation_unknown():
@@ -273,6 +311,13 @@ def test_falsify_paper_scheme_budgeted():
     assert got.m == PAPER.encode(got.diagonal_formula)
     assert got.candidate_value is Verdict.TRUE
     assert got.sat_value is Verdict.FALSE
+
+
+@pytest.mark.parametrize("text", ["(E v2 <= v0)((v2 * v2) <= v1)",
+                                  "(A v2 <= v1)(v2 = v2)"])
+def test_falsify_paper_scheme_refuses_quantified_candidates(text):
+    with pytest.raises(FeasibilityError):
+        falsify(parse(text), scheme=PAPER)
 
 
 def test_falsify_rejects_bad_candidates():
