@@ -8,7 +8,7 @@ import sympy
 
 from delta0lab import (
     ArityError, Comp, Evaluator, FeasibilityError, PRError, PrimRec, Proj,
-    Succ, Zero, eval_pr, parse_pr, sat_pr_eval, serialize, validate,
+    Succ, Zero, eval_pr, parse_pr, sat_as_pr, sat_pr_eval, serialize, validate,
 )
 from delta0lab.prlib import (
     ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MONUS, MUL,
@@ -395,6 +395,52 @@ def test_pow_twin_refuses_results_past_the_bit_cap():
     assert Evaluator().eval(pow_, (0, 1 << 40)) == 0
 
 
+def test_deep_terms_evaluate_or_raise_a_typed_error():
+    # one closure frame per term level fits 12,000 levels under the limit
+    assert eval_pr(const(12_000, 1), (0,)) == 12_000
+    with pytest.raises(FeasibilityError, match="term depth 100001"):
+        eval_pr(const(100_000, 1), (0,))
+    assert eval_pr(const(3, 1), (0,)) == 3
+
+
+def test_modes_keep_their_own_closures():
+    # closures are shared by every evaluator of one mode; interleaving a
+    # raw and a default evaluator must give neither the other's closures
+    cases = [(STDLIB[name], args) for name in CORE for args in grid(ARITIES[name], 0, 3)]
+    cases += [(HOP, (d, c, 0)) for d in range(3) for c in range(8)]
+    cases += [(ZRUN_MIN, (c, d, 2)) for c in range(8) for d in range(3)]
+    for term, args in cases:
+        raw = Evaluator(intrinsics=False, absorbing=False)
+        opt = Evaluator()
+        assert raw.eval(term, args) == opt.eval(term, args), (term, args)
+        assert opt.steps == 1 < raw.steps, (term, args)
+
+
+def test_twin_registered_after_compiling_takes_effect():
+    double = Comp(ADD, (Proj(2, 2), Proj(2, 2)))
+    assert double not in primrec_module._INTRINSICS
+    before = Evaluator()
+    assert before.eval(double, (0, 5)) == 10
+    assert before.steps == 4
+    # the twin is exact, so it may stay registered for later tests
+    primrec_module.intrinsic(double, lambda a: 2 * a[1])
+    after = Evaluator()
+    assert after.eval(double, (0, 5)) == 10
+    assert after.steps == 1
+
+
+def test_stats_report_steps_and_cache_sizes():
+    fresh = Evaluator().stats()
+    assert fresh["steps"] == fresh["cache"] == fresh["hi"] == 0
+    assert fresh["absorbed"] == fresh["const_from"] == 0
+    ev = Evaluator()
+    assert ev.eval(sat_as_pr(), (8, 1)) == 1
+    stats = ev.stats()
+    assert stats["steps"] == ev.steps
+    assert all(stats[k] > 0 for k in ("cache", "hi", "absorbed", "const_from", "closures"))
+    assert stats["closures"] == Evaluator().stats()["closures"]
+
+
 def test_eval_argument_checks():
     with pytest.raises(ArityError):
         eval_pr(ADD, (1, 2, 3))
@@ -491,6 +537,23 @@ def test_intrinsics_on_huge_arguments_stay_fast():
 
 def test_sat_pr_fits_a_small_budget():
     assert sat_pr_eval(8, 1, max_steps=300_000) == 1
+
+
+@pytest.mark.parametrize("x, steps", [(8, 69_427), (24, 129_047), (42, 354_537)])
+def test_sat_pr_step_counts_are_pinned(x, steps):
+    ev = Evaluator()
+    assert ev.eval(sat_as_pr(), (x, 1)) == 1
+    assert ev.steps == steps
+
+
+def test_sat_pr_budget_edge():
+    assert sat_pr_eval(8, 1, max_steps=69_427) == 1
+    with pytest.raises(FeasibilityError, match="step budget of 69426"):
+        sat_pr_eval(8, 1, max_steps=69_426)
+    ev = Evaluator(max_steps=69_426)
+    with pytest.raises(FeasibilityError):
+        ev.eval(sat_as_pr(), (8, 1))
+    assert ev.steps == 69_427
 
 
 @given(st.integers(0, 30), st.integers(0, 30))
