@@ -13,7 +13,10 @@ Bit scheme ("compact"): a code is int("1" + bits, 2) for a bit string
 produced by a prefix-free tag grammar; sequences concatenate the Elias
 gamma codes of entry + 1, with the empty sequence again coded 1.  Codes
 stay within a constant factor of the formula size, so deeply nested
-formulas remain materializable.
+formulas remain materializable.  The bits are the node tags in
+pre-order, so a code is written into one string and read off bin(code)
+in one left-to-right pass, without recursion and without building the
+code of any child.
 
 Only the core connectives (=, <=, ~, ->, bounded/unbounded A) are coded;
 encode() desugars first and decode() returns core formulas.
@@ -25,12 +28,15 @@ import math
 from collections.abc import Mapping
 
 from .formulas import (
+    ONE,
+    ZERO,
     Add,
     BForall,
     ConstOne,
     ConstZero,
     Eq,
     Formula,
+    FormulaError,
     Implies,
     Le,
     Mul,
@@ -75,6 +81,9 @@ class Coding:
     them in order.
 
     A subclass supplies seq_encode(entries) and seq_decode(code);
+    _write(node, formula) and _read(code, formula), the node codec behind
+    encode/encode_term and decode/decode_term, where formula tells a
+    formula from a term and _write gets core formulas only;
     term_shapes(code) and formula_shapes(code); the node codes mk_zero(),
     mk_one(), mk_var(i), mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a),
     mk_implies(a, b), mk_bforall(i, t, b), mk_uforall(i, b) over child
@@ -83,80 +92,22 @@ class Coding:
 
     name: str
 
-    # -- encoding -------------------------------------------------------
+    # -- encoding and decoding -------------------------------------------
+    #
+    # The four entry points below are the whole coding API for nodes; a
+    # scheme supplies _write(node, formula) and _read(code, formula).
 
     def encode_term(self, t: Term) -> int:
-        match t:
-            case ConstZero():
-                return self.mk_zero()
-            case ConstOne():
-                return self.mk_one()
-            case Var(index=i):
-                return self.mk_var(i)
-            case Add(left=l, right=r):
-                return self.mk_add(self.encode_term(l), self.encode_term(r))
-            case Mul(left=l, right=r):
-                return self.mk_mul(self.encode_term(l), self.encode_term(r))
-        raise CodingError(f"not a term: {t!r}")
+        return self._write(t, False)
 
     def encode(self, phi: Formula) -> int:
-        return self._encode_core(desugar(phi))
-
-    def _encode_core(self, phi: Formula) -> int:
-        match phi:
-            case Eq(left=l, right=r):
-                return self.mk_eq(self.encode_term(l), self.encode_term(r))
-            case Le(left=l, right=r):
-                return self.mk_le(self.encode_term(l), self.encode_term(r))
-            case Not(body=b):
-                return self.mk_not(self._encode_core(b))
-            case Implies(left=l, right=r):
-                return self.mk_implies(self._encode_core(l), self._encode_core(r))
-            case BForall(var=v, bound=t, body=b):
-                return self.mk_bforall(v, self.encode_term(t), self._encode_core(b))
-            case UForall(var=v, body=b):
-                return self.mk_uforall(v, self._encode_core(b))
-        raise CodingError(f"not a core formula: {phi!r}")
-
-    # -- decoding -------------------------------------------------------
+        return self._write(desugar(phi), True)
 
     def decode_term(self, code: int) -> Term:
-        for shape in self.term_shapes(code):
-            try:
-                match shape:
-                    case ("const0",):
-                        return ConstZero()
-                    case ("const1",):
-                        return ConstOne()
-                    case ("var", i):
-                        return Var(i)
-                    case ("add", a, b):
-                        return Add(self.decode_term(a), self.decode_term(b))
-                    case ("mul", a, b):
-                        return Mul(self.decode_term(a), self.decode_term(b))
-            except CodingError:
-                continue
-        raise CodingError(f"{short_code(code)} is not a term code")
+        return self._read(code, False)
 
     def decode(self, code: int) -> Formula:
-        for shape in self.formula_shapes(code):
-            try:
-                match shape:
-                    case ("eq", a, b):
-                        return Eq(self.decode_term(a), self.decode_term(b))
-                    case ("le", a, b):
-                        return Le(self.decode_term(a), self.decode_term(b))
-                    case ("not", b):
-                        return Not(self.decode(b))
-                    case ("implies", a, b):
-                        return Implies(self.decode(a), self.decode(b))
-                    case ("bforall", i, t, b):
-                        return BForall(i, self.decode_term(t), self.decode(b))
-                    case ("uforall", i, b):
-                        return UForall(i, self.decode(b))
-            except CodingError:
-                continue
-        raise CodingError(f"{short_code(code)} is not a formula code")
+        return self._read(code, True)
 
     # -- recognizers ------------------------------------------------------
 
@@ -263,6 +214,14 @@ _P_SYM = {"zero": 1, "one": 3, "add": 5, "mul": 7, "eq": 9, "le": 11,
 _POW_CHECK_BITS = 4096
 
 
+def _pure_power(x: int, p: int) -> int | None:
+    """e when x = p^e, tried when log(x)/log(p) lies within 1e-6 of e and
+    confirmed by one exact pow; None otherwise."""
+    ratio = math.log(x) / math.log(p)
+    e = round(ratio)
+    return e if abs(ratio - e) < 1e-6 and p ** e == x else None
+
+
 def strip_prime(x: int, p: int) -> tuple[int, int]:
     """(e, x / p^e) for the exact power of p in x >= 1.
 
@@ -271,9 +230,9 @@ def strip_prime(x: int, p: int) -> tuple[int, int]:
     the pure power p^e by one exact pow, which covers the final entry of
     a paper sequence and the 3-part of a triple.  Every other x is
     stripped exactly by dividing out p, p^2, p^4, ...; once those powers
-    grow to the size of x the cascade is quadratic in its bits, so a huge
-    exponent on a prime that is not the last factor (a huge non-final
-    paper-sequence entry) still costs quadratic time.
+    grow to the size of x the cascade is quadratic in its bits.
+    PaperCoding.seq_decode therefore strips a huge non-final entry only
+    once the other factors are gone.
     """
     if x < 1:
         raise ValueError("only positive integers have prime valuations")
@@ -283,9 +242,8 @@ def strip_prime(x: int, p: int) -> tuple[int, int]:
     if x % p:
         return 0, x
     if x.bit_length() > _POW_CHECK_BITS:
-        ratio = math.log(x) / math.log(p)
-        e = round(ratio)
-        if abs(ratio - e) < 1e-6 and p ** e == x:
+        e = _pure_power(x, p)
+        if e is not None:
             return e, 1
     pows = [(p, 1)]
     while x % (pows[-1][0] ** 2) == 0:
@@ -316,24 +274,128 @@ class PaperCoding(Coding):
     def seq_decode(self, code: int) -> list[int]:
         """Entries of prod_i p_i^(a_i + 1), stripped prime by prime.
 
-        Through strip_prime: the 2-part is read off the trailing zeros and
-        a huge final factor p_k^(a_k + 1) is confirmed by one pow, so the
-        usual sequence, whose one big entry comes last, decodes in
-        about the time of that one pow.  A huge entry before the last
-        still goes through the quadratic squaring cascade.
+        The 2-part is read off the trailing zeros, and a huge rest that is
+        a pure prime power, the usual last entry, is confirmed by one pow
+        (_pure_power).  Otherwise the prime is divided out at most 64
+        times; a prime that still divides after that carries a huge entry
+        and is deferred.  The deferred factors are stripped last, through
+        strip_prime: when exactly one prime is deferred, what is left is
+        its pure power, which one pow confirms, so a sequence with one
+        huge entry, wherever it stands, decodes in about the time of that
+        pow.  With two or more huge entries, as in the code of
+        ((1 + 1) * (1 + 1)), the deferred factors go through the
+        quadratic squaring cascade.
         """
         if not isinstance(code, int) or code < 1:
             raise CodingError("sequence codes are positive")
-        entries = []
+        entries: list[int] = []
+        deferred: list[tuple[int, int]] = []
         i = 0
         x = code
         while x > 1:
-            e, x = strip_prime(x, nthprime(i))
+            p = nthprime(i)
+            if p == 2:
+                e, x = strip_prime(x, 2)
+            elif x.bit_length() > _POW_CHECK_BITS and (e := _pure_power(x, p)):
+                x = 1
+            else:
+                e = 0
+                while e < 64 and x % p == 0:
+                    x //= p
+                    e += 1
             if e == 0:
+                for j, q in deferred:
+                    k, x = strip_prime(x, q)
+                    entries[j] += k
+                if x == 1:
+                    break
                 raise CodingError(f"{short_code(code)} skips prime index {i}")
+            if e == 64 and x % p == 0:
+                deferred.append((i, p))
             entries.append(e - 1)
             i += 1
         return entries
+
+    def _read(self, code: int, formula: bool) -> Term | Formula:
+        """The first reading of code whose children decode, shape by shape."""
+        shapes = self.formula_shapes(code) if formula else self.term_shapes(code)
+        for shape in shapes:
+            try:
+                match shape:
+                    case ("const0",):
+                        return ZERO
+                    case ("const1",):
+                        return ONE
+                    case ("var", i):
+                        return Var(i)
+                    case ("add", a, b):
+                        return Add(self.decode_term(a), self.decode_term(b))
+                    case ("mul", a, b):
+                        return Mul(self.decode_term(a), self.decode_term(b))
+                    case ("eq", a, b):
+                        return Eq(self.decode_term(a), self.decode_term(b))
+                    case ("le", a, b):
+                        return Le(self.decode_term(a), self.decode_term(b))
+                    case ("not", b):
+                        return Not(self.decode(b))
+                    case ("implies", a, b):
+                        return Implies(self.decode(a), self.decode(b))
+                    case ("bforall", i, t, b):
+                        return BForall(i, self.decode_term(t), self.decode(b))
+                    case ("uforall", i, b):
+                        return UForall(i, self.decode(b))
+            except (CodingError, FormulaError):
+                # FormulaError: a quantifier whose variable is in its bound
+                continue
+        kind = "formula" if formula else "term"
+        raise CodingError(f"{short_code(code)} is not a {kind} code")
+
+    def _write(self, node: Term | Formula, formula: bool) -> int:
+        """The node's code built bottom-up through the mk_* builders.
+
+        A pre-order walk on an explicit stack lists each node's builder,
+        and the builders then run in reverse, so that every child code is
+        on the value stack, leftmost child on top, when its parent runs.
+        A deep term fails on the bit budget, not on the recursion limit.
+        """
+        steps: list[tuple] = []
+        todo: list[tuple] = [(node, formula)]
+        while todo:
+            node, formula = todo.pop()
+            match node, formula:
+                case ConstZero(), False:
+                    steps.append((self.mk_zero, 0))
+                case ConstOne(), False:
+                    steps.append((self.mk_one, 0))
+                case Var(index=i), False:
+                    steps.append((self.mk_var, 0, i))
+                case (Add(left=l, right=r) | Mul(left=l, right=r)), False:
+                    steps.append((self.mk_add if type(node) is Add else self.mk_mul, 2))
+                    todo += ((r, False), (l, False))
+                case (Eq(left=l, right=r) | Le(left=l, right=r)), True:
+                    steps.append((self.mk_eq if type(node) is Eq else self.mk_le, 2))
+                    todo += ((r, False), (l, False))
+                case Not(body=b), True:
+                    steps.append((self.mk_not, 1))
+                    todo.append((b, True))
+                case Implies(left=l, right=r), True:
+                    steps.append((self.mk_implies, 2))
+                    todo += ((r, True), (l, True))
+                case BForall(var=v, bound=t, body=b), True:
+                    steps.append((self.mk_bforall, 2, v))
+                    todo += ((b, True), (t, False))
+                case UForall(var=v, body=b), True:
+                    steps.append((self.mk_uforall, 1, v))
+                    todo.append((b, True))
+                case _, False:
+                    raise CodingError(f"not a term: {node!r}")
+                case _:
+                    raise CodingError(f"not a core formula: {node!r}")
+        codes: list[int] = []
+        for mk, arity, *head in reversed(steps):
+            args = [codes.pop() for _ in range(arity)]
+            codes.append(mk(*head, *args))
+        return codes[0]
 
     def term_shapes(self, code: int) -> list[tuple]:
         shapes: list[tuple] = []
@@ -439,27 +501,26 @@ def bits_to_code(bits: str) -> int:
     return int("1" + bits, 2)
 
 
-def code_to_bits(code: int) -> str:
+def _bin(code: int) -> str:
+    """bin(code), whose bits from offset 3 on, past "0b1", are the code's."""
     if not isinstance(code, int) or code < 1:
         raise CodingError("bit codes are positive")
-    return bin(code)[3:]
+    return bin(code)
 
 
-def _take(bits: str, pos: int, n: int) -> str:
-    if pos + n > len(bits):
+def code_to_bits(code: int) -> str:
+    return _bin(code)[3:]
+
+
+def _tag(bits: str, pos: int) -> tuple[int, int]:
+    """(k, end) for the tag read at pos: k ones, then the zero that ends a
+    tag of fewer than four ones.  One str.find finds that zero."""
+    zero = bits.find("0", pos, pos + 4)
+    if zero >= 0:
+        return zero - pos, zero + 1
+    if pos + 4 > len(bits):
         raise CodingError("truncated code")
-    return bits[pos:pos + n]
-
-
-def _tag(bits: str, pos: int, max_ones: int) -> tuple[int, int]:
-    """Count leading ones up to max_ones, consuming the terminating zero."""
-    k = 0
-    while k < max_ones and _take(bits, pos, 1) == "1":
-        k += 1
-        pos += 1
-    if k < max_ones:
-        pos += 1
-    return k, pos
+    return 4, pos + 4
 
 
 def _gamma_parse(bits: str, pos: int) -> tuple[int, int]:
@@ -477,6 +538,97 @@ def _gamma_parse(bits: str, pos: int) -> tuple[int, int]:
     return int(bits[one:end], 2), end
 
 
+def _quantifier(bits: str, pos: int) -> tuple[int, bool, int]:
+    """(i, bounded, end) for the g(i+1) d part of a quantifier tag."""
+    m, pos = _gamma_parse(bits, pos)
+    if pos == len(bits):
+        raise CodingError("truncated code")
+    return m - 1, bits[pos] == "0", pos + 1
+
+
+def _read_node(bits: str, formula: bool) -> tuple[Term | Formula, int]:
+    """(node, end) for the term or formula whose code starts at offset 3
+    of bits = bin(code), read in one pass.
+
+    The work stack holds what is left to do: False to read a term, True
+    to read a formula, or a node class to build once its children are
+    read.  Finished nodes, and a quantifier's variable index, wait on
+    the value stack.  Child codes are never materialised.
+    """
+    todo: list = [formula]
+    out: list = []
+    pos = 3
+    while todo:
+        op = todo.pop()
+        if op is False or op is True:
+            k, pos = _tag(bits, pos)
+            if op is False:
+                if k == 0:
+                    out.append(ZERO)
+                elif k == 1:
+                    out.append(ONE)
+                elif k == 2:
+                    m, pos = _gamma_parse(bits, pos)
+                    out.append(Var(m - 1))
+                else:
+                    todo += (Add if k == 3 else Mul, False, False)
+            elif k <= 1:
+                todo += (Eq if k == 0 else Le, False, False)
+            elif k == 2:
+                todo += (Not, True)
+            elif k == 3:
+                todo += (Implies, True, True)
+            else:
+                i, bounded, pos = _quantifier(bits, pos)
+                out.append(i)
+                todo += (BForall, True, False) if bounded else (UForall, True)
+        elif op is Not:
+            out[-1] = Not(out[-1])
+        elif op is UForall:
+            body = out.pop()
+            out[-1] = UForall(out[-1], body)
+        elif op is BForall:
+            body = out.pop()
+            bound = out.pop()
+            try:
+                out[-1] = BForall(out[-1], bound, body)
+            except FormulaError:
+                raise CodingError(f"v{out[-1]} occurs in its own bound") from None
+        else:
+            right = out.pop()
+            out[-1] = op(out[-1], right)
+    return out[0], pos
+
+
+def _skip(bits: str, pos: int, formula: bool) -> int:
+    """End of the term or formula coded from pos on, read as _read_node
+    reads it but without building nodes."""
+    todo = [formula]
+    while todo:
+        k, pos = _tag(bits, pos)
+        if todo.pop():
+            if k <= 1:
+                todo += (False, False)
+            elif k == 2:
+                todo.append(True)
+            elif k == 3:
+                todo += (True, True)
+            else:
+                _, bounded, pos = _quantifier(bits, pos)
+                todo += (True, False) if bounded else (True,)
+        elif k == 2:
+            _, pos = _gamma_parse(bits, pos)
+        elif k > 2:
+            todo += (False, False)
+    return pos
+
+
+def _child(bits: str, pos: int, formula: bool) -> tuple[int, int]:
+    """(code, end) of the term or formula coded from pos on."""
+    end = _skip(bits, pos, formula)
+    return int("1" + bits[pos:end], 2), end
+
+
 _RUN_BITS = 4096
 
 
@@ -485,6 +637,15 @@ class CompactCoding(Coding):
 
     # term tags: 0 | 10 | 110 g(i+1) | 1110 T T | 1111 T T
     # formula tags: 0 T T | 10 T T | 110 F | 1110 F F | 1111 g(i+1) d ...
+    # (d = 0: a bounded quantifier, its bound T then its body F; d = 1:
+    # an unbounded one, its body F)
+    #
+    # A code is the tags of its nodes in pre-order, so it is written and
+    # read in one pass over bin(code): _write appends each node's tag and
+    # gamma code to one list and converts once, _read_node builds the
+    # nodes from the tags on an explicit stack, and the shape readers
+    # find child spans with _skip.  None of them recurses, so a code
+    # nests as deep as memory allows.
 
     def seq_encode(self, entries: list[int]) -> int:
         """The gamma codes of entry + 1, concatenated behind a leading 1.
@@ -524,9 +685,7 @@ class CompactCoding(Coding):
         Each gamma code is parsed by one str.find and one slice, so the
         decode is linear in the bits of the code.
         """
-        if not isinstance(code, int) or code < 1:
-            raise CodingError("bit codes are positive")
-        bits = bin(code)
+        bits = _bin(code)
         n = len(bits)
         entries = []
         pos = 3
@@ -535,37 +694,65 @@ class CompactCoding(Coding):
             entries.append(m - 1)
         return entries
 
-    def _term_end(self, bits: str, pos: int) -> int:
-        k, pos = _tag(bits, pos, 4)
-        if k <= 1:
-            return pos
-        if k == 2:
-            _, pos = _gamma_parse(bits, pos)
-            return pos
-        pos = self._term_end(bits, pos)
-        return self._term_end(bits, pos)
+    def _read(self, code: int, formula: bool) -> Term | Formula:
+        try:
+            bits = _bin(code)
+            node, end = _read_node(bits, formula)
+            if end == len(bits):
+                return node
+            why = "bits left over past the node"
+        except CodingError as exc:
+            why = str(exc)
+        kind = "formula" if formula else "term"
+        raise CodingError(f"{short_code(code)} is not a {kind} code: {why}")
 
-    def _formula_end(self, bits: str, pos: int) -> int:
-        k, pos = _tag(bits, pos, 4)
-        if k <= 1:
-            pos = self._term_end(bits, pos)
-            return self._term_end(bits, pos)
-        if k == 2:
-            return self._formula_end(bits, pos)
-        if k == 3:
-            pos = self._formula_end(bits, pos)
-            return self._formula_end(bits, pos)
-        _, pos = _gamma_parse(bits, pos)
-        d = _take(bits, pos, 1)
-        pos += 1
-        if d == "0":
-            pos = self._term_end(bits, pos)
-        return self._formula_end(bits, pos)
+    def _write(self, node: Term | Formula, formula: bool) -> int:
+        """The code of node: its tags and gamma codes, written in pre-order
+        into one list of bit strings, turned into an int once."""
+        parts = ["1"]
+        todo: list[tuple] = [(node, formula)]
+        while todo:
+            node, formula = todo.pop()
+            cls = type(node)
+            if not formula:
+                if cls is Add or cls is Mul:
+                    parts.append("1110" if cls is Add else "1111")
+                    todo += ((node.right, False), (node.left, False))
+                elif cls is Var:
+                    parts += ("110", gamma_bits(node.index + 1))
+                elif cls is ConstZero:
+                    parts.append("0")
+                elif cls is ConstOne:
+                    parts.append("10")
+                else:
+                    raise CodingError(f"not a term: {node!r}")
+            elif cls is Eq or cls is Le:
+                parts.append("0" if cls is Eq else "10")
+                todo += ((node.right, False), (node.left, False))
+            elif cls is Not:
+                parts.append("110")
+                todo.append((node.body, True))
+            elif cls is Implies:
+                parts.append("1110")
+                todo += ((node.right, True), (node.left, True))
+            elif cls is BForall or cls is UForall:
+                if node.var < 0:
+                    raise CodingError("variable index must be a natural")
+                parts += ("1111", gamma_bits(node.var + 1))
+                if cls is BForall:
+                    parts.append("0")
+                    todo += ((node.body, True), (node.bound, False))
+                else:
+                    parts.append("1")
+                    todo.append((node.body, True))
+            else:
+                raise CodingError(f"not a core formula: {node!r}")
+        return int("".join(parts), 2)
 
     def term_shapes(self, code: int) -> list[tuple]:
         try:
-            bits = code_to_bits(code)
-            k, pos = _tag(bits, 0, 4)
+            bits = _bin(code)
+            k, pos = _tag(bits, 3)
             if k == 0:
                 shape: tuple = ("const0",)
             elif k == 1:
@@ -574,54 +761,40 @@ class CompactCoding(Coding):
                 m, pos = _gamma_parse(bits, pos)
                 shape = ("var", m - 1)
             else:
-                split = self._term_end(bits, pos)
-                end = self._term_end(bits, split)
-                shape = ("add" if k == 3 else "mul",
-                         bits_to_code(bits[pos:split]), bits_to_code(bits[split:end]))
-                pos = end
-            if pos != len(bits):
-                return []
-            return [shape]
+                a, pos = _child(bits, pos, False)
+                b, pos = _child(bits, pos, False)
+                shape = ("add" if k == 3 else "mul", a, b)
         except CodingError:
             return []
+        return [shape] if pos == len(bits) else []
 
     def formula_shapes(self, code: int) -> list[tuple]:
         try:
-            bits = code_to_bits(code)
-            k, pos = _tag(bits, 0, 4)
+            bits = _bin(code)
+            k, pos = _tag(bits, 3)
             if k <= 1:
-                split = self._term_end(bits, pos)
-                end = self._term_end(bits, split)
-                shape: tuple = ("eq" if k == 0 else "le",
-                                bits_to_code(bits[pos:split]), bits_to_code(bits[split:end]))
-                pos = end
+                a, pos = _child(bits, pos, False)
+                b, pos = _child(bits, pos, False)
+                shape: tuple = ("eq" if k == 0 else "le", a, b)
             elif k == 2:
-                end = self._formula_end(bits, pos)
-                shape = ("not", bits_to_code(bits[pos:end]))
-                pos = end
+                b, pos = _child(bits, pos, True)
+                shape = ("not", b)
             elif k == 3:
-                split = self._formula_end(bits, pos)
-                end = self._formula_end(bits, split)
-                shape = ("implies", bits_to_code(bits[pos:split]), bits_to_code(bits[split:end]))
-                pos = end
+                a, pos = _child(bits, pos, True)
+                b, pos = _child(bits, pos, True)
+                shape = ("implies", a, b)
             else:
-                m, pos = _gamma_parse(bits, pos)
-                d = _take(bits, pos, 1)
-                pos += 1
-                if d == "0":
-                    split = self._term_end(bits, pos)
-                    end = self._formula_end(bits, split)
-                    shape = ("bforall", m - 1,
-                             bits_to_code(bits[pos:split]), bits_to_code(bits[split:end]))
+                i, bounded, pos = _quantifier(bits, pos)
+                if bounded:
+                    t, pos = _child(bits, pos, False)
+                    b, pos = _child(bits, pos, True)
+                    shape = ("bforall", i, t, b)
                 else:
-                    end = self._formula_end(bits, pos)
-                    shape = ("uforall", m - 1, bits_to_code(bits[pos:end]))
-                pos = end
-            if pos != len(bits):
-                return []
-            return [shape]
+                    b, pos = _child(bits, pos, True)
+                    shape = ("uforall", i, b)
         except CodingError:
             return []
+        return [shape] if pos == len(bits) else []
 
     def mk_zero(self) -> int:
         return bits_to_code("0")
@@ -716,25 +889,33 @@ def canonical_term_seq(scheme: Coding, t: Term) -> list[int]:
 
 def canonical_formula_seq(scheme: Coding, phi: Formula) -> list[int]:
     """Deduplicated postorder of subformula codes; atoms are leaves."""
-    phi = desugar(phi)
-    order: list[int] = []
-    seen: set[int] = set()
+    return formula_seq_index(scheme, desugar(phi))[0]
 
-    def walk(psi: Formula) -> int:
+
+def formula_seq_index(scheme: Coding,
+                      phi: Formula) -> tuple[list[int], dict[int, int]]:
+    """canonical_formula_seq of the core formula phi, and where each node
+    of phi went: a dict from id(node) to the index of the node's code.
+    The dict stays valid while phi is alive."""
+    order: list[int] = []
+    index: dict[int, int] = {}
+    where: dict[int, int] = {}
+
+    def walk(psi: Formula) -> None:
         match psi:
             case Not(body=b) | UForall(body=b) | BForall(body=b):
                 walk(b)
             case Implies(left=l, right=r):
                 walk(l)
                 walk(r)
-        c = scheme._encode_core(psi)
-        if c not in seen:
-            seen.add(c)
+        c = scheme._write(psi, True)
+        if c not in index:
+            index[c] = len(order)
             order.append(c)
-        return c
+        where[id(psi)] = index[c]
 
     walk(phi)
-    return order
+    return order, where
 
 
 def _term_entry_ok(scheme: Coding, e: int, earlier: set[int]) -> bool:

@@ -7,6 +7,7 @@ quantifier in it carries a bound.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -370,42 +371,26 @@ def show(node: Formula | Term) -> str:
 
 # -------------------------------------------------------------- parsing
 
-_PUNCT = ("->", "<=", "(", ")", "+", "*", "=", "~", "&", "|")
+# One alternative per token kind; whitespace matches none of them and is
+# skipped by finditer, and any other character is a "bad" token.
+_TOKEN = re.compile(r"""
+    (?P<punct> -> | <= | [()+*=~&|] )
+  | (?P<var>   v\d+ )
+  | (?P<const> [01] )
+  | (?P<quant> [AE] )
+  | (?P<bad>   \S )
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as (kind, value, position)."""
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                out.append(("punct", p, i))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c == "v" and i + 1 < n and text[i + 1].isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(("var", text[i:j], i))
-            i = j
-        elif c in "01":
-            out.append(("const", c, i))
-            i += 1
-        elif c in "AE":
-            out.append(("quant", c, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    out.append(("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        out.append((kind, m.group(), m.start()))
+    out.append(("eof", "", len(text)))
     return out
 
 

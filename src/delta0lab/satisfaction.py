@@ -14,17 +14,16 @@ point on which it must disagree with actual satisfaction.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .coding import (
     COMPACT,
     Coding,
     CodingError,
-    build_entries_ok,
-    canonical_formula_seq,
+    formula_seq_index,
     short_code,
     strip_prime,
-    val,
 )
 from .formulas import (
     BForall,
@@ -33,6 +32,7 @@ from .formulas import (
     Implies,
     Le,
     Not,
+    Term,
     UForall,
     Var,
     desugar,
@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .numbers import LazyPow, magnitude_ge
 from .primrec import FeasibilityError
-from .semantics import Verdict, eval_delta0, eval_delta0_verdict
+from .semantics import Verdict, eval_delta0, eval_delta0_verdict, eval_term
 
 _SWEEP_CAP = 10 ** 6
 
@@ -66,8 +66,15 @@ def sat_direct(x: int, a: int, scheme: Coding = COMPACT) -> bool:
 def sat_valuation(x: int, y: int, scheme: Coding = COMPACT) -> bool:
     """Truth of the coded formula under the valuation sequence y."""
     phi = scheme.decode(x)
-    rho = {i: scheme.val_get(y, i) for i in free_vars(phi)}
+    free = free_vars(phi)
+    ys = scheme.seq_decode(y) if free else []
+    rho = {i: ys[i] if i < len(ys) else 0 for i in free}
     return eval_delta0(phi, rho)
+
+
+def _valuation(zs: list[int]) -> defaultdict[int, int]:
+    """The valuation whose entries are zs, reading 0 past their end."""
+    return defaultdict(int, enumerate(zs))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,12 @@ class SatInstance:
 
 def sat_witness(phi: Formula | int, y: int | None = None,
                 scheme: Coding = COMPACT) -> SatInstance:
-    """The annotated run certifying the truth value of phi under y."""
+    """The annotated run certifying the truth value of phi under y.
+
+    Each valuation is carried as its code and its entry list: terms are
+    evaluated on the nodes of phi, each z[r/v] is encoded once for its
+    triples, and a node's entry index is looked up, not encoded again.
+    """
     if isinstance(phi, int):
         phi = scheme.decode(phi)
     phi = desugar(phi)
@@ -118,41 +130,40 @@ def sat_witness(phi: Formula | int, y: int | None = None,
         raise SatError("runs cover bounded formulas only")
     if y is None:
         y = scheme.seq_encode([])
-    entries = canonical_formula_seq(scheme, phi)
-    index = {code: i for i, code in enumerate(entries)}
-    codes: dict[Formula, int] = {}
+    entries, where = formula_seq_index(scheme, phi)
     triples: list[int] = []
     seen: set[tuple[int, int, int]] = set()
 
-    def code_of(node: Formula) -> int:
-        if node not in codes:
-            codes[node] = scheme.encode(node)
-        return codes[node]
-
-    def visit(node: Formula, z: int) -> int:
+    def visit(node: Formula, z: int, zs: list[int]) -> int:
+        """Truth value of node under the valuation z, whose entries are zs."""
         match node:
             case Eq(left=l, right=r) | Le(left=l, right=r):
-                a = val(scheme, scheme.encode_term(l), z, strict=False)
-                b = val(scheme, scheme.encode_term(r), z, strict=False)
+                rho = _valuation(zs)
+                a, b = eval_term(l, rho), eval_term(r, rho)
                 w = int(a == b if isinstance(node, Eq) else a <= b)
             case Not(body=b):
-                w = 1 - visit(b, z)
+                w = 1 - visit(b, z, zs)
             case Implies(left=l, right=r):
-                wl, wr = visit(l, z), visit(r, z)
+                wl, wr = visit(l, z, zs), visit(r, z, zs)
                 w = int(wl == 0 or wr == 1)
             case BForall(var=v, bound=u, body=b):
-                top = val(scheme, scheme.encode_term(u), z, strict=False)
-                ws = [visit(b, scheme.val_with(z, v, r)) for r in range(top + 1)]
+                top = eval_term(u, _valuation(zs))
+                padded = zs + [0] * (v + 1 - len(zs))
+                ws = []
+                for r in range(top + 1):
+                    zr = padded.copy()
+                    zr[v] = r
+                    ws.append(visit(b, scheme.seq_encode(zr), zr))
                 w = int(all(ws))
             case _:
                 raise SatError(f"not a core bounded formula: {node!r}")
-        key = (index[code_of(node)], z, w)
+        key = (where[id(node)], z, w)
         if key not in seen:
             seen.add(key)
             triples.append(triple_encode(*key))
         return w
 
-    value = visit(phi, y)
+    value = visit(phi, y, scheme.seq_decode(y))
     return SatInstance(s=scheme.seq_encode(entries),
                        t=scheme.seq_encode(triples), value=bool(value))
 
@@ -163,12 +174,18 @@ def sat_witness(phi: Formula | int, y: int | None = None,
 
 def satseq_check(s: int, t: int, budget: int | None = None,
                  scheme: Coding = COMPACT) -> Verdict:
-    """Do the triples in t certify a run over the building sequence s?"""
+    """Do the triples in t certify a run over the building sequence s?
+
+    Each entry of s is read once, into its clauses.  An entry has a
+    clause exactly when build_entries_ok accepts it as a Delta0 building
+    step, so s is checked as a building sequence on the way.
+    """
     try:
         entries = scheme.seq_decode(s)
     except CodingError:
         return Verdict.FALSE
-    if not build_entries_ok(scheme, "delta0", entries):
+    clauses = [_entry_clauses(scheme, entries, i) for i in range(len(entries))]
+    if not all(clauses):
         return Verdict.FALSE
     try:
         taus = scheme.seq_decode(t)
@@ -180,7 +197,7 @@ def satseq_check(s: int, t: int, budget: int | None = None,
         parts = triple_decode(tau)
         if parts is None:
             return Verdict.FALSE
-        got = _triple_justified(scheme, entries, earlier, parts, budget)
+        got = _triple_justified(scheme, clauses, earlier, parts, budget)
         if got is Verdict.FALSE:
             return Verdict.FALSE
         if got is Verdict.UNKNOWN:
@@ -189,27 +206,52 @@ def satseq_check(s: int, t: int, budget: int | None = None,
     return out
 
 
-def _triple_justified(scheme: Coding, entries: list[int],
+def _entry_clauses(scheme: Coding, entries: list[int], i: int) -> list[tuple]:
+    """The clauses that may justify a triple on entry i, one per reading of
+    the entry that can hold: the entry's shape with the positions of its
+    subformula entries before i and its terms decoded, read once per run."""
+    out: list[tuple] = []
+
+    def before(child: int) -> set[int]:
+        return {j for j in range(i) if entries[j] == child}
+
+    for shape in scheme.formula_shapes(entries[i]):
+        try:
+            match shape:
+                case ("eq", u, v) | ("le", u, v):
+                    out.append((shape[0], u, v, scheme.decode_term(u),
+                                scheme.decode_term(v)))
+                case ("not", child) if (js := before(child)):
+                    out.append(("not", js))
+                case ("implies", left, right) if (
+                        (js := before(left)) and (ks := before(right))):
+                    out.append(("implies", js, ks))
+                case ("bforall", vidx, u, body) if (js := before(body)):
+                    out.append(("bforall", vidx, u, scheme.decode_term(u), js))
+        except CodingError:
+            continue
+    return out
+
+
+def _triple_justified(scheme: Coding, clauses: list[list[tuple]],
                       earlier: list[tuple[int, int, int]],
                       parts: tuple[int, int, int],
                       budget: int | None) -> Verdict:
     i, z, w = parts
-    if w > 1 or i >= len(entries):
+    if w > 1 or i >= len(clauses):
         return Verdict.FALSE
     best = Verdict.FALSE
-    for shape in scheme.formula_shapes(entries[i]):
-        match shape:
-            case ("eq", u, v) | ("le", u, v):
-                got = _atom_clause(scheme, shape[0], u, v, z, w)
-            case ("not", child):
-                got = _not_clause(entries, earlier, i, child, z, w)
-            case ("implies", left, right):
-                got = _implies_clause(entries, earlier, i, left, right, z, w)
-            case ("bforall", vidx, u, body):
-                got = _forall_clause(scheme, entries, earlier, i, vidx, u,
-                                     body, z, w, budget)
-            case _:
-                got = Verdict.FALSE
+    for clause in clauses[i]:
+        match clause:
+            case ("eq" | "le") as op, u, v, tu, tv:
+                got = _atom_clause(scheme, op, u, v, z, w, tu, tv)
+            case ("not", js):
+                got = _not_clause(earlier, js, z, w)
+            case ("implies", js, ks):
+                got = _implies_clause(earlier, js, ks, z, w)
+            case ("bforall", vidx, u, tu, js):
+                got = _forall_clause(scheme, earlier, vidx, u, tu, js, z, w,
+                                     budget)
         if got is Verdict.TRUE:
             return Verdict.TRUE
         if got is Verdict.UNKNOWN:
@@ -232,16 +274,16 @@ def _atom_cap(u: int, v: int, z: int) -> LazyPow:
     return LazyPow(prime_index=n, exp=LazyPow(base=z, exp=n))
 
 
-def _atom_clause(scheme: Coding, op: str, u: int, v: int,
-                 z: int, w: int) -> Verdict:
-    if not (scheme.is_term_code(u) and scheme.is_term_code(v)):
-        return Verdict.FALSE
+def _atom_clause(scheme: Coding, op: str, u: int, v: int, z: int, w: int,
+                 tu: Term, tv: Term) -> Verdict:
+    """The atom (u op v), whose terms u and v decode to tu and tv, has
+    value w under z."""
     try:
-        a = val(scheme, u, z, strict=False)
-        b = val(scheme, v, z, strict=False)
+        rho = _valuation(scheme.seq_decode(z))
     except CodingError:
         # z is not a sequence, so no value witness exists at all
         return Verdict.of(w == 0)
+    a, b = eval_term(tu, rho), eval_term(tv, rho)
     if (a != b) if op == "eq" else (a > b):
         return Verdict.of(w == 0)
     # The cap is at least 2^(2^k): p_(u+v) >= 2 and z^(u+v) >= 2^k.  When
@@ -256,23 +298,16 @@ def _atom_clause(scheme: Coding, op: str, u: int, v: int,
     return Verdict.of((w == 1) == fit)
 
 
-def _not_clause(entries: list[int], earlier: list[tuple[int, int, int]],
-                i: int, child: int, z: int, w: int) -> Verdict:
-    js = {j for j in range(i) if entries[j] == child}
-    if not js:
-        return Verdict.FALSE
+def _not_clause(earlier: list[tuple[int, int, int]], js: set[int],
+                z: int, w: int) -> Verdict:
     for j, zj, wj in earlier:
         if j in js and zj == z and (w == 1) == (wj == 0):
             return Verdict.TRUE
     return Verdict.FALSE
 
 
-def _implies_clause(entries: list[int], earlier: list[tuple[int, int, int]],
-                    i: int, left: int, right: int, z: int, w: int) -> Verdict:
-    js = {j for j in range(i) if entries[j] == left}
-    ks = {k for k in range(i) if entries[k] == right}
-    if not js or not ks:
-        return Verdict.FALSE
+def _implies_clause(earlier: list[tuple[int, int, int]], js: set[int],
+                    ks: set[int], z: int, w: int) -> Verdict:
     for j, zj, wj in earlier:
         if j not in js or zj != z:
             continue
@@ -282,29 +317,31 @@ def _implies_clause(entries: list[int], earlier: list[tuple[int, int, int]],
     return Verdict.FALSE
 
 
-def _forall_clause(scheme: Coding, entries: list[int],
-                   earlier: list[tuple[int, int, int]], i: int, vidx: int,
-                   u: int, body: int, z: int, w: int,
+def _forall_clause(scheme: Coding, earlier: list[tuple[int, int, int]],
+                   vidx: int, u: int, tu: Term, js: set[int], z: int, w: int,
                    budget: int | None) -> Verdict:
-    js = {j for j in range(i) if entries[j] == body}
-    if not js or not scheme.is_term_code(u):
-        return Verdict.FALSE
+    """Entry (A v_vidx <= tu) body, the bound coded u and the body's
+    entries at js, holds with value w under z.  z is decoded once and
+    each z[r/v] encoded from its entries."""
     try:
-        top = val(scheme, u, z, strict=False)
+        zs = scheme.seq_decode(z)
     except CodingError:
         # no value witness for the bound under a non-sequence z
         return Verdict.FALSE
+    top = eval_term(tu, _valuation(zs))
     fit = magnitude_ge(scheme.termval_bound(u, z), top)
     if fit is False:
         return Verdict.FALSE
     limit = min(top if budget is None else min(top, budget), _SWEEP_CAP)
+    zr = zs + [0] * (vidx + 1 - len(zs))
     all_true = True
     try:
         for r in range(limit + 1):
-            zr = scheme.val_with(z, vidx, r)
+            zr[vidx] = r
+            code = scheme.seq_encode(zr)
             found = found_true = False
             for j, zj, wj in earlier:
-                if j in js and zj == zr:
+                if j in js and zj == code:
                     found = True
                     found_true = found_true or wj == 1
             if not found:

@@ -40,6 +40,20 @@ def test_parse_errors_carry_positions():
         parse("((0 = 0) + 1)")
     with pytest.raises(ParseError):
         parse("~v0")
+    # a character outside the grammar, named where it stands
+    with pytest.raises(ParseError, match=r"unexpected character '\?' \(at position 4\)"):
+        parse("(v0 ? v1)")
+    # v without an index is no token, nor is v before a digit that is
+    # not a decimal digit
+    with pytest.raises(ParseError, match=r"unexpected character 'v' \(at position 6\)"):
+        parse("(v0 + v)")
+    with pytest.raises(ParseError, match=r"unexpected character 'v' \(at position 0\)"):
+        parse("v\u00b2")
+    # trailing whitespace is skipped, and the end of input sits past it
+    assert parse("(v0 + 1) \t\n") == Add(Var(0), ONE)
+    with pytest.raises(ParseError, match="found 'end of input'") as err:
+        parse("(v0 + v1  ")
+    assert err.value.position == 10
 
 
 def test_bound_variable_may_not_occur_in_its_bound():

@@ -39,6 +39,7 @@ from delta0lab.formulas import (
     Var,
     ZERO,
     desugar,
+    numeral,
     parse,
     parse_term,
 )
@@ -215,6 +216,46 @@ def test_paper_seq_decode_with_a_huge_final_entry():
         PAPER.seq_decode(2 * 5 ** (10 ** 6))
 
 
+def _paper_seq_by_division(code):
+    """Entries of a paper sequence code, each prime divided out one by one."""
+    entries, i = [], 0
+    while code > 1:
+        e, code = _strip_by_division(code, nthprime(i))
+        if e == 0:
+            raise CodingError(f"skips prime index {i}")
+        entries.append(e - 1)
+        i += 1
+    return entries
+
+
+@given(st.lists(st.one_of(st.integers(0, 70), st.integers(60, 400)), max_size=5),
+       st.sampled_from([1, 1, 13, 29, 2 * 7 ** 70]))
+@settings(max_examples=150)
+def test_paper_seq_decode_defers_large_entries(entries, junk):
+    # entries past 63 are deferred after 64 divisions; junk adds a prime
+    # past the end or a factor the sequence does not reach
+    code = PAPER.seq_encode(entries) * junk
+    try:
+        want = _paper_seq_by_division(code)
+    except CodingError as exc:
+        with pytest.raises(CodingError, match=str(exc)):
+            PAPER.seq_decode(code)
+    else:
+        assert PAPER.seq_decode(code) == want
+
+
+def test_paper_decode_with_a_huge_non_final_entry():
+    # <7, (v0 * v0), v0> puts 3^864001 before 5^3: 1.37 Mbit whose one
+    # huge entry is not the last
+    t = parse_term("((v0 * v0) * v0)")
+    x = PAPER.encode_term(t)
+    assert x.bit_length() > 1_300_000
+    start = time.perf_counter()
+    assert PAPER.decode_term(x) == t
+    assert PAPER.seq_decode(x) == [7, pseq([7, 2, 2]), 2]
+    assert time.perf_counter() - start < 3.0
+
+
 # -- frozen term and formula codes ---------------------------------------------
 
 TERM_CASES = [
@@ -337,6 +378,86 @@ def test_decode_failures():
             assert not scheme.is_formula_code(x)
             with pytest.raises(CodingError):
                 scheme.decode(x)
+
+
+# Below 2^16, the compact codes that read as a bounded quantifier whose
+# variable occurs in its bound, e.g. 16232 = (A v0 <= v0)(0 = 0)
+_BOUND_VARIABLE_CODES = [16232, 32466, 32468, 32472, 64938, 64946, 64948]
+
+
+def test_quantifier_variable_in_its_bound_is_not_a_code():
+    assert COMPACT.formula_shapes(16232) == [("bforall", 0, 29, 8)]
+    for x in _BOUND_VARIABLE_CODES:
+        with pytest.raises(CodingError, match="occurs in its own bound"):
+            COMPACT.decode(x)
+        assert not COMPACT.is_formula_code(x)
+        assert not COMPACT.is_delta0_code(x)
+        assert not syn(COMPACT, "fml_delta0", x)
+        assert seqdef(COMPACT, "fml_delta0", (x,)) is Verdict.FALSE
+    with pytest.raises(CodingError):
+        PAPER.decode(pseq([17, 2, 2, 230400]))
+
+
+def test_compact_codec_on_every_small_code():
+    terms, formulas, shaped = {}, {}, set()
+    for x in range(1 << 16):
+        if COMPACT.is_term_code(x):
+            terms[x] = COMPACT.decode_term(x)
+        if COMPACT.is_formula_code(x):
+            formulas[x] = COMPACT.decode(x)
+        if COMPACT.formula_shapes(x):
+            shaped.add(x)
+    assert len(terms) == 307
+    assert len(formulas) == 1770
+    assert sum(COMPACT.is_delta0_code(x) for x in formulas) == 1617
+    # the shape reader reads a code exactly when the node reader does,
+    # except where the node itself cannot exist
+    assert shaped == set(formulas) | set(_BOUND_VARIABLE_CODES)
+    assert {x for x in range(1 << 16) if COMPACT.term_shapes(x)} == set(terms)
+    for x, t in terms.items():
+        assert COMPACT.encode_term(t) == x
+        match COMPACT.term_shapes(x):
+            case [("add" | "mul", a, b)]:
+                assert (COMPACT.decode_term(a), COMPACT.decode_term(b)) == (
+                    t.left, t.right)
+            case [("var", i)]:
+                assert t == Var(i)
+    for x, phi in formulas.items():
+        assert COMPACT.encode(phi) == x
+        match COMPACT.formula_shapes(x):
+            case [("eq" | "le", a, b)]:
+                assert (COMPACT.decode_term(a), COMPACT.decode_term(b)) == (
+                    phi.left, phi.right)
+            case [("not", b)]:
+                assert COMPACT.decode(b) == phi.body
+            case [("implies", a, b)]:
+                assert (COMPACT.decode(a), COMPACT.decode(b)) == (
+                    phi.left, phi.right)
+            case [("bforall", i, t, b)]:
+                assert (i, COMPACT.decode_term(t), COMPACT.decode(b)) == (
+                    phi.var, phi.bound, phi.body)
+            case [("uforall", i, b)]:
+                assert (i, COMPACT.decode(b)) == (phi.var, phi.body)
+
+
+def test_compact_codec_on_a_100000_deep_numeral():
+    # codes are compared, not nodes: == on nodes this deep recurses
+    t = numeral(100_001)
+    bits = "1110" * 100_000 + "10" * 100_001
+    x = COMPACT.encode_term(t)
+    assert x == val(bits)
+    assert COMPACT.is_term_code(x)
+    assert COMPACT.encode_term(COMPACT.decode_term(x)) == x
+    assert COMPACT.term_shapes(x) == [
+        ("add", val("1110" * 99_999 + "10" * 100_000), val("10"))]
+    atom = COMPACT.encode(Eq(t, ZERO))
+    assert atom == val("0" + bits + "0")
+    assert COMPACT.formula_shapes(atom) == [("eq", x, val("0"))]
+    assert COMPACT.encode(COMPACT.decode(atom)) == atom
+    # the prime-power writer builds bottom-up, so it stops on the bit
+    # budget a few levels up instead of descending 100,000 levels first
+    with pytest.raises(FeasibilityError):
+        PAPER.encode_term(t)
 
 
 def test_get_scheme():

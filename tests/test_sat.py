@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta0lab.coding import COMPACT, PAPER
+from delta0lab.coding import (
+    COMPACT, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
+)
 from delta0lab.coding import val as term_value
 from delta0lab.formulas import desugar, free_vars, parse, parse_term
 from delta0lab.numbers import magnitude_ge
@@ -132,6 +134,28 @@ def test_satseq_spec_examples():
     assert satseq_check(bad_s, t) is Verdict.FALSE
 
 
+def test_satseq_checks_the_building_sequence():
+    # with no triples to check, a run is accepted exactly when s is a
+    # Delta0 building sequence
+    for s in range(1, 1 << 14):
+        try:
+            entries = COMPACT.seq_decode(s)
+        except CodingError:
+            assert satseq_check(s, 1) is Verdict.FALSE
+            continue
+        want = Verdict.of(build_entries_ok(COMPACT, "delta0", entries))
+        assert satseq_check(s, 1) is want, entries
+    # the entries of small sequences above are small codes; these are not
+    unbounded = COMPACT.encode(parse("(A v3)(v3 = v3)"))
+    for text in CORPUS:
+        s = COMPACT.seq_encode(canonical_formula_seq(COMPACT, parse(text)))
+        assert satseq_check(s, 1) is Verdict.TRUE
+        for entries in ([unbounded] + COMPACT.seq_decode(s),
+                        COMPACT.seq_decode(s)[1:]):
+            want = Verdict.of(build_entries_ok(COMPACT, "delta0", entries))
+            assert satseq_check(COMPACT.seq_encode(entries), 1) is want
+
+
 def test_satseq_empty_annotation_is_vacuous():
     s = COMPACT.seq_encode([code_of("(0 = 0)")])
     assert satseq_check(s, COMPACT.seq_encode([])) is Verdict.TRUE
@@ -218,7 +242,8 @@ def test_atom_clause_cap_shortcut_keeps_verdicts(op, left, right, zs, w):
     else:
         fit = magnitude_ge(_atom_cap(u, v, z), max(a, b))
         expected = Verdict.UNKNOWN if fit is None else Verdict.of((w == 1) == fit)
-    assert _atom_clause(scheme, op, u, v, z, w) is expected
+    assert _atom_clause(scheme, op, u, v, z, w, parse_term(left),
+                        parse_term(right)) is expected
 
 
 def test_satseq_budget_truncation_unknown():
