@@ -929,6 +929,18 @@ def _term_entry_ok(scheme: Coding, e: int, earlier: set[int]) -> bool:
     return False
 
 
+def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
+    """The term coded by code when it can bound a quantifier over v_var,
+    that is when v_var does not occur in it, as BForall and decode
+    require; None otherwise.  Both entry checkers, build_entries_ok and
+    satisfaction.satseq_check, read a bounded-universal entry through it."""
+    try:
+        t = scheme.decode_term(code)
+    except CodingError:
+        return None
+    return None if var in term_vars(t) else t
+
+
 def _formula_entry_ok(scheme: Coding, e: int, earlier: set[int],
                       allow_unbounded: bool) -> bool:
     for shape in scheme.formula_shapes(e):
@@ -942,8 +954,8 @@ def _formula_entry_ok(scheme: Coding, e: int, earlier: set[int],
             case ("implies", a, b):
                 if a in earlier and b in earlier:
                     return True
-            case ("bforall", _, t, b):
-                if scheme.is_term_code(t) and b in earlier:
+            case ("bforall", i, t, b):
+                if b in earlier and quantifier_bound(scheme, i, t) is not None:
                     return True
             case ("uforall", _, b):
                 if allow_unbounded and b in earlier:

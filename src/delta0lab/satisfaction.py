@@ -22,6 +22,7 @@ from .coding import (
     Coding,
     CodingError,
     formula_seq_index,
+    quantifier_bound,
     short_code,
     strip_prime,
 )
@@ -226,8 +227,10 @@ def _entry_clauses(scheme: Coding, entries: list[int], i: int) -> list[tuple]:
                 case ("implies", left, right) if (
                         (js := before(left)) and (ks := before(right))):
                     out.append(("implies", js, ks))
-                case ("bforall", vidx, u, body) if (js := before(body)):
-                    out.append(("bforall", vidx, u, scheme.decode_term(u), js))
+                case ("bforall", vidx, u, body) if (
+                        (js := before(body))
+                        and (tu := quantifier_bound(scheme, vidx, u)) is not None):
+                    out.append(("bforall", vidx, u, tu, js))
         except CodingError:
             continue
     return out

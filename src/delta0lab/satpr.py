@@ -41,13 +41,16 @@ all carry the input valuation unchanged); quantified codes validate but
 are gated off.  Under the prime-power scheme the written bounds are kept
 verbatim, and no instance is small enough to evaluate.
 
-B2 is built by one POW step, which no step budget interrupts; the
-evaluator refuses a POW result of more than primrec.RESULT_BITS_CAP = 2^30
-bits, and sat_pr_eval refuses every such compact instance up front, using
-a closed-form lower bound on the bit length of B2.  Of
-the 103 true quantifier-free compact codes x <= 4096 at y = 1, four finish
-(x = 8, 24, 42, 50); the guard, which refuses every x >= 54 at y = 1,
-takes the other 99, x = 77 first.
+The compact B2 is a power of two, 2^k, yielded by one POW step.  Within
+primrec.RESULT_BITS_CAP = 2^30 bits that step hands it on unbuilt, as a
+primrec.Pow2: the sweep over t only compares its row counter with B2 and
+hashes it in its cache keys, which reads k alone, so B2 is never written
+out (at x = 42 it would take 47 MiB).  Past the cap the POW step refuses
+it, which no step budget can pre-empt, so sat_pr_eval refuses every such
+compact instance up front, using a closed-form lower bound on the bit
+length of B2.  Of the 103 true quantifier-free compact codes x <= 4096
+at y = 1, four finish (x = 8, 24, 42, 50); the guard, which refuses every
+x >= 54 at y = 1, takes the other 99, x = 77 first.
 """
 
 from __future__ import annotations
@@ -536,7 +539,8 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
     instances with tiny codes.  Everything else raises FeasibilityError,
     either up front or through the step budget.  Under the compact scheme
     that includes every instance whose annotation bound B2 would have more
-    than 2^30 bits: at y = 1, every x >= 54.
+    than 2^30 bits: at y = 1, every x >= 54.  Below that B2 stays unbuilt
+    (a primrec.Pow2), so it adds nothing to the memory of an instance.
     """
     if not isinstance(x, int) or not isinstance(y, int) or x < 0 or y < 0:
         raise ValueError("codes are naturals")
@@ -559,7 +563,7 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             "a false instance is only confirmed by exhausting the "
             "annotation sweep, which exceeds any step budget")
-    # the POW step that builds B2 refuses it too, but only once the sweep
+    # the POW step that yields B2 refuses it too, but only once the sweep
     # over building sequences has reached its witness
     if (isinstance(scheme, CompactCoding)
             and _compact_b2_bits_floor(x, y) > RESULT_BITS_CAP):

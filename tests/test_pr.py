@@ -1,4 +1,5 @@
 import itertools
+import operator
 import time
 import tracemalloc
 
@@ -12,11 +13,12 @@ from delta0lab import (
 )
 from delta0lab.prlib import (
     ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MONUS, MUL,
-    NEXTPRIME, PRIME, QUOT, SEQ_TEST, STDLIB, ScopeError, and_, bounded_min,
+    NEXTPRIME, POW, PRIME, QUOT, SEQ_TEST, STDLIB, ScopeError, and_, bounded_min,
     const, ex, fa, fn, graph_of, implies, least, not_, or_, rel_bexists,
     rel_bforall, rel_combine, select,
 )
 from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN
+from delta0lab.primrec import POW2_UNBUILT, Pow2
 import delta0lab.primrec as primrec_module
 
 from helpers import ARITIES, DIRECT, d_chi_prime, seq_encode
@@ -315,8 +317,7 @@ def test_absorbing_breaks_make_huge_bounds_cheap():
 
 
 def test_huge_bound_is_not_copied():
-    # sat_pr_eval sweeps its annotations up to a B2 of 47 MiB at x = 42;
-    # the sweep must not allocate copies of its bound
+    # a sweep handed a huge int as its bound must not allocate copies of it
     ex = rel_bexists(Comp(CHI_EQ, (Proj(2, 2), Proj(1, 2))))
     bound = 1 << 8_000_000
     ev = Evaluator()
@@ -393,6 +394,88 @@ def test_pow_twin_refuses_results_past_the_bit_cap():
     assert Evaluator().eval(pow_, (2, 10**6)) == 1 << 10**6
     assert Evaluator().eval(pow_, (1, 1 << 40)) == 1
     assert Evaluator().eval(pow_, (0, 1 << 40)) == 0
+
+
+# the stand-in for 2^k: k near a multiple of 61, where 2^k wraps around the
+# hash modulus 2^61 - 1, and k past the cut-off where POW hands one on
+POW2_EXPONENTS = st.one_of(
+    st.builds(lambda m, d: max(61 * m + d, 1), st.integers(0, 40), st.integers(-2, 2)),
+    st.integers(POW2_UNBUILT, POW2_UNBUILT + 200_000))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (FeasibilityError, ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+@given(POW2_EXPONENTS)
+@settings(max_examples=60, deadline=None)
+def test_pow2_compares_equals_and_hashes_as_its_int(k):
+    p = Pow2(k)
+    for m in (2**k - 1, 2**k, 2**k + 1, 0, 2**(k + 1), Pow2(k - 1), Pow2(k + 1)):
+        n = int(m)
+        assert (p == m, p != m, p < m, p <= m, p > m, p >= m) == (
+            2**k == n, 2**k != n, 2**k < n, 2**k <= n, 2**k > n, 2**k >= n), m
+        assert (m == p, m < p, m >= p) == (n == 2**k, n < 2**k, n >= 2**k), m
+    assert hash(p) == hash(2**k) == hash(Pow2(k))
+    assert p.bit_length() == k + 1 and int(p) == 2**k and bin(p) == bin(2**k)
+    # any other use computes with the int written out
+    for op in (operator.add, operator.sub, operator.mul, operator.floordiv,
+               operator.mod, divmod, operator.rshift, operator.and_,
+               operator.or_, operator.xor):
+        assert op(p, 5) == op(2**k, 5) and op(5, p) == op(5, 2**k), op
+    assert (-p, +p, abs(p), ~p, pow(p, 2, 7)) == (
+        -2**k, 2**k, 2**k, ~2**k, pow(2**k, 2, 7))
+    # cache keys: a dict keyed by the int finds the stand-in, and back
+    assert {(ADD, (3, 2**k)): "int"}[(ADD, (3, p))] == "int"
+    assert {(ADD, (3, p)): "pow2"}[(ADD, (3, 2**k))] == "pow2"
+    assert len({p, 2**k, Pow2(k)}) == 1
+
+
+@given(POW2_EXPONENTS, st.lists(st.integers(0, 40), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_twins_give_the_same_value_on_a_stand_in(k, small):
+    for term, twin in list(primrec_module._INTRINSICS.items()):
+        n = validate(term)
+        for j in range(n):
+            args = small[:n]
+            with_int = tuple(args[:j] + [2**k] + args[j + 1:])
+            with_pow2 = tuple(args[:j] + [Pow2(k)] + args[j + 1:])
+            assert _outcome(twin, with_pow2) == _outcome(twin, with_int), (term, j)
+
+
+@given(st.integers(0, 6), POW2_EXPONENTS, st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_closures_give_the_same_value_on_a_stand_in(small_k, k, a):
+    rows = PrimRec(Proj(1, 1), Comp(Succ(), (Proj(1, 3),)))   # ADD, untwinned
+    hit = rel_bexists(Comp(CHI_LE, (Proj(1, 2), Proj(2, 2))))   # some i >= a
+    cases = [(Succ(), [k]), (rows, [k, a]), (rows, [a, small_k]), (hit, [a, k]),
+             (Comp(ADD, (Proj(1, 2), Proj(2, 2))), [k, a])]
+    cases += [(Proj(i, 3), [a, k, small_k]) for i in (1, 2, 3)]
+    for term, exps in cases:
+        # the raw equations unroll ADD and cannot stop the sweep early
+        modes = [True] if term is hit else [True, False]
+        for j, mode in itertools.product(range(len(exps)), modes):
+            want, got = list(exps), list(exps)
+            want[j], got[j] = 2 ** exps[j], Pow2(exps[j])
+            v = Evaluator(intrinsics=mode, absorbing=mode).eval(term, tuple(got))
+            assert type(v) is int, (term, j, mode)
+            assert v == Evaluator(intrinsics=mode, absorbing=mode).eval(
+                term, tuple(want)), (term, j, mode)
+    # through POW itself: the bound of the sweep stays a stand-in
+    sweep = fn(lambda e, a: ex(POW(2, e), lambda i: CHI_EQ(i, a)))
+    ev = Evaluator()
+    assert ev.eval(sweep, (k, a)) == int(a <= 2**k)
+    built = ev._cache[(POW, (2, k))]
+    assert type(built) is (Pow2 if k >= POW2_UNBUILT else int) and built == 2**k
+
+
+def test_pow_twin_returns_an_int_at_the_root():
+    assert type(eval_pr(POW, (2, 10**6))) is int
+    assert eval_pr(POW, (2, 10**6)) == 1 << 10**6
+    assert type(eval_pr(fn(lambda e: POW(2, e) + 1), (10**6,))) is int
 
 
 def test_deep_terms_evaluate_or_raise_a_typed_error():
@@ -544,6 +627,24 @@ def test_sat_pr_step_counts_are_pinned(x, steps):
     ev = Evaluator()
     assert ev.eval(sat_as_pr(), (x, 1)) == 1
     assert ev.steps == steps
+
+
+def test_annotation_bound_is_never_written_out():
+    # B2(42, 1) = 2^392,784,375 takes 47 MiB as an int; the sweep under it
+    # only compares its row counter with it, so POW hands it on unbuilt
+    sat_as_pr()   # built once per process, outside the measured peak
+    tracemalloc.start()
+    try:
+        assert sat_pr_eval(42, 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+    ev = Evaluator()
+    assert ev.eval(sat_as_pr(), (42, 1)) == 1
+    assert type(ev._cache[(POW, (2, 392_784_375))]) is Pow2
+    assert max(v.bit_length() for v in ev._cache.values()
+               if type(v) is int) < POW2_UNBUILT
 
 
 def test_sat_pr_budget_edge():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from delta0lab.coding import (
     COMPACT, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
+    check_build_seq, quantifier_bound,
 )
 from delta0lab.coding import val as term_value
-from delta0lab.formulas import desugar, free_vars, parse, parse_term
+from delta0lab.formulas import BForall, Var, desugar, free_vars, parse, parse_term
 from delta0lab.numbers import magnitude_ge
 from delta0lab.primrec import (
     Comp, FeasibilityError, PrimRec, Proj, eval_pr, validate,
@@ -154,6 +155,33 @@ def test_satseq_checks_the_building_sequence():
                         COMPACT.seq_decode(s)[1:]):
             want = Verdict.of(build_entries_ok(COMPACT, "delta0", entries))
             assert satseq_check(COMPACT.seq_encode(entries), 1) is want
+
+
+# Below 2^16, the compact codes that read as a bounded universal whose
+# variable occurs in its bound, e.g. 16232 = (A v0 <= v0)(0 = 0)
+BOUND_VARIABLE_CODES = [16232, 32466, 32468, 32472, 64938, 64946, 64948]
+
+
+def test_entry_checkers_reject_a_variable_in_its_own_bound():
+    for x in BOUND_VARIABLE_CODES:
+        (_, var, u, body), = COMPACT.formula_shapes(x)
+        assert var == 0 and quantifier_bound(COMPACT, var, u) is None
+        assert not check_build_seq(COMPACT, "delta0", COMPACT.seq_encode([8, x]), x)
+        # at v0 = 0 the bound is 0, so one body triple at z covers the
+        # universal: a run both checkers accepted when they took the entry
+        z = COMPACT.seq_encode([0])
+        w = int(eval_delta0(COMPACT.decode(body), {0: 0}))
+        s = COMPACT.seq_encode([body, x])
+        t = COMPACT.seq_encode([triple_encode(0, z, w), triple_encode(1, z, w)])
+        assert not check_build_seq(COMPACT, "delta0", s, x)
+        assert satseq_check(s, t) is Verdict.FALSE
+        # the same entry bounded by v1 instead is a code, and its run checks
+        fixed = COMPACT.encode(BForall(0, Var(1), COMPACT.decode(body)))
+        z2 = COMPACT.seq_encode([0, 0])
+        s2 = COMPACT.seq_encode([body, fixed])
+        t2 = COMPACT.seq_encode([triple_encode(0, z2, w), triple_encode(1, z2, w)])
+        assert check_build_seq(COMPACT, "delta0", s2, fixed)
+        assert satseq_check(s2, t2) is Verdict.TRUE
 
 
 def test_satseq_empty_annotation_is_vacuous():
