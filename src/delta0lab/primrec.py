@@ -33,6 +33,13 @@ skip work whose result is forced):
 Both can be disabled for tests that want the raw recursion equations.
 The pair of flags (intrinsics, absorbing) is the evaluator's mode.
 
+A caller that knows a witness can hand it over as a certificate
+(Evaluator.confirm, or eval_pr's witnesses): for the column of a bounded
+exists, prlib.rel_bexists(body), at parameters xs and a candidate c, the
+evaluator computes body(xs, c) by the equations, and if it is 1 records
+the column as 1 from row c on, the entry its absorbing sweep would write
+on reaching that witness.  This, too, never changes a value.
+
 The POW twin returns 2^k for k >= POW2_UNBUILT = 2^16 as a Pow2, which
 stands in for the int without building it.  satpr's annotation bound B2,
 47 MiB as an int at x = 42, is only compared with the row counter of its
@@ -71,7 +78,7 @@ from __future__ import annotations
 
 import operator
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
@@ -729,6 +736,29 @@ def _primrec(node: PrimRec, twin: Twin | None, f: Run, g: Run,
     return run
 
 
+def _exists_body(column: PRTerm) -> PRTerm:
+    """body for the bounded-exists column prlib.rel_bexists(body) of a body
+    with at least one parameter:
+
+        R(SG(body(xs, 0)); SG(ADD(acc, body(xs, S(i)))))
+
+    read off the or-shape of the step and checked against the base; any
+    other node raises PRError."""
+    validate(column)
+    if isinstance(column, PrimRec):
+        shape = _shape(column.g, False)
+        if shape is not None and shape[0] == "or2" and isinstance(shape[2], Comp):
+            body, m = shape[2].f, len(shape[2].gs) + 1
+            n = m - 2
+            at_next = tuple(Proj(j, m) for j in range(2, m)) + (Comp(Succ(), (Proj(m, m),)),)
+            if n >= 1 and shape[1] is Proj(1, m) and shape[2].gs == at_next:
+                zero = Zero() if n == 1 else Comp(Zero(), (Proj(1, n),))
+                at_zero = tuple(Proj(j, n) for j in range(1, n + 1)) + (zero,)
+                if column.f is Comp(SG, (Comp(body, at_zero),)):
+                    return body
+    raise PRError(f"not a bounded-exists column: {column!r}")
+
+
 def _depth(t: PRTerm) -> int:
     """Nodes on the longest path from t down to a leaf."""
     depth: dict[PRTerm, int] = {}
@@ -779,6 +809,7 @@ class Evaluator:
         self._absorbed: dict[tuple[PRTerm, tuple[int, ...]], tuple[int, int]] = {}
         self._const_from: dict[tuple[PRTerm, tuple[int, ...]], tuple[int, int]] = {}
         self._arity: dict[PRTerm, int] = {}   # validated roots
+        self.confirmed = self.refused = 0     # certificates, see confirm
 
     def eval(self, t: PRTerm, args) -> int:
         args = tuple(args)
@@ -798,17 +829,56 @@ class Evaluator:
                 f"the recursion limit of {sys.getrecursionlimit()}") from None
         return int(v) if type(v) is Pow2 else v
 
+    def confirm(self, column: PRTerm, xs, c: int) -> bool:
+        """Settle the bounded-exists column = prlib.rel_bexists(body) at the
+        parameters xs from the candidate witness c.
+
+        body(xs, c) is evaluated by eval, so it ticks, fills the cache and
+        counts against the budget as any evaluation does.  If it is 1, the
+        column is 1 at every row n >= c, which is recorded as the absorbing
+        sweep records its first witness; the column then answers rows from
+        c on without sweeping, in every mode.  Rows below c, and every row
+        when the body is not 1, are left to the sweep.  Returns whether c
+        was confirmed.  A column that is not of that shape raises PRError.
+        """
+        body = _exists_body(column)
+        xs = tuple(xs)
+        if self.eval(body, xs + (c,)) != 1:
+            self.refused += 1
+            return False
+        self.confirmed += 1
+        col = (column, xs)
+        hit = self._absorbed.get(col)
+        if hit is None or c < hit[0]:
+            self._absorbed[col] = (c, 1)
+        return True
+
     def stats(self) -> dict[str, int]:
-        """Steps taken, entries in each cache, and the closures compiled so
-        far for this evaluator's mode (shared with every evaluator of it)."""
+        """Steps taken, entries in each cache, the certificates confirmed
+        and refused, and the closures compiled so far for this evaluator's
+        mode (shared with every evaluator of it)."""
         return {"steps": self.steps, "cache": len(self._cache), "hi": len(self._hi),
                 "absorbed": len(self._absorbed), "const_from": len(self._const_from),
+                "confirmed": self.confirmed, "refused": self.refused,
                 "closures": len(self._run)}
 
 
-def eval_pr(t: PRTerm, args, max_steps: int | None = None) -> int:
-    """One-shot evaluation with a fresh cache."""
-    return Evaluator(max_steps=max_steps).eval(t, args)
+def eval_pr(t: PRTerm, args, max_steps: int | None = None,
+            witnesses: Iterable[tuple[PRTerm, tuple[int, ...], int]] = ()) -> int:
+    """One-shot evaluation with a fresh cache.
+
+    witnesses are certificates (column, xs, c) for bounded-exists columns.
+    Each is confirmed in order (Evaluator.confirm) under the same budget
+    before t is evaluated, so list inner columns first: an outer body that
+    contains a settled inner column does not sweep it.  A certificate only
+    ever skips a sweep whose result it proves, so the value of t does not
+    depend on them (Blum & Kannan, "Designing programs that check their
+    work", JACM 42(1), 1995).
+    """
+    ev = Evaluator(max_steps=max_steps)
+    for column, xs, c in witnesses:
+        ev.confirm(column, xs, c)
+    return ev.eval(t, args)
 
 
 # ----------------------------------------------------------- text format

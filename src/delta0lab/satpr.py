@@ -31,15 +31,24 @@ so such a z gives no value witness: an atom can then only be annotated
 false and a universal clause fails, as in satisfaction's _atom_clause and
 _forall_clause.
 
-The emitted term is a faithful checker, not an efficient one.  Candidate
-sweeps absorb at the first witness, so evaluation terminates quickly
-exactly when the canonical witness is tiny and the instance is true;
-sat_pr_eval guards its arguments and raises FeasibilityError outside that
-envelope instead of running forever.  Under the bit-packed scheme the
-annotation bound B2 is derived for quantifier-free codes (their triples
-all carry the input valuation unchanged); quantified codes validate but
-are gated off.  Under the prime-power scheme the written bounds are kept
-verbatim, and no instance is small enough to evaluate.
+The emitted term is a faithful checker, not an efficient one: its two
+outer sweeps, over s and over t, walk every candidate below the witness.
+sat_pr_eval therefore does not sweep up to the run it already knows.
+sat_witness builds the run (s, t), and the evaluator confirms it by the PR
+equations as certificates (primrec.Evaluator.confirm), innermost first:
+matrix(x, y, s, t) = 1 settles the sweep over t at (x, y, s), after which
+run(x, y, s) = 1 settles the sweep over s at (x, y), and the term is 1
+without either sweep.  A certificate only skips a sweep whose result it
+proves, so the value is the term's own (result checking in the sense of
+Blum & Kannan, "Designing programs that check their work", JACM 42(1),
+1995).  A false instance has no run to confirm, and refuting it takes the
+full sweeps; sat_pr_eval guards its arguments and raises FeasibilityError
+outside the envelope of true instances with tiny codes instead of running
+forever.  Under the bit-packed scheme the annotation bound B2 is derived
+for quantifier-free codes (their triples all carry the input valuation
+unchanged); quantified codes validate but are gated off.  Under the
+prime-power scheme the written bounds are kept verbatim, and no instance
+is small enough to evaluate.
 
 The compact B2 is a power of two, 2^k, yielded by one POW step.  Within
 primrec.RESULT_BITS_CAP = 2^30 bits that step hands it on unbuilt, as a
@@ -55,6 +64,10 @@ x >= 54 at y = 1, takes the other 99, x = 77 first.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache
+from types import MappingProxyType
+
 from .coding import COMPACT, Coding, CodingError, CompactCoding
 from .formulas import (
     BForall, Eq, Formula, Implies, Le, Not, UForall, desugar, is_delta0,
@@ -66,9 +79,9 @@ from .primrec import (
 )
 from .prlib import (
     CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST, S,
-    and_, bounded_min, ex, fa, fn, implies, least, or_, select,
+    and_, bounded_min, ex, fa, fn, implies, least, or_, rel_bexists, select,
 )
-from .satisfaction import sat_valuation
+from .satisfaction import sat_witness
 
 __all__ = [
     "contains_subterm", "sat_as_pr", "sat_pr_eval", "sat_pr_parts",
@@ -461,17 +474,24 @@ def _assemble(ops: dict[str, object]) -> dict[str, PRTerm]:
 # the emitted relation
 
 
-def sat_pr_parts(scheme: Coding = COMPACT) -> dict[str, PRTerm]:
+def sat_pr_parts(scheme: Coding = COMPACT) -> Mapping[str, PRTerm]:
     """Named pieces of the assembled checker, including the full term.
 
-    Nodes are hash-consed, so every call returns the identical terms.
+    The pieces are built once per scheme and handed out as a read-only
+    mapping.  run(x, y, s) is the body of the sweep over building
+    sequences, and term(x, y) is that sweep up to B1.
     """
-    ops = _compact_ops() if isinstance(scheme, CompactCoding) else _paper_ops()
-    parts = _assemble(ops)
+    return _parts(isinstance(scheme, CompactCoding))
+
+
+@cache
+def _parts(compact: bool) -> Mapping[str, PRTerm]:
+    parts = _assemble(_compact_ops() if compact else _paper_ops())
     b1, b2, sgate, matrix = (parts[k] for k in ("b1", "b2", "sgate", "matrix"))
-    parts["term"] = fn(lambda x, y: ex(b1(x, y), lambda s: and_(
-        sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t)))))
-    return parts
+    run = parts["run"] = fn(lambda x, y, s: and_(
+        sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t))))
+    parts["term"] = fn(lambda x, y: ex(b1(x, y), lambda s: run(x, y, s)))
+    return MappingProxyType(parts)
 
 
 def sat_as_pr(scheme: Coding = COMPACT) -> PRTerm:
@@ -534,13 +554,20 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
                 max_steps: int = 50_000_000) -> int:
     """Evaluate the assembled checker at (x, y) where that is feasible.
 
-    The term is total, but its value is reachable only when the candidate
-    sweeps absorb early, which happens exactly on true quantifier-free
-    instances with tiny codes.  Everything else raises FeasibilityError,
-    either up front or through the step budget.  Under the compact scheme
-    that includes every instance whose annotation bound B2 would have more
-    than 2^30 bits: at y = 1, every x >= 54.  Below that B2 stays unbuilt
-    (a primrec.Pow2), so it adds nothing to the memory of an instance.
+    The run that sat_witness builds for (x, y) is passed to satpr.eval_pr
+    as certificates for the two outer sweeps (see the module docstring),
+    so the steps go to confirming that run and to the bound B1, not to the
+    candidates below it: at y = 1, 5,476 / 35,734 / 39,226 steps at
+    x = 8 / 24 / 42, against 67,219 / 103,791 / 265,871 for the plain
+    term.  The certificates and the term share the budget max_steps.
+
+    Only a true instance has a run to confirm, and only quantifier-free
+    instances with tiny codes fit the bounds.  Everything else raises
+    FeasibilityError, either up front or through the step budget.  Under
+    the compact scheme that includes every instance whose annotation bound
+    B2 would have more than 2^30 bits: at y = 1, every x >= 54.  Below
+    that B2 stays unbuilt (a primrec.Pow2), so it adds nothing to the
+    memory of an instance.
     """
     if not isinstance(x, int) or not isinstance(y, int) or x < 0 or y < 0:
         raise ValueError("codes are naturals")
@@ -559,7 +586,8 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             "the installed annotation bound covers quantifier-free codes "
             "only; quantified instances exceed the size guard")
-    if not sat_valuation(x, y, scheme):
+    run = sat_witness(phi, y, scheme)
+    if not run.value:
         raise FeasibilityError(
             "a false instance is only confirmed by exhausting the "
             "annotation sweep, which exceeds any step budget")
@@ -570,4 +598,8 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             f"the annotation bound B2 would take more than {RESULT_BITS_CAP} "
             f"bits, built in a single step that the step budget cannot stop")
-    return eval_pr(sat_as_pr(scheme), (x, y), max_steps=max_steps)
+    parts = sat_pr_parts(scheme)
+    witnesses = ((rel_bexists(parts["matrix"]), (x, y, run.s), run.t),
+                 (rel_bexists(parts["run"]), (x, y), run.s))
+    return eval_pr(parts["term"], (x, y), max_steps=max_steps,
+                   witnesses=witnesses)

@@ -13,13 +13,15 @@ from delta0lab import (
 )
 from delta0lab.prlib import (
     ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MONUS, MUL,
-    NEXTPRIME, POW, PRIME, QUOT, SEQ_TEST, STDLIB, ScopeError, and_, bounded_min,
+    NEXTPRIME, POW, PRIME, QUOT, SEQ_TEST, SG, STDLIB, ScopeError, and_, bounded_min,
     const, ex, fa, fn, graph_of, implies, least, not_, or_, rel_bexists,
     rel_bforall, rel_combine, select,
 )
-from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN
+from delta0lab.numbers import nthprime
+from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN, sat_pr_parts
 from delta0lab.primrec import POW2_UNBUILT, Pow2
 import delta0lab.primrec as primrec_module
+import delta0lab.satpr as satpr_module
 
 from helpers import ARITIES, DIRECT, d_chi_prime, seq_encode
 
@@ -121,6 +123,27 @@ def test_nextprime_matches_sympy():
     ev = Evaluator()
     for x in range(31):
         assert ev.eval(NEXTPRIME, (x,)) == sympy.nextprime(x), x
+
+
+@pytest.mark.parametrize("intrinsics", [True, False])
+def test_nextprime_and_prime_match_their_oracles(intrinsics):
+    # one evaluator: by the equations, the prime column computes every
+    # primality test that the next-prime searches below 300 then reuse
+    ev = Evaluator(intrinsics=intrinsics)
+    assert [ev.eval(PRIME, (i,)) for i in range(61)] == [nthprime(i) for i in range(61)]
+    for x in range(301):
+        assert ev.eval(NEXTPRIME, (x,)) == sympy.nextprime(x), x
+
+
+def test_nextprime_searches_from_above_its_argument():
+    # the sweep starts at x + 1 and stops at the first prime; a sweep from 0
+    # took 94,380 steps for b1(42, 1) = prime(42)^(43^2)
+    ev = Evaluator()
+    assert ev.eval(NEXTPRIME, (1_000_000,)) == 1_000_003
+    assert ev.steps < 100
+    ev = Evaluator()
+    assert ev.eval(sat_pr_parts()["b1"], (42, 1)) == nthprime(42) ** (43 * 43)
+    assert ev.steps == 5_606
 
 
 def test_chi_prime_matches_sympy():
@@ -524,6 +547,72 @@ def test_stats_report_steps_and_cache_sizes():
     assert stats["closures"] == Evaluator().stats()["closures"]
 
 
+# a bounded-exists column whose witnesses are the d >= x
+AT_LEAST = rel_bexists(fn(lambda x, d: CHI_LE(x, d)))
+
+
+def test_stats_count_confirmed_and_refused_certificates():
+    fresh = Evaluator().stats()
+    assert fresh["confirmed"] == fresh["refused"] == 0
+    ev = Evaluator()
+    assert ev.confirm(AT_LEAST, (5,), 9) is True
+    assert ev.confirm(AT_LEAST, (5,), 4) is False
+    assert ev.confirm(AT_LEAST, (6,), 6) is True
+    stats = ev.stats()
+    assert (stats["confirmed"], stats["refused"], stats["absorbed"]) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("intrinsics, absorbing", [(True, True), (False, False)])
+def test_certificate_settles_the_rows_from_its_witness_on(intrinsics, absorbing):
+    ev = Evaluator(intrinsics=intrinsics, absorbing=absorbing)
+    assert ev.confirm(AT_LEAST, (5,), 9)
+    steps = ev.steps
+    assert ev.eval(AT_LEAST, (5, 9)) == 1
+    assert ev.eval(AT_LEAST, (5, 10**30)) == 1
+    assert ev.steps == steps + 2   # one tick each, no sweep
+    # a smaller witness replaces a larger one, never the other way round
+    assert ev.confirm(AT_LEAST, (5,), 6) and ev.confirm(AT_LEAST, (5,), 8)
+    assert ev._absorbed[(AT_LEAST, (5,))] == (6, 1)
+
+
+def test_refuted_certificate_records_nothing():
+    ev = Evaluator()
+    assert not ev.confirm(AT_LEAST, (5,), 3)
+    assert (AT_LEAST, (5,)) not in ev._absorbed
+    assert ev.eval(AT_LEAST, (5, 4)) == 0
+
+
+def test_certificate_above_the_bound_leaves_the_column_to_its_sweep():
+    raw = Evaluator(intrinsics=False, absorbing=False)
+    ev = Evaluator()
+    assert ev.confirm(AT_LEAST, (5,), 9)
+    assert ev.eval(AT_LEAST, (5, 4)) == 0   # swept: no witness up to 4
+    assert ev.eval(AT_LEAST, (5, 7)) == 1   # swept on to the least witness
+    assert ev._absorbed[(AT_LEAST, (5,))] == (5, 1)
+    for n in range(12):
+        assert ev.eval(AT_LEAST, (5, n)) == raw.eval(AT_LEAST, (5, n)), n
+
+
+def test_confirm_refuses_a_node_that_is_not_an_exists_column():
+    body = fn(lambda x, d: CHI_LE(x, d))
+    m = 3   # width of the column's step: acc, x, i
+    body_at_i = Comp(SG, (Comp(ADD, (Proj(1, m), Comp(body, (Proj(2, m), Proj(3, m))))),))
+    others = [
+        body, ADD, MUL, rel_bforall(body), rel_bforall(body).gs[0], bounded_min(body),
+        PrimRec(Zero(), AT_LEAST.g),    # or-shaped step, wrong base
+        PrimRec(AT_LEAST.f, body_at_i),  # the body at i, not at i + 1
+        rel_bexists(fn(lambda d: CHI_LE(3, d))),   # no parameter
+        fn(lambda x, y: ex(y, lambda d: CHI_LE(x, d))),   # the ex around a column
+    ]
+    for node in others:
+        ev = Evaluator()
+        with pytest.raises(PRError, match="not a bounded-exists column"):
+            ev.confirm(node, (5,), 5)
+        assert ev.stats()["steps"] == ev.stats()["confirmed"] == ev.stats()["refused"] == 0
+    with pytest.raises(ArityError):
+        Evaluator().confirm(AT_LEAST, (5, 1), 5)
+
+
 def test_eval_argument_checks():
     with pytest.raises(ArityError):
         eval_pr(ADD, (1, 2, 3))
@@ -622,11 +711,46 @@ def test_sat_pr_fits_a_small_budget():
     assert sat_pr_eval(8, 1, max_steps=300_000) == 1
 
 
-@pytest.mark.parametrize("x, steps", [(8, 69_427), (24, 129_047), (42, 354_537)])
+# the plain term sweeps every candidate below the canonical run
+@pytest.mark.parametrize("x, steps", [(8, 67_219), (24, 103_791), (42, 265_871)])
 def test_sat_pr_step_counts_are_pinned(x, steps):
     ev = Evaluator()
     assert ev.eval(sat_as_pr(), (x, 1)) == 1
     assert ev.steps == steps
+
+
+def _guided(monkeypatch, x):
+    """An evaluator that has run what sat_pr_eval(x, 1) runs: the
+    certificates it hands to satpr.eval_pr, then the term."""
+    calls = []
+
+    def spy(t, args, max_steps=None, witnesses=()):
+        calls.append((t, args, tuple(witnesses)))
+        return eval_pr(t, args, max_steps, witnesses)
+
+    monkeypatch.setattr(satpr_module, "eval_pr", spy)
+    assert sat_pr_eval(x, 1) == 1
+    (t, args, witnesses), = calls
+    ev = Evaluator()
+    for w in witnesses:
+        ev.confirm(*w)
+    assert ev.eval(t, args) == 1
+    return ev, witnesses
+
+
+# sat_pr_eval confirms the run that sat_witness builds instead of sweeping
+# up to it
+@pytest.mark.parametrize("x, steps", [(8, 5_476), (24, 35_734), (42, 39_226)])
+def test_sat_pr_guided_step_counts_are_pinned(x, steps, monkeypatch):
+    ev, witnesses = _guided(monkeypatch, x)
+    assert ev.steps == steps
+    assert ev.stats()["confirmed"] == 2 and ev.stats()["refused"] == 0
+    parts = sat_pr_parts()
+    (inner, xs_t, t), (outer, xs_s, s) = witnesses
+    assert (inner, outer) == (rel_bexists(parts["matrix"]), rel_bexists(parts["run"]))
+    assert xs_t == (x, 1, s) and xs_s == (x, 1)
+    assert ev._absorbed[(inner, xs_t)] == (t, 1)
+    assert ev._absorbed[(outer, xs_s)] == (s, 1)
 
 
 def test_annotation_bound_is_never_written_out():
@@ -648,13 +772,14 @@ def test_annotation_bound_is_never_written_out():
 
 
 def test_sat_pr_budget_edge():
-    assert sat_pr_eval(8, 1, max_steps=69_427) == 1
-    with pytest.raises(FeasibilityError, match="step budget of 69426"):
-        sat_pr_eval(8, 1, max_steps=69_426)
-    ev = Evaluator(max_steps=69_426)
+    # the certificates and the term share one budget
+    assert sat_pr_eval(8, 1, max_steps=5_476) == 1
+    with pytest.raises(FeasibilityError, match="step budget of 5475"):
+        sat_pr_eval(8, 1, max_steps=5_475)
+    ev = Evaluator(max_steps=67_218)
     with pytest.raises(FeasibilityError):
         ev.eval(sat_as_pr(), (8, 1))
-    assert ev.steps == 69_427
+    assert ev.steps == 67_219
 
 
 @given(st.integers(0, 30), st.integers(0, 30))

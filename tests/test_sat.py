@@ -14,8 +14,9 @@ from delta0lab.coding import val as term_value
 from delta0lab.formulas import BForall, Var, desugar, free_vars, parse, parse_term
 from delta0lab.numbers import magnitude_ge
 from delta0lab.primrec import (
-    Comp, FeasibilityError, PrimRec, Proj, eval_pr, validate,
+    Comp, Evaluator, FeasibilityError, PrimRec, Proj, eval_pr, validate,
 )
+from delta0lab.prlib import and_, ex, fn, rel_bexists
 from delta0lab.satisfaction import (
     SatError,
     _atom_cap,
@@ -499,6 +500,60 @@ def test_sat_pr_atom_needs_a_value_witness():
     # that the checker does not accept it
     with pytest.raises(FeasibilityError):
         eval_pr(parts["satseq"], (s, t_true_atom), max_steps=200_000)
+
+
+def test_sat_pr_parts_are_built_once_and_read_only():
+    for scheme in (COMPACT, PAPER):
+        parts, again = sat_pr_parts(scheme), sat_pr_parts(scheme)
+        assert set(parts) == set(again)
+        assert all(again[k] is parts[k] for k in parts)
+        with pytest.raises(TypeError):
+            parts["term"] = parts["run"]
+    # naming the body of the outer sweep leaves the term the node it was
+    parts = sat_pr_parts(COMPACT)
+    b1, b2, sgate, matrix = (parts[k] for k in ("b1", "b2", "sgate", "matrix"))
+    assert parts["term"] is fn(lambda x, y: ex(b1(x, y), lambda s: and_(
+        sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t)))))
+
+
+@pytest.mark.parametrize("x", [8, 24, 42, 50])
+def test_guided_and_plain_evaluation_agree(x):
+    assert sat_pr_eval(x, 1) == eval_pr(sat_as_pr(), (x, 1)) == 1
+
+
+def _columns():
+    parts = sat_pr_parts(COMPACT)
+    return rel_bexists(parts["matrix"]), rel_bexists(parts["run"])
+
+
+def test_refuted_certificates_record_nothing():
+    inner, outer = _columns()
+    run = sat_witness(8, 1)
+    tampered = COMPACT.seq_encode([3**0 * 5**1])   # <0, z=0, w=1>
+    ev = Evaluator()
+    assert not ev.confirm(outer, (8, 1), run.s + 1)
+    assert not ev.confirm(inner, (8, 1, run.s), tampered)
+    assert ev.stats()["refused"] == 2 and ev.stats()["confirmed"] == 0
+    assert (outer, (8, 1)) not in ev._absorbed
+    assert (inner, (8, 1, run.s)) not in ev._absorbed
+    assert ev.eval(sat_as_pr(), (8, 1)) == eval_pr(sat_as_pr(), (8, 1)) == 1
+
+
+def test_a_false_run_is_not_confirmed():
+    # at y = 0 the last triple <0, 0, 1> of the tampered run from
+    # test_sat_pr_atom_needs_a_value_witness is the one the matrix asks for,
+    # so confirming it runs satseq on a false run, which only the full
+    # sweeps refute: it raises within the budget that satseq raises in
+    inner, _ = _columns()
+    s = COMPACT.seq_encode([code_of("(0 = 0)")])
+    tampered = COMPACT.seq_encode([3**0 * 5**1])
+    ev = Evaluator(max_steps=200_000)
+    with pytest.raises(FeasibilityError):
+        ev.confirm(inner, (8, 0, s), tampered)
+    assert (inner, (8, 0, s)) not in ev._absorbed
+    with pytest.raises(FeasibilityError):
+        eval_pr(sat_as_pr(), (8, 0), max_steps=200_000,
+                witnesses=[(inner, (8, 0, s), tampered)])
 
 
 def test_sat_pr_guard_errors():
