@@ -932,8 +932,7 @@ def _term_entry_ok(scheme: Coding, e: int, earlier: set[int]) -> bool:
 def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
     """The term coded by code when it can bound a quantifier over v_var,
     that is when v_var does not occur in it, as BForall and decode
-    require; None otherwise.  Both entry checkers, build_entries_ok and
-    satisfaction.satseq_check, read a bounded-universal entry through it."""
+    require; None otherwise."""
     try:
         t = scheme.decode_term(code)
     except CodingError:
@@ -941,38 +940,57 @@ def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
     return None if var in term_vars(t) else t
 
 
-def _formula_entry_ok(scheme: Coding, e: int, earlier: set[int],
-                      allow_unbounded: bool) -> bool:
-    for shape in scheme.formula_shapes(e):
-        match shape:
-            case ("eq", a, b) | ("le", a, b):
-                if scheme.is_term_code(a) and scheme.is_term_code(b):
-                    return True
-            case ("not", b):
-                if b in earlier:
-                    return True
-            case ("implies", a, b):
-                if a in earlier and b in earlier:
-                    return True
-            case ("bforall", i, t, b):
-                if b in earlier and quantifier_bound(scheme, i, t) is not None:
-                    return True
-            case ("uforall", _, b):
-                if allow_unbounded and b in earlier:
-                    return True
-    return False
+def entry_clauses(scheme: Coding, entries: list[int],
+                  unbounded: bool) -> list[list[tuple]] | None:
+    """The clauses of each formula entry in turn, one per reading of the
+    entry that holds; None when an entry has none, that is when it is not
+    a building step from the entries before it.
+
+    A clause holds what a run checker needs to justify a triple on its
+    entry: ("eq" | "le", u, v, tu, tv) with the terms coded u and v
+    decoded; ("not", js) and ("implies", js, ks) with the positions of the
+    children before the entry; ("bforall", i, u, tu, js) with the bound
+    read by quantifier_bound; and, only when unbounded, ("uforall", i, js).
+    build_entries_ok and satisfaction.satseq_check both read formula
+    entries here, so each of these rules is written once."""
+    out: list[list[tuple]] = []
+    where: dict[int, tuple[int, ...]] = {}   # code -> its positions so far
+    for i, e in enumerate(entries):
+        clauses: list[tuple] = []
+        for shape in scheme.formula_shapes(e):
+            try:
+                match shape:
+                    case ("eq", u, v) | ("le", u, v):
+                        clauses.append((shape[0], u, v, scheme.decode_term(u),
+                                        scheme.decode_term(v)))
+                    case ("not", b) if (js := where.get(b)):
+                        clauses.append(("not", js))
+                    case ("implies", a, b) if (js := where.get(a)) and (ks := where.get(b)):
+                        clauses.append(("implies", js, ks))
+                    case ("bforall", v, u, b) if (
+                            (js := where.get(b))
+                            and (tu := quantifier_bound(scheme, v, u)) is not None):
+                        clauses.append(("bforall", v, u, tu, js))
+                    case ("uforall", v, b) if unbounded and (js := where.get(b)):
+                        clauses.append(("uforall", v, js))
+            except CodingError:
+                continue
+        if not clauses:
+            return None
+        out.append(clauses)
+        # a new tuple: a clause read so far keeps only positions before its entry
+        where[e] = where.get(e, ()) + (i,)
+    return out
 
 
 def build_entries_ok(scheme: Coding, kind: str, entries: list[int]) -> bool:
     """Each entry is built from earlier ones: kind "term", "formula", or
     "delta0" (a formula without unbounded quantifiers)."""
+    if kind != "term":
+        return entry_clauses(scheme, entries, unbounded=(kind == "formula")) is not None
     earlier: set[int] = set()
     for e in entries:
-        if kind == "term":
-            ok = _term_entry_ok(scheme, e, earlier)
-        else:
-            ok = _formula_entry_ok(scheme, e, earlier, allow_unbounded=(kind == "formula"))
-        if not ok:
+        if not _term_entry_ok(scheme, e, earlier):
             return False
         earlier.add(e)
     return True

@@ -21,8 +21,8 @@ from .coding import (
     COMPACT,
     Coding,
     CodingError,
+    entry_clauses,
     formula_seq_index,
-    quantifier_bound,
     short_code,
     strip_prime,
 )
@@ -177,16 +177,17 @@ def satseq_check(s: int, t: int, budget: int | None = None,
                  scheme: Coding = COMPACT) -> Verdict:
     """Do the triples in t certify a run over the building sequence s?
 
-    Each entry of s is read once, into its clauses.  An entry has a
-    clause exactly when build_entries_ok accepts it as a Delta0 building
-    step, so s is checked as a building sequence on the way.
+    Each entry of s is read once, into its clauses, by coding.entry_clauses
+    without unbounded quantifiers: the reader by which build_entries_ok
+    accepts a Delta0 building step, so s is checked as a building sequence
+    on the way.
     """
     try:
         entries = scheme.seq_decode(s)
     except CodingError:
         return Verdict.FALSE
-    clauses = [_entry_clauses(scheme, entries, i) for i in range(len(entries))]
-    if not all(clauses):
+    clauses = entry_clauses(scheme, entries, unbounded=False)
+    if clauses is None:
         return Verdict.FALSE
     try:
         taus = scheme.seq_decode(t)
@@ -204,35 +205,6 @@ def satseq_check(s: int, t: int, budget: int | None = None,
         if got is Verdict.UNKNOWN:
             out = Verdict.UNKNOWN
         earlier.append(parts)
-    return out
-
-
-def _entry_clauses(scheme: Coding, entries: list[int], i: int) -> list[tuple]:
-    """The clauses that may justify a triple on entry i, one per reading of
-    the entry that can hold: the entry's shape with the positions of its
-    subformula entries before i and its terms decoded, read once per run."""
-    out: list[tuple] = []
-
-    def before(child: int) -> set[int]:
-        return {j for j in range(i) if entries[j] == child}
-
-    for shape in scheme.formula_shapes(entries[i]):
-        try:
-            match shape:
-                case ("eq", u, v) | ("le", u, v):
-                    out.append((shape[0], u, v, scheme.decode_term(u),
-                                scheme.decode_term(v)))
-                case ("not", child) if (js := before(child)):
-                    out.append(("not", js))
-                case ("implies", left, right) if (
-                        (js := before(left)) and (ks := before(right))):
-                    out.append(("implies", js, ks))
-                case ("bforall", vidx, u, body) if (
-                        (js := before(body))
-                        and (tu := quantifier_bound(scheme, vidx, u)) is not None):
-                    out.append(("bforall", vidx, u, tu, js))
-        except CodingError:
-            continue
     return out
 
 
@@ -301,7 +273,7 @@ def _atom_clause(scheme: Coding, op: str, u: int, v: int, z: int, w: int,
     return Verdict.of((w == 1) == fit)
 
 
-def _not_clause(earlier: list[tuple[int, int, int]], js: set[int],
+def _not_clause(earlier: list[tuple[int, int, int]], js: tuple[int, ...],
                 z: int, w: int) -> Verdict:
     for j, zj, wj in earlier:
         if j in js and zj == z and (w == 1) == (wj == 0):
@@ -309,8 +281,8 @@ def _not_clause(earlier: list[tuple[int, int, int]], js: set[int],
     return Verdict.FALSE
 
 
-def _implies_clause(earlier: list[tuple[int, int, int]], js: set[int],
-                    ks: set[int], z: int, w: int) -> Verdict:
+def _implies_clause(earlier: list[tuple[int, int, int]], js: tuple[int, ...],
+                    ks: tuple[int, ...], z: int, w: int) -> Verdict:
     for j, zj, wj in earlier:
         if j not in js or zj != z:
             continue
@@ -321,7 +293,7 @@ def _implies_clause(earlier: list[tuple[int, int, int]], js: set[int],
 
 
 def _forall_clause(scheme: Coding, earlier: list[tuple[int, int, int]],
-                   vidx: int, u: int, tu: Term, js: set[int], z: int, w: int,
+                   vidx: int, u: int, tu: Term, js: tuple[int, ...], z: int, w: int,
                    budget: int | None) -> Verdict:
     """Entry (A v_vidx <= tu) body, the bound coded u and the body's
     entries at js, holds with value w under z.  z is decoded once and

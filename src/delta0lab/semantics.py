@@ -1,10 +1,12 @@
 """Evaluation of terms and formulas over the standard naturals.
 
-eval_delta0 decides bounded formulas exactly.  eval_fo handles unbounded
-quantifiers by bounded search and reports three-valued verdicts: an
-existential witness or universal counterexample decides the formula, an
-exhausted search leaves it UNKNOWN.  Universal truth over the naturals is
-never certified by a finite search.
+One walker gives every verdict, by Kleene's strong three-valued tables
+(Introduction to Metamathematics, 1952, section 64); exact mode is
+budget=None.  eval_delta0 decides bounded formulas exactly and raises
+NotDelta0Error on reaching an unbounded quantifier.  eval_fo searches an
+unbounded quantifier over 0..budget: a witness (E) or counterexample (A)
+decides it, an exhausted search leaves it UNKNOWN, since universal truth
+over the naturals is never certified by a finite search.
 
 A bounded quantifier is decided by evaluating its body at points of its
 range in ascending order, up to the first witness (E) or counterexample
@@ -22,17 +24,18 @@ range in ascending order, up to the first witness (E) or counterexample
 Isolation is taken only when a worst-case count of the points it
 evaluates, computed from the atoms' degrees and the bit length of the
 bound before any point is evaluated, is below the top + 1 points of the
-sweep; in eval_fo it must also be at most budget + 1.  Every other
+sweep; under a budget it must also be at most budget + 1.  Every other
 quantifier is swept.  Both give the exact value.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Mapping
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .formulas import (
-    Add, And, BExists, BForall, ConstOne, ConstZero, Eq, Formula, FormulaError,
+    Add, And, BExists, BForall, ConstOne, ConstZero, Eq, Formula,
     Implies, Le, Mul, Not, Or, Term, UExists, UForall, Var, is_delta0,
 )
 
@@ -305,42 +308,77 @@ def decide_bounded(phi: BForall | BExists, rho: Valuation) -> bool:
     starts = _segment_starts(phi.var, eval_term(phi.bound, rho), phi.body, rho, None)
     if starts is None:
         raise EvalError("the body must be quantifier-free, with every variable valued")
-    return _settle(phi, rho, [0] + starts)
+    return _quantify(phi, rho, [0] + starts, None) is Verdict.TRUE
 
 
-def _settle(phi: BForall | BExists, rho: Valuation, points) -> bool:
-    """The quantifier's value from its body's values at points, read up to
-    the first witness (E) or counterexample (A)."""
-    want = isinstance(phi, BExists)
+def _eval(phi: Formula, rho: Valuation, budget: int | None) -> Verdict:
+    """The verdict on phi under rho, exact when budget is None.
+
+    A connective reads its right operand only when its left one leaves the
+    result open.  By the strong Kleene tables this changes no verdict, but
+    an error that the unread operand would raise is not raised."""
+    match phi:
+        case Eq(l, r):
+            return Verdict.of(eval_term(l, rho) == eval_term(r, rho))
+        case Le(l, r):
+            return Verdict.of(eval_term(l, rho) <= eval_term(r, rho))
+        case Not(b):
+            return v_not(_eval(b, rho, budget))
+        case Implies(l, r):
+            a = _eval(l, rho, budget)
+            return Verdict.TRUE if a is Verdict.FALSE else v_implies(a, _eval(r, rho, budget))
+        case And(l, r):
+            a = _eval(l, rho, budget)
+            return a if a is Verdict.FALSE else v_and(a, _eval(r, rho, budget))
+        case Or(l, r):
+            a = _eval(l, rho, budget)
+            return a if a is Verdict.TRUE else v_or(a, _eval(r, rho, budget))
+        case BForall(v, t, b) | BExists(v, t, b):
+            return _quantify(phi, rho, _points(v, eval_term(t, rho), b, rho, budget), budget)
+        case UForall() | UExists():
+            if budget is None:
+                raise NotDelta0Error("formula contains an unbounded quantifier")
+            return _quantify(phi, rho, chain(range(budget + 1), [None]), budget)
+    raise EvalError(f"not a formula: {phi!r}")
+
+
+def _quantify(phi: BForall | BExists | UForall | UExists, rho: Valuation,
+              points: Iterable[int | None], budget: int | None) -> Verdict:
+    """The quantifier's verdict from its body's verdicts at points, read up
+    to the first witness (E) or counterexample (A); a point None says the
+    range was cut there."""
+    want = Verdict.of(isinstance(phi, (BExists, UExists)))
+    out = v_not(want)
     inner = dict(rho)
     for a in points:
+        if a is None:
+            return Verdict.UNKNOWN
         inner[phi.var] = a
-        if eval_delta0(phi.body, inner) is want:
+        sub = _eval(phi.body, inner, budget)
+        if sub is want:
             return want
-    return not want
+        if sub is Verdict.UNKNOWN:
+            out = sub
+    return out
+
+
+_TOO_DEEP = "formula nests deeper than the recursion limit lets it be walked"
+
+
+def _verdict(phi: Formula, rho: Valuation, budget: int | None) -> Verdict:
+    """_eval from the top, with a formula too deep to walk as an EvalError."""
+    if budget is not None and budget < 0:
+        raise EvalError("budget must be a natural number")
+    try:
+        return _eval(phi, rho, budget)
+    except RecursionError:
+        raise EvalError(_TOO_DEEP) from None
 
 
 def eval_delta0(phi: Formula, rho: Valuation) -> bool:
     """Exact truth value of a bounded formula.  Quantifier ranges are
     0..bound inclusive; the bound term is evaluated in the current valuation."""
-    match phi:
-        case Eq(l, r):
-            return eval_term(l, rho) == eval_term(r, rho)
-        case Le(l, r):
-            return eval_term(l, rho) <= eval_term(r, rho)
-        case Not(b):
-            return not eval_delta0(b, rho)
-        case Implies(l, r):
-            return (not eval_delta0(l, rho)) or eval_delta0(r, rho)
-        case And(l, r):
-            return eval_delta0(l, rho) and eval_delta0(r, rho)
-        case Or(l, r):
-            return eval_delta0(l, rho) or eval_delta0(r, rho)
-        case BForall(v, t, b) | BExists(v, t, b):
-            return _settle(phi, rho, _points(v, eval_term(t, rho), b, rho, None))
-        case UForall() | UExists():
-            raise NotDelta0Error("formula contains an unbounded quantifier")
-    raise EvalError(f"not a formula: {phi!r}")
+    return _verdict(phi, rho, None) is Verdict.TRUE
 
 
 def eval_fo(phi: Formula, rho: Valuation, budget: int) -> Verdict:
@@ -355,47 +393,7 @@ def eval_fo(phi: Formula, rho: Valuation, budget: int) -> Verdict:
     one, so verdicts are monotone in the budget: a decided answer never
     flips.
     """
-    if budget < 0:
-        raise EvalError("budget must be a natural number")
-    match phi:
-        case Eq() | Le():
-            return Verdict.of(eval_delta0(phi, rho))
-        case Not(b):
-            return v_not(eval_fo(b, rho, budget))
-        case Implies(l, r):
-            return v_implies(eval_fo(l, rho, budget), eval_fo(r, rho, budget))
-        case And(l, r):
-            return v_and(eval_fo(l, rho, budget), eval_fo(r, rho, budget))
-        case Or(l, r):
-            return v_or(eval_fo(l, rho, budget), eval_fo(r, rho, budget))
-        case BForall(v, t, b) | BExists(v, t, b):
-            want = Verdict.of(isinstance(phi, BExists))
-            inner = dict(rho)
-            pending = False
-            for a in _points(v, eval_term(t, rho), b, rho, budget):
-                if a is None:
-                    return Verdict.UNKNOWN
-                inner[v] = a
-                sub = eval_fo(b, inner, budget)
-                if sub is want:
-                    return want
-                pending = pending or sub is Verdict.UNKNOWN
-            return Verdict.UNKNOWN if pending else v_not(want)
-        case UForall(v, b):
-            inner = dict(rho)
-            for a in range(budget + 1):
-                inner[v] = a
-                if eval_fo(b, inner, budget) is Verdict.FALSE:
-                    return Verdict.FALSE
-            return Verdict.UNKNOWN
-        case UExists(v, b):
-            inner = dict(rho)
-            for a in range(budget + 1):
-                inner[v] = a
-                if eval_fo(b, inner, budget) is Verdict.TRUE:
-                    return Verdict.TRUE
-            return Verdict.UNKNOWN
-    raise EvalError(f"not a formula: {phi!r}")
+    return _verdict(phi, rho, budget)
 
 
 def eval_delta0_verdict(phi: Formula, rho: Valuation, budget: int | None = None) -> Verdict:
@@ -408,15 +406,18 @@ def eval_delta0_verdict(phi: Formula, rho: Valuation, budget: int | None = None)
     this keeps evaluation safe on formulas whose bound terms evaluate to
     astronomically large values.
     """
-    if not is_delta0(phi):
+    try:
+        bounded = is_delta0(phi)
+    except RecursionError:
+        raise EvalError(_TOO_DEEP) from None
+    if not bounded:
         raise NotDelta0Error("formula contains an unbounded quantifier")
-    if budget is None:
-        return Verdict.of(eval_delta0(phi, rho))
-    return eval_fo(phi, rho, budget)
+    return _verdict(phi, rho, budget)
 
 
 def parse_valuation(text: str) -> dict[int, int]:
-    """Parse "v0=4,v1=7" into {0: 4, 1: 7}.  Empty string means empty."""
+    """Parse "v0=4,v1=7" into {0: 4, 1: 7}.  Empty string means empty.
+    Indices and values are decimal digits only: no sign, no underscore."""
     rho: dict[int, int] = {}
     text = text.strip()
     if not text:
@@ -426,16 +427,13 @@ def parse_valuation(text: str) -> dict[int, int]:
         if "=" not in part:
             raise EvalError(f"bad valuation entry {part!r}")
         name, _, value = part.partition("=")
-        name = name.strip()
-        if not name.startswith("v") or not name[1:].isdigit():
+        name, value = name.strip(), value.strip()
+        if not name.startswith("v") or not name[1:].isdecimal():
             raise EvalError(f"bad variable name {name!r}")
         index = int(name[1:])
         if index in rho:
             raise EvalError(f"duplicate assignment for {name}")
-        try:
-            rho[index] = int(value.strip())
-        except ValueError:
-            raise EvalError(f"bad value {value.strip()!r} for {name}") from None
-        if rho[index] < 0:
-            raise EvalError(f"negative value for {name}")
+        if not value.isdecimal():
+            raise EvalError(f"bad value {value!r} for {name}: a natural in decimal digits")
+        rho[index] = int(value)
     return rho

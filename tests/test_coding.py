@@ -440,6 +440,44 @@ def test_compact_codec_on_every_small_code():
                 assert (i, COMPACT.decode(b)) == (phi.var, phi.body)
 
 
+def _child_seq(x: int) -> list[int] | None:
+    """The canonical sequences of the children of x's one formula shape, in
+    order, or None when x has no shape or a child does not decode."""
+    match COMPACT.formula_shapes(x):
+        case [("eq" | "le", u, v)]:
+            terms, formulas = [u, v], []
+        case [("not", b) | ("uforall", _, b)]:
+            terms, formulas = [], [b]
+        case [("implies", a, b)]:
+            terms, formulas = [], [a, b]
+        case [("bforall", _, t, b)]:
+            terms, formulas = [t], [b]
+        case _:
+            return None
+    try:
+        for u in terms:
+            COMPACT.decode_term(u)
+        return [e for b in formulas
+                for e in canonical_formula_seq(COMPACT, COMPACT.decode(b))]
+    except CodingError:
+        return None
+
+
+def test_entry_reader_agrees_with_the_decoder_on_every_small_code():
+    # decode is the reference: it reads a code by its own rules, apart
+    # from the one entry reader behind check_build_seq
+    checked = 0
+    for x in range(1 << 16):
+        children = _child_seq(x)
+        if children is None:
+            continue
+        s = COMPACT.seq_encode(children + [x])
+        assert check_build_seq(COMPACT, "delta0", s, x) == COMPACT.is_delta0_code(x), x
+        checked += 1
+    assert checked == 1777
+    assert all(_child_seq(x) is not None for x in _BOUND_VARIABLE_CODES)
+
+
 def test_compact_codec_on_a_100000_deep_numeral():
     # codes are compared, not nodes: == on nodes this deep recurses
     t = numeral(100_001)

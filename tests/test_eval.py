@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from delta0lab import (
-    NotDelta0Error, UnboundVariableError, Verdict, eval_delta0,
+    EvalError, NotDelta0Error, UnboundVariableError, Verdict, eval_delta0,
     eval_delta0_verdict, eval_fo, eval_term, parse, parse_formula,
     parse_term, parse_valuation,
 )
@@ -95,6 +95,27 @@ def test_eval_fo_kleene_short_circuits():
     assert eval_fo(chi, {}, budget=2) is Verdict.TRUE
 
 
+def test_walker_reads_a_right_operand_only_when_the_left_leaves_it_open():
+    assert eval_delta0(parse_formula("((0 = 1) & (A v0)(v0 = v0))"), {}) is False
+    with pytest.raises(NotDelta0Error):
+        eval_delta0(parse_formula("((0 = 0) & (A v0)(v0 = v0))"), {})
+    # v9 has no value, but the left conjunct settles the conjunction
+    assert eval_fo(parse("((0 = 1) & (v9 = 0))"), {}, 3) is Verdict.FALSE
+    with pytest.raises(UnboundVariableError):
+        eval_fo(parse("((0 = 0) & (v9 = 0))"), {}, 3)
+
+
+def test_a_formula_too_deep_to_walk_raises_a_typed_error():
+    phi = Eq(ZERO, ZERO)
+    for _ in range(50_000):
+        phi = Not(phi)
+    for call in (lambda: eval_delta0(phi, {}), lambda: eval_fo(phi, {}, 3),
+                 lambda: eval_delta0_verdict(phi, {}), lambda: eval_delta0_verdict(phi, {}, 3)):
+        with pytest.raises(EvalError, match="recursion limit") as caught:
+            call()
+        assert caught.value.__suppress_context__
+
+
 def test_eval_delta0_verdict_modes():
     phi = parse_formula("(A v0 <= v1)(v0 <= v1)")
     assert eval_delta0_verdict(phi, {1: 30}) is Verdict.TRUE
@@ -108,6 +129,11 @@ def test_parse_valuation():
         parse_valuation("x=1")
     with pytest.raises(ValueError):
         parse_valuation("v0=1, v0=2")
+    # decimal digits only: a superscript two is a digit to str.isdigit,
+    # and int() would read an underscore or a sign
+    for text in ("v\u00b2=1", "v0=\u00b2", "v0=1_0", "v0=+4", "v0=-4", "v1_0=1", "v+1=1"):
+        with pytest.raises(EvalError, match="^bad "):
+            parse_valuation(text)
 
 
 def test_kleene_tables():
