@@ -45,9 +45,10 @@ from .formulas import (
     UForall,
     Var,
     desugar,
+    free_vars,
     is_delta0,
-    term_vars,
 )
+from .nodes import Node, postorder
 from .numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
 from .primrec import FeasibilityError
 from .semantics import Verdict, eval_term
@@ -736,8 +737,6 @@ class CompactCoding(Coding):
                 parts.append("1110")
                 todo += ((node.right, True), (node.left, True))
             elif cls is BForall or cls is UForall:
-                if node.var < 0:
-                    raise CodingError("variable index must be a natural")
                 parts += ("1111", gamma_bits(node.var + 1))
                 if cls is BForall:
                     parts.append("0")
@@ -869,22 +868,7 @@ def get_scheme(name: str) -> Coding:
 
 def canonical_term_seq(scheme: Coding, t: Term) -> list[int]:
     """Deduplicated postorder of subterm codes, ending at the code of t."""
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def walk(u: Term) -> int:
-        match u:
-            case Add(left=l, right=r) | Mul(left=l, right=r):
-                walk(l)
-                walk(r)
-        c = scheme.encode_term(u)
-        if c not in seen:
-            seen.add(c)
-            order.append(c)
-        return c
-
-    walk(t)
-    return order
+    return _listing(scheme, t, False)[0]
 
 
 def canonical_formula_seq(scheme: Coding, phi: Formula) -> list[int]:
@@ -893,28 +877,29 @@ def canonical_formula_seq(scheme: Coding, phi: Formula) -> list[int]:
 
 
 def formula_seq_index(scheme: Coding,
-                      phi: Formula) -> tuple[list[int], dict[int, int]]:
+                      phi: Formula) -> tuple[list[int], dict[Formula, int]]:
     """canonical_formula_seq of the core formula phi, and where each node
-    of phi went: a dict from id(node) to the index of the node's code.
-    The dict stays valid while phi is alive."""
+    of phi went: a dict from the node to the index of the node's code."""
+    return _listing(scheme, phi, True)
+
+
+def _listing(scheme: Coding, node: Term | Formula,
+             formula: bool) -> tuple[list[int], dict[Node, int]]:
+    """The codes of node's subterms, or of its subformulas, in postorder
+    and deduplicated by code, and where each of those nodes went."""
+    kind = Formula if formula else Term
+    if not isinstance(node, kind):
+        raise CodingError(f"not a {kind.__name__.lower()}: {node!r}")
     order: list[int] = []
     index: dict[int, int] = {}
-    where: dict[int, int] = {}
-
-    def walk(psi: Formula) -> None:
-        match psi:
-            case Not(body=b) | UForall(body=b) | BForall(body=b):
-                walk(b)
-            case Implies(left=l, right=r):
-                walk(l)
-                walk(r)
-        c = scheme._write(psi, True)
-        if c not in index:
-            index[c] = len(order)
-            order.append(c)
-        where[id(psi)] = index[c]
-
-    walk(phi)
+    where: dict[Node, int] = {}
+    for n in postorder(node):
+        if isinstance(n, kind):
+            c = scheme._write(n, formula)
+            if c not in index:
+                index[c] = len(order)
+                order.append(c)
+            where[n] = index[c]
     return order, where
 
 
@@ -937,7 +922,7 @@ def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
         t = scheme.decode_term(code)
     except CodingError:
         return None
-    return None if var in term_vars(t) else t
+    return None if var in free_vars(t) else t
 
 
 def entry_clauses(scheme: Coding, entries: list[int],
@@ -1099,7 +1084,7 @@ def val(scheme: Coding, x: int, y: int, *, strict: bool = True) -> int:
     t = scheme.decode_term(x)
     entries = scheme.seq_decode(y)
     rho: dict[int, int] = {}
-    for i in term_vars(t):
+    for i in free_vars(t):
         if i < len(entries):
             rho[i] = entries[i]
         elif strict:

@@ -3,12 +3,21 @@
 The bounded quantifiers (A v <= t) and (E v <= t) are first-class nodes,
 as are the unbounded ones.  A formula is bounded ("delta-0") when every
 quantifier in it carries a bound.
+
+Terms and formulas are interned nodes (nodes.py), so == and hash are
+identity.  free_vars, is_delta0, fresh_index and desugar are combines of
+nodes.fold, each keeping its results in a table keyed by the node, and
+show emits its tokens from one stack, so none of them recurses;
+substitute and the parser still do.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+
+from .nodes import Node, fold
 
 
 class FormulaError(ValueError):
@@ -28,37 +37,42 @@ class CaptureError(FormulaError):
 # ----------------------------------------------------------------- terms
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+def _check_var(var: int, *rest) -> None:
+    """Reject a variable index that is not an int at least 0; a bool is
+    not one, though True == 1 would find the node Var(1)."""
+    if type(var) is not int or var < 0:
+        raise FormulaError(f"variable index must be a natural number, got {var!r}")
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Term(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ConstZero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ConstOne(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Term):
     index: int
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 0:
-            raise FormulaError(f"variable index must be a natural number, got {self.index!r}")
+    check = staticmethod(_check_var)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Term):
     left: Term
     right: Term
@@ -71,130 +85,132 @@ ONE = ConstOne()
 # -------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+@dataclass(frozen=True, slots=True, eq=False)
+class Formula(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Le(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-def _check_bound(var: int, bound: Term):
-    if var in term_vars(bound):
+def _check_bounded(var: int, bound: Term, body: Formula) -> None:
+    _check_var(var)
+    if var in free_vars(_syntax(bound, Term)):
         raise FormulaError(f"bound variable v{var} occurs in its own bound term")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BForall(Formula):
     var: int
     bound: Term
     body: Formula
 
-    def __post_init__(self):
-        _check_bound(self.var, self.bound)
+    check = staticmethod(_check_bounded)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BExists(Formula):
     var: int
     bound: Term
     body: Formula
 
-    def __post_init__(self):
-        _check_bound(self.var, self.bound)
+    check = staticmethod(_check_bounded)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class UForall(Formula):
     var: int
     body: Formula
 
+    check = staticmethod(_check_var)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, eq=False)
 class UExists(Formula):
     var: int
     body: Formula
+
+    check = staticmethod(_check_var)
 
 
 # ------------------------------------------------------------- utilities
 
 
-def term_vars(t: Term) -> frozenset[int]:
-    """Set of variable indices occurring in a term."""
-    match t:
-        case ConstZero() | ConstOne():
-            return frozenset()
-        case Var(i):
-            return frozenset((i,))
-        case Add(l, r) | Mul(l, r):
-            return term_vars(l) | term_vars(r)
-    raise FormulaError(f"not a term: {t!r}")
+def _syntax(node, kind: type | tuple = (Term, Formula)):
+    """node, when it is a kind; FormulaError otherwise.  The message names
+    the class only: the repr of a deep node recurses."""
+    if not isinstance(node, kind):
+        noun = getattr(kind, "__name__", "term or formula").lower()
+        raise FormulaError(f"not a {noun}: got a {type(node).__name__}")
+    return node
+
+
+_FREE: dict[Node, frozenset[int]] = {}
+_BOUNDED: dict[Node, bool] = {}
+_TOP: dict[Node, int] = {}
+_CORE: dict[Node, Node] = {}
 
 
 def free_vars(phi: Formula | Term) -> frozenset[int]:
     """Free variable indices of a formula (or all variables of a term)."""
-    if isinstance(phi, Term):
-        return term_vars(phi)
-    match phi:
-        case Eq(l, r) | Le(l, r):
-            return term_vars(l) | term_vars(r)
-        case Not(b):
-            return free_vars(b)
-        case Implies(l, r) | And(l, r) | Or(l, r):
-            return free_vars(l) | free_vars(r)
-        case BForall(v, t, b) | BExists(v, t, b):
-            return term_vars(t) | (free_vars(b) - {v})
-        case UForall(v, b) | UExists(v, b):
-            return free_vars(b) - {v}
-    raise FormulaError(f"not a formula: {phi!r}")
+    return fold(_syntax(phi), _free, _FREE)
+
+
+def _union(a: frozenset[int], b: frozenset[int]) -> frozenset[int]:
+    # a deep chain shares one set instead of copying it at every level
+    return b if a <= b else a if b <= a else a | b
+
+
+def _free(node: Node, *kids: frozenset[int]) -> frozenset[int]:
+    match node:
+        case Var(i):
+            return frozenset((i,))
+        case BForall(v, _, _) | BExists(v, _, _):
+            return _union(kids[0], kids[1] - {v})
+        case UForall(v, _) | UExists(v, _):
+            return kids[0] - {v}
+    return reduce(_union, kids, frozenset())
 
 
 def is_delta0(phi: Formula) -> bool:
     """True when every quantifier in the formula is bounded."""
-    match phi:
-        case Eq() | Le():
-            return True
-        case Not(b):
-            return is_delta0(b)
-        case Implies(l, r) | And(l, r) | Or(l, r):
-            return is_delta0(l) and is_delta0(r)
-        case BForall(_, _, b) | BExists(_, _, b):
-            return is_delta0(b)
-        case UForall() | UExists():
-            return False
-    raise FormulaError(f"not a formula: {phi!r}")
+    return fold(_syntax(phi, Formula), _bounded, _BOUNDED)
+
+
+def _bounded(node: Node, *kids: bool) -> bool:
+    return not isinstance(node, (UForall, UExists)) and all(kids)
 
 
 def numeral(n: int) -> Term:
@@ -216,31 +232,15 @@ def lt(left: Term, right: Term) -> Formula:
 
 def fresh_index(*nodes: Formula | Term) -> int:
     """A variable index not occurring (free or bound) in any argument."""
-    used: set[int] = set()
+    return 1 + max((fold(_syntax(n), _top, _TOP) for n in nodes), default=-1)
 
-    def scan(n):
-        if isinstance(n, Term):
-            used.update(term_vars(n))
-            return
-        match n:
-            case Eq(l, r) | Le(l, r):
-                used.update(term_vars(l) | term_vars(r))
-            case Not(b):
-                scan(b)
-            case Implies(l, r) | And(l, r) | Or(l, r):
-                scan(l)
-                scan(r)
-            case BForall(v, t, b) | BExists(v, t, b):
-                used.add(v)
-                used.update(term_vars(t))
-                scan(b)
-            case UForall(v, b) | UExists(v, b):
-                used.add(v)
-                scan(b)
 
-    for node in nodes:
-        scan(node)
-    return max(used, default=-1) + 1
+def _top(node: Node, *kids: int) -> int:
+    """The largest variable index in node, free or bound; -1 for none."""
+    match node:
+        case Var(i) | BForall(i, _, _) | BExists(i, _, _) | UForall(i, _) | UExists(i, _):
+            return max((i, *kids))
+    return max(kids, default=-1)
 
 
 def substitute(node: Formula | Term, var: int, replacement: Term):
@@ -249,7 +249,7 @@ def substitute(node: Formula | Term, var: int, replacement: Term):
     Raises CaptureError when the replacement would be captured by a binder,
     or would put the binder's own variable into a quantifier bound.
     """
-    repl_vars = term_vars(replacement)
+    repl_vars = free_vars(replacement)
 
     def sub_t(t: Term) -> Term:
         match t:
@@ -283,7 +283,7 @@ def substitute(node: Formula | Term, var: int, replacement: Term):
                     # var is bound here; only the bound term is in scope,
                     # and it may not contain v anyway.
                     return cls(v, sub_t(t), b)
-                if v in repl_vars and var in (term_vars(t) | free_vars(b)):
+                if v in repl_vars and (var in free_vars(t) or var in free_vars(b)):
                     raise CaptureError(
                         f"substituting for v{var} would capture v{v} under its binder")
                 return cls(v, sub_t(t), sub_f(b))
@@ -308,65 +308,69 @@ def desugar(phi: Formula) -> Formula:
     (E v<=t)A becomes  ~(A v<=t)~A
     (E v)A    becomes  ~(A v)~A
     """
-    match phi:
-        case Eq() | Le():
-            return phi
-        case Not(b):
-            return Not(desugar(b))
-        case Implies(l, r):
-            return Implies(desugar(l), desugar(r))
-        case And(l, r):
-            return Not(Implies(desugar(l), Not(desugar(r))))
-        case Or(l, r):
-            return Implies(Not(desugar(l)), desugar(r))
-        case BForall(v, t, b):
-            return BForall(v, t, desugar(b))
-        case BExists(v, t, b):
-            return Not(BForall(v, t, Not(desugar(b))))
-        case UForall(v, b):
-            return UForall(v, desugar(b))
-        case UExists(v, b):
-            return Not(UForall(v, Not(desugar(b))))
-    raise FormulaError(f"not a formula: {phi!r}")
+    return fold(_syntax(phi, Formula), _core, _CORE)
+
+
+def _core(node: Node, *kids: Node) -> Node:
+    """node over the core forms of its children; terms and atoms stay."""
+    match node:
+        case Not():
+            return Not(*kids)
+        case Implies():
+            return Implies(*kids)
+        case And():
+            return Not(Implies(kids[0], Not(kids[1])))
+        case Or():
+            return Implies(Not(kids[0]), kids[1])
+        case BForall(v, t, _):
+            return BForall(v, t, kids[1])
+        case BExists(v, t, _):
+            return Not(BForall(v, t, Not(kids[1])))
+        case UForall(v, _):
+            return UForall(v, *kids)
+        case UExists(v, _):
+            return Not(UForall(v, Not(*kids)))
+    return node
 
 
 # ------------------------------------------------------------- printing
 
+_INFIX = {Add: " + ", Mul: " * ", Eq: " = ", Le: " <= ",
+          Implies: " -> ", And: " & ", Or: " | "}
+
 
 def show(node: Formula | Term) -> str:
-    """Render a term or formula in the concrete grammar."""
-    match node:
-        case ConstZero():
-            return "0"
-        case ConstOne():
-            return "1"
-        case Var(i):
-            return f"v{i}"
-        case Add(l, r):
-            return f"({show(l)} + {show(r)})"
-        case Mul(l, r):
-            return f"({show(l)} * {show(r)})"
-        case Eq(l, r):
-            return f"({show(l)} = {show(r)})"
-        case Le(l, r):
-            return f"({show(l)} <= {show(r)})"
-        case Not(b):
-            return f"~{show(b)}"
-        case Implies(l, r):
-            return f"({show(l)} -> {show(r)})"
-        case And(l, r):
-            return f"({show(l)} & {show(r)})"
-        case Or(l, r):
-            return f"({show(l)} | {show(r)})"
-        case BForall(v, t, b):
-            return f"(A v{v} <= {show(t)}){show(b)}"
-        case BExists(v, t, b):
-            return f"(E v{v} <= {show(t)}){show(b)}"
-        case UForall(v, b):
-            return f"(A v{v}){show(b)}"
-        case UExists(v, b):
-            return f"(E v{v}){show(b)}"
-    raise FormulaError(f"not a term or formula: {node!r}")
+    """Render a term or formula in the concrete grammar.
+
+    Tokens are emitted in pre-order from one stack, which also holds the
+    tokens still due after a child, and joined once.
+    """
+    out: list[str] = []
+    todo: list = [_syntax(node)]
+    while todo:
+        n = todo.pop()
+        cls = type(n)
+        if cls is str:
+            out.append(n)
+        elif cls in _INFIX:
+            out.append("(")
+            todo += (")", n.right, _INFIX[cls], n.left)
+        elif cls is Var:
+            out.append(f"v{n.index}")
+        elif cls is ConstZero or cls is ConstOne:
+            out.append("0" if cls is ConstZero else "1")
+        elif cls is Not:
+            out.append("~")
+            todo.append(n.body)
+        elif cls is BForall or cls is BExists:
+            out.append(f"({'A' if cls is BForall else 'E'} v{n.var} <= ")
+            todo += (n.body, ")", n.bound)
+        elif cls is UForall or cls is UExists:
+            out.append(f"({'A' if cls is UForall else 'E'} v{n.var})")
+            todo.append(n.body)
+        else:
+            raise FormulaError(f"not a term or formula: {n!r}")
+    return "".join(out)
 
 
 # -------------------------------------------------------------- parsing

@@ -1,0 +1,90 @@
+"""Interned nodes, and one post-order fold over them.
+
+Both node families, the terms and formulas of formulas.py and the PR terms
+of primrec.py, are hash-consed (Goto, "Monocopy and associative algorithms
+in an extended Lisp", 1974; Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): constructing a node returns the one node with its
+class and fields, so structurally equal nodes are the same object, and
+equality and hashing are identity.  The table is a plain dict, so nodes
+live for the whole process.
+
+A node records its child nodes once, when it is interned: the fields that
+are nodes, in order, with a tuple field read as its entries.  fold walks
+them on its own stack, so the depth of a node is bounded by memory, not by
+the interpreter's recursion limit.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from typing import TypeVar
+
+T = TypeVar("T")
+
+# the hash-consing table: (class, *fields) -> the one node with them
+NODES: dict[tuple, Node] = {}
+
+
+class Interned(type):
+    """Constructing a node runs its class's check on the fields, then looks
+    the node up in NODES; its children are interned already, so the key
+    compares them by identity.  The check runs before the lookup, because
+    a key also matches fields that only compare equal, such as True for 1."""
+
+    def __call__(cls, *fields):
+        if cls.check is not None:
+            cls.check(*fields)
+        key = (cls, *fields)
+        node = NODES.get(key)
+        if node is None:
+            node = super().__call__(*fields)
+            children: list[Node] = []
+            for f in fields:
+                if isinstance(f, Node):
+                    children.append(f)
+                elif type(f) is tuple:
+                    children += f
+            object.__setattr__(node, "children", tuple(children))
+            NODES[key] = node
+        return node
+
+
+class Node(metaclass=Interned):
+    __slots__ = ("children",)
+
+    # a class that restricts its fields sets this to a function of them
+    # that raises on fields it rejects
+    check: Callable[..., None] | None = None
+
+
+def fold(node: Node, combine: Callable[..., T], table: dict[Node, T]) -> T:
+    """table[node], after setting table[n] = combine(n, *children's
+    results) for node and every node below it that table lacks.
+
+    Children come before their parent, left to right, and each node is
+    combined once, on an explicit stack.
+    """
+    if node not in table:
+        stack = [node]
+        while stack:
+            n = stack[-1]
+            if n in table:
+                stack.pop()
+                continue
+            kids = n.children
+            pending = False
+            for c in reversed(kids):
+                if c not in table:
+                    stack.append(c)
+                    pending = True
+            if not pending:
+                stack.pop()
+                table[n] = combine(n, *[table[c] for c in kids])
+    return table[node]
+
+
+def postorder(node: Node) -> list[Node]:
+    """The distinct nodes of node's DAG, each after its children."""
+    order: list[Node] = []
+    fold(node, lambda n, *_: order.append(n), {})
+    return order

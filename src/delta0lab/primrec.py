@@ -58,7 +58,8 @@ arguments: it counts one step, probes and fills the evaluator's cache
 (compositions and recursions only), and calls its children's closures.
 The closures live in one table per mode at module level, keyed by the
 node like validate's arities, so every evaluator of a mode shares them;
-only steps and caches belong to an evaluator.  A term evaluates with one
+only steps and caches belong to an evaluator.  nodes.fold fills the
+table, children first, on its own stack.  A term evaluates with one
 interpreter frame per level of nesting; a term nested past the recursion
 limit raises FeasibilityError.
 
@@ -66,12 +67,10 @@ Calling a term on builder expressions, f(x, y), builds an App; prlib.fn
 lowers a body of such expressions over named arguments to projections and
 compositions.
 
-Nodes are hash-consed: constructing a term returns the one node with its
-class and fields, so structurally equal terms are the same object, and
-equality and hashing are identity.  Every cache (the evaluator's tables,
-the compiled closures, validate's arities, the intrinsic registry) is
-keyed by the node itself.  The table is a plain dict, so nodes live for
-the whole process.
+Terms are interned nodes (nodes.py): structurally equal terms are the
+same object, and equality and hashing are identity.  Every cache (the
+evaluator's tables, the compiled closures, validate's arities, the
+intrinsic registry) is keyed by the node itself.
 """
 
 from __future__ import annotations
@@ -80,6 +79,8 @@ import operator
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+
+from .nodes import Node, fold
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
 
@@ -103,24 +104,8 @@ class FeasibilityError(RuntimeError):
 # cannot interrupt a single step
 RESULT_BITS_CAP = 1 << 30
 
-# the hash-consing table: (class, *fields) -> the one node with them
-_NODES: dict[tuple, PRTerm] = {}
-
-
-class _Interned(type):
-    """Constructing a node looks it up in _NODES first; its children are
-    interned already, so the key compares them by identity."""
-
-    def __call__(cls, *fields):
-        key = (cls, *fields)
-        node = _NODES.get(key)
-        if node is None:
-            node = _NODES.setdefault(key, super().__call__(*fields))
-        return node
-
-
 @dataclass(frozen=True, slots=True, eq=False)
-class PRTerm(metaclass=_Interned):
+class PRTerm(Node):
     # terms share subterms heavily; an unbounded repr expands the DAG into
     # a tree and never finishes on assembled checkers
     def __repr__(self) -> str:
@@ -147,9 +132,10 @@ class Proj(PRTerm):
     i: int
     n: int
 
-    def __post_init__(self):
-        if not (1 <= self.i <= self.n):
-            raise ArityError(f"projection needs 1 <= i <= n, got P({self.i},{self.n})")
+    @staticmethod
+    def check(i: int, n: int) -> None:
+        if not (1 <= i <= n):
+            raise ArityError(f"projection needs 1 <= i <= n, got P({i},{n})")
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -157,8 +143,9 @@ class Comp(PRTerm):
     f: PRTerm
     gs: tuple[PRTerm, ...]
 
-    def __post_init__(self):
-        if not self.gs:
+    @staticmethod
+    def check(f: PRTerm, gs: tuple[PRTerm, ...]) -> None:
+        if not gs:
             raise ArityError("composition needs at least one inner function")
 
 
@@ -505,35 +492,11 @@ def _sum_tail_inner(g: PRTerm, intrinsics: bool) -> PrimRec | None:
     return rest.f
 
 
-def _children(node: PRTerm) -> tuple[PRTerm, ...]:
-    match node:
-        case Comp(f, gs):
-            return (f, *gs)
-        case PrimRec(f, g):
-            return (f, g)
-    return ()
-
-
 def _compile(t: PRTerm, mode: tuple[bool, bool]) -> Run:
-    """t's closure in mode, compiling first every node below t that has none.
-
-    The walk keeps its own post-order stack, as validate does, so term
-    depth does not bound it.
-    """
+    """t's closure in mode, compiling first every node below t that has
+    none, by nodes.fold."""
     table = _RUN[mode]
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if node in table:
-            stack.pop()
-            continue
-        todo = [c for c in _children(node) if c not in table]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            table[node] = _closure(node, mode, table)
-    return table[t]
+    return fold(t, lambda node, *_: _closure(node, mode, table), table)
 
 
 def _closure(node: PRTerm, mode: tuple[bool, bool], table: dict[PRTerm, Run]) -> Run:
@@ -761,17 +724,7 @@ def _exists_body(column: PRTerm) -> PRTerm:
 
 def _depth(t: PRTerm) -> int:
     """Nodes on the longest path from t down to a leaf."""
-    depth: dict[PRTerm, int] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        todo = [c for c in _children(node) if c not in depth]
-        if todo:
-            stack.extend(todo)
-        else:
-            stack.pop()
-            depth[node] = 1 + max((depth[c] for c in _children(node)), default=0)
-    return depth[t]
+    return fold(t, lambda node, *kids: 1 + max(kids, default=0), {})
 
 
 class Evaluator:

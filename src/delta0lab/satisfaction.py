@@ -158,7 +158,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
                 w = int(all(ws))
             case _:
                 raise SatError(f"not a core bounded formula: {node!r}")
-        key = (where[id(node)], z, w)
+        key = (where[node], z, w)
         if key not in seen:
             seen.add(key)
             triples.append(triple_encode(*key))

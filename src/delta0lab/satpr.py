@@ -69,12 +69,11 @@ from functools import cache
 from types import MappingProxyType
 
 from .coding import COMPACT, Coding, CodingError, CompactCoding
-from .formulas import (
-    BForall, Eq, Formula, Implies, Le, Not, UForall, desugar, is_delta0,
-)
+from .formulas import BForall, UForall, desugar
+from .nodes import postorder
 from .numbers import nthprime
 from .primrec import (
-    CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, RESULT_BITS_CAP, Comp,
+    CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, RESULT_BITS_CAP,
     FeasibilityError, PRTerm, PrimRec, Zero, eval_pr, intrinsic,
 )
 from .prlib import (
@@ -500,23 +499,8 @@ def sat_as_pr(scheme: Coding = COMPACT) -> PRTerm:
 
 
 def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
-    """Whether sub occurs in t; nodes are hash-consed, so equal is identical."""
-    seen: set[PRTerm] = set()
-
-    def walk(node: PRTerm) -> bool:
-        if node is sub:
-            return True
-        if node in seen:
-            return False
-        seen.add(node)
-        match node:
-            case Comp(f, gs):
-                return walk(f) or any(walk(g) for g in gs)
-            case PrimRec(f, g):
-                return walk(f) or walk(g)
-        return False
-
-    return walk(t)
+    """Whether sub occurs in t; nodes are interned, so equal is identical."""
+    return sub in postorder(t)
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +519,6 @@ def _compact_b2_bits_floor(x: int, y: int) -> int:
     e = (x + 1) ** 2
     lam = e * (nthprime(x).bit_length() - 1) + 1
     return 2 + lam * (2 * lam + 4 * y + 8)
-
-
-def _quantifier_free(phi: Formula) -> bool:
-    match phi:
-        case Eq() | Le():
-            return True
-        case Not(body=b):
-            return _quantifier_free(b)
-        case Implies(left=l, right=r):
-            return _quantifier_free(l) and _quantifier_free(r)
-        case BForall() | UForall():
-            return False
-    return False
 
 
 def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
@@ -582,7 +553,7 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             f"malformed codes are only refuted by exhausting the candidate "
             f"sweep, which exceeds any step budget: {exc}") from exc
-    if not (is_delta0(phi) and _quantifier_free(phi)):
+    if any(isinstance(n, (BForall, UForall)) for n in postorder(phi)):
         raise FeasibilityError(
             "the installed annotation bound covers quantifier-free codes "
             "only; quantified instances exceed the size guard")

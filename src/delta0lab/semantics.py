@@ -406,11 +406,7 @@ def eval_delta0_verdict(phi: Formula, rho: Valuation, budget: int | None = None)
     this keeps evaluation safe on formulas whose bound terms evaluate to
     astronomically large values.
     """
-    try:
-        bounded = is_delta0(phi)
-    except RecursionError:
-        raise EvalError(_TOO_DEEP) from None
-    if not bounded:
+    if not is_delta0(phi):
         raise NotDelta0Error("formula contains an unbounded quantifier")
     return _verdict(phi, rho, budget)
 

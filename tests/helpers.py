@@ -1,12 +1,28 @@
-"""Direct reference implementations used as oracles.
+"""Direct reference implementations used as oracles, and test tooling.
 
-Everything here is written against plain integers (sympy for primes), with
+The oracles are written against plain integers (sympy for primes), with
 no dependency on the combinator library, so the two sides can disagree.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
+
 import sympy
+
+
+@contextmanager
+def default_recursion_limit():
+    """Run the block at Python's default recursion limit, 1000, and restore
+    the limit after it.  Importing primrec raises the limit for the whole
+    process; under this a walker that still recurses fails on deep input."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def d_prime(i: int) -> int:

@@ -2,11 +2,14 @@ from hypothesis import given, strategies as st
 import pytest
 
 from delta0lab import (
-    Add, And, BExists, BForall, CaptureError, Eq, FormulaError, Implies, Le,
-    Mul, Not, ONE, Or, ParseError, UExists, UForall, Var, ZERO, desugar,
-    eval_delta0, free_vars, fresh_index, is_delta0, lt, numeral, parse,
-    parse_formula, parse_term, show, substitute,
+    COMPACT, Add, And, BExists, BForall, CaptureError, Eq, FormulaError,
+    Implies, Le, Mul, Not, ONE, Or, ParseError, Proj, UExists, UForall, Var,
+    ZERO, Zero, canonical_formula_seq, canonical_term_seq, contains_subterm,
+    desugar, eval_delta0, free_vars, fresh_index, is_delta0, lt, numeral,
+    parse, parse_formula, parse_term, show, substitute,
 )
+from delta0lab.prlib import const
+from helpers import default_recursion_limit
 
 
 def test_show_round_trip_examples():
@@ -66,8 +69,16 @@ def test_bound_variable_may_not_occur_in_its_bound():
 
 
 def test_var_index_validation():
-    with pytest.raises(FormulaError):
-        Var(-1)
+    body = Eq(ZERO, ZERO)
+    # True and False equal 1 and 0, so an interned Var(True) would be the
+    # node Var(1) and print as vTrue; the check runs before the lookup
+    for index in (-1, True, False, 1.0, "1"):
+        for build in (Var, lambda i: UForall(i, body), lambda i: UExists(i, body),
+                      lambda i: BForall(i, ZERO, body), lambda i: BExists(i, ZERO, body)):
+            with pytest.raises(FormulaError):
+                build(index)
+    assert show(Var(1)) == "v1"
+    assert show(UForall(0, body)) == "(A v0)(0 = 0)"
 
 
 def test_numeral_shapes():
@@ -98,6 +109,44 @@ def test_fresh_index_scans_binders():
     assert fresh_index(phi) == 4
     assert fresh_index(Var(0), Var(7)) == 8
     assert fresh_index() == 0
+
+
+def test_walkers_take_deep_input_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        atom = Eq(Var(0), ONE)
+        chain = atom
+        for _ in range(100_000):
+            chain = Not(chain)
+        t = numeral(100_000)
+        bounded = BForall(1, t, Le(Var(1), t))
+        assert free_vars(chain) == {0} and free_vars(t) == free_vars(bounded) == set()
+        assert is_delta0(chain) and is_delta0(bounded)
+        assert not is_delta0(UForall(1, chain))
+        assert fresh_index(chain) == 1 and fresh_index(t) == 0
+        assert fresh_index(bounded) == 2
+        assert desugar(chain) is chain and desugar(bounded) is bounded
+        assert desugar(BExists(1, t, chain)) == Not(BForall(1, t, Not(chain)))
+        assert show(chain) == "~" * 100_000 + "(v0 = 1)"
+        assert show(t) == "(" * 99_999 + "1 + 1)" + " + 1)" * 99_998
+        assert show(bounded).startswith("(A v1 <= ((((")
+        assert hash(chain) == hash(Not(chain.body)) and chain == Not(chain.body)
+        assert chain != chain.body and t == numeral(100_000) != t.left
+        # depth 3,000 only: the canonical sequences encode every subterm or
+        # subformula anew, which is quadratic in the depth
+        short, term = Eq(ZERO, ONE), numeral(3_000)
+        for _ in range(3_000):
+            short = Not(short)
+        assert canonical_term_seq(COMPACT, term)[-1] == COMPACT.encode_term(term)
+        assert len(canonical_formula_seq(COMPACT, short)) == 3_001
+        assert not contains_subterm(const(40_000, 1), Proj(2, 2))
+        assert contains_subterm(const(40_000, 1), Zero())
+        with pytest.raises(FormulaError):
+            desugar(t)
+        with pytest.raises(FormulaError):
+            BForall(1, chain, atom)
+    for walker in (free_vars, is_delta0, fresh_index, desugar, show):
+        with pytest.raises(FormulaError):
+            walker(5)
 
 
 def test_substitute_in_terms_and_atoms():
@@ -167,7 +216,7 @@ _rho = st.fixed_dictionaries({0: st.integers(0, 3), 1: st.integers(0, 3),
 
 @given(_formulas)
 def test_parse_show_round_trip(phi):
-    assert parse(show(phi)) == phi
+    assert parse(show(phi)) is phi
 
 
 @given(_formulas, _rho)

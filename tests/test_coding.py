@@ -42,6 +42,7 @@ from delta0lab.formulas import (
     numeral,
     parse,
     parse_term,
+    show,
 )
 from delta0lab.numbers import LazyPow, magnitude_ge, nthprime
 from delta0lab.primrec import FeasibilityError
@@ -416,6 +417,7 @@ def test_compact_codec_on_every_small_code():
     assert {x for x in range(1 << 16) if COMPACT.term_shapes(x)} == set(terms)
     for x, t in terms.items():
         assert COMPACT.encode_term(t) == x
+        assert parse(show(t)) is t
         match COMPACT.term_shapes(x):
             case [("add" | "mul", a, b)]:
                 assert (COMPACT.decode_term(a), COMPACT.decode_term(b)) == (
@@ -424,6 +426,9 @@ def test_compact_codec_on_every_small_code():
                 assert t == Var(i)
     for x, phi in formulas.items():
         assert COMPACT.encode(phi) == x
+        # nodes are interned: an equal node, however it is built, is phi
+        assert parse(show(phi)) is phi
+        assert COMPACT.decode(COMPACT.encode(phi)) is desugar(phi)
         match COMPACT.formula_shapes(x):
             case [("eq" | "le", a, b)]:
                 assert (COMPACT.decode_term(a), COMPACT.decode_term(b)) == (
@@ -479,12 +484,12 @@ def test_entry_reader_agrees_with_the_decoder_on_every_small_code():
 
 
 def test_compact_codec_on_a_100000_deep_numeral():
-    # codes are compared, not nodes: == on nodes this deep recurses
     t = numeral(100_001)
     bits = "1110" * 100_000 + "10" * 100_001
     x = COMPACT.encode_term(t)
     assert x == val(bits)
     assert COMPACT.is_term_code(x)
+    assert COMPACT.decode_term(x) is t
     assert COMPACT.encode_term(COMPACT.decode_term(x)) == x
     assert COMPACT.term_shapes(x) == [
         ("add", val("1110" * 99_999 + "10" * 100_000), val("10"))]
