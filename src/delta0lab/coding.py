@@ -48,7 +48,7 @@ from .formulas import (
     free_vars,
     is_delta0,
 )
-from .nodes import Node, postorder
+from .nodes import Node, fold
 from .numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
 from .primrec import FeasibilityError
 from .semantics import Verdict, eval_term
@@ -58,6 +58,34 @@ KINDS = ("term", "formula", "delta0")
 
 class CodingError(ValueError):
     """The integer does not code an object of the requested kind."""
+
+
+_TERMS = frozenset({ConstZero, ConstOne, Var, Add, Mul})
+_FORMULAS = frozenset({Eq, Le, Not, Implies, BForall, UForall})
+
+# each core class: its mk_* builder, the field it hands on as it is (a
+# variable index) or None, and the field and kind of each child, whose
+# code the builder takes
+_BUILDERS: dict[type, tuple[str, str | None, tuple[tuple[str, frozenset], ...]]] = {
+    ConstZero: ("mk_zero", None, ()),
+    ConstOne: ("mk_one", None, ()),
+    Var: ("mk_var", "index", ()),
+    Add: ("mk_add", None, (("left", _TERMS), ("right", _TERMS))),
+    Mul: ("mk_mul", None, (("left", _TERMS), ("right", _TERMS))),
+    Eq: ("mk_eq", None, (("left", _TERMS), ("right", _TERMS))),
+    Le: ("mk_le", None, (("left", _TERMS), ("right", _TERMS))),
+    Not: ("mk_not", None, (("body", _FORMULAS),)),
+    Implies: ("mk_implies", None, (("left", _FORMULAS), ("right", _FORMULAS))),
+    BForall: ("mk_bforall", "var", (("bound", _TERMS), ("body", _FORMULAS))),
+    UForall: ("mk_uforall", "var", (("body", _FORMULAS),)),
+}
+
+
+def _need(node, kind: frozenset) -> None:
+    """CodingError unless node is of kind, _TERMS or _FORMULAS."""
+    if type(node) not in kind:
+        noun = "term" if kind is _TERMS else "core formula"
+        raise CodingError(f"not a {noun}: {node!r}")
 
 
 def short_code(x: int) -> str:
@@ -82,13 +110,16 @@ class Coding:
     them in order.
 
     A subclass supplies seq_encode(entries) and seq_decode(code);
-    _write(node, formula) and _read(code, formula), the node codec behind
-    encode/encode_term and decode/decode_term, where formula tells a
-    formula from a term and _write gets core formulas only;
-    term_shapes(code) and formula_shapes(code); the node codes mk_zero(),
-    mk_one(), mk_var(i), mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a),
-    mk_implies(a, b), mk_bforall(i, t, b), mk_uforall(i, b) over child
-    codes; and buildseq_bound(x), the budget for a building sequence of x.
+    _read(code, formula), the node reader behind decode/decode_term, where
+    formula tells a formula from a term; term_shapes(code) and
+    formula_shapes(code); the node codes mk_zero(), mk_one(), mk_var(i),
+    mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a), mk_implies(a, b),
+    mk_bforall(i, t, b), mk_uforall(i, b) over child codes; and
+    buildseq_bound(x), the budget for a building sequence of x.
+
+    encode/encode_term write through _write(node, formula), which builds
+    the code bottom-up from the mk_* builders (_build); a subclass may
+    override it with a faster writer of the same codes.
     """
 
     name: str
@@ -96,7 +127,7 @@ class Coding:
     # -- encoding and decoding -------------------------------------------
     #
     # The four entry points below are the whole coding API for nodes; a
-    # scheme supplies _write(node, formula) and _read(code, formula).
+    # scheme supplies _read(code, formula), and may replace _write.
 
     def encode_term(self, t: Term) -> int:
         return self._write(t, False)
@@ -109,6 +140,35 @@ class Coding:
 
     def decode(self, code: int) -> Formula:
         return self._read(code, True)
+
+    def _write(self, node: Term | Formula, formula: bool) -> int:
+        return self._build(node, formula, {})
+
+    def _build(self, node: Term | Formula, formula: bool,
+               table: dict[Node, int | None]) -> int:
+        """The code of node, a term or a core formula as formula says.
+
+        One nodes.fold builds every code from its children's codes with
+        the mk_* builders, and table keeps the code of each node below
+        node, so a node shared in the DAG is built once.  The builders
+        check the kind of each child where they read it, so a node in
+        the wrong place is reported there, with the kind its place needs.
+        """
+        _need(node, _FORMULAS if formula else _TERMS)
+        return fold(node, self._code, table)
+
+    def _code(self, node: Node, *codes: int | None) -> int | None:
+        """The combine of _build: node's code from its children's, or None
+        for a node that is not core, which its parent reports."""
+        entry = _BUILDERS.get(type(node))
+        if entry is None:
+            return None
+        mk, head, kids = entry
+        for field, kind in kids:
+            _need(getattr(node, field), kind)
+        if head is None:
+            return getattr(self, mk)(*codes)
+        return getattr(self, mk)(getattr(node, head), *codes)
 
     # -- recognizers ------------------------------------------------------
 
@@ -351,53 +411,6 @@ class PaperCoding(Coding):
         kind = "formula" if formula else "term"
         raise CodingError(f"{short_code(code)} is not a {kind} code")
 
-    def _write(self, node: Term | Formula, formula: bool) -> int:
-        """The node's code built bottom-up through the mk_* builders.
-
-        A pre-order walk on an explicit stack lists each node's builder,
-        and the builders then run in reverse, so that every child code is
-        on the value stack, leftmost child on top, when its parent runs.
-        A deep term fails on the bit budget, not on the recursion limit.
-        """
-        steps: list[tuple] = []
-        todo: list[tuple] = [(node, formula)]
-        while todo:
-            node, formula = todo.pop()
-            match node, formula:
-                case ConstZero(), False:
-                    steps.append((self.mk_zero, 0))
-                case ConstOne(), False:
-                    steps.append((self.mk_one, 0))
-                case Var(index=i), False:
-                    steps.append((self.mk_var, 0, i))
-                case (Add(left=l, right=r) | Mul(left=l, right=r)), False:
-                    steps.append((self.mk_add if type(node) is Add else self.mk_mul, 2))
-                    todo += ((r, False), (l, False))
-                case (Eq(left=l, right=r) | Le(left=l, right=r)), True:
-                    steps.append((self.mk_eq if type(node) is Eq else self.mk_le, 2))
-                    todo += ((r, False), (l, False))
-                case Not(body=b), True:
-                    steps.append((self.mk_not, 1))
-                    todo.append((b, True))
-                case Implies(left=l, right=r), True:
-                    steps.append((self.mk_implies, 2))
-                    todo += ((r, True), (l, True))
-                case BForall(var=v, bound=t, body=b), True:
-                    steps.append((self.mk_bforall, 2, v))
-                    todo += ((b, True), (t, False))
-                case UForall(var=v, body=b), True:
-                    steps.append((self.mk_uforall, 1, v))
-                    todo.append((b, True))
-                case _, False:
-                    raise CodingError(f"not a term: {node!r}")
-                case _:
-                    raise CodingError(f"not a core formula: {node!r}")
-        codes: list[int] = []
-        for mk, arity, *head in reversed(steps):
-            args = [codes.pop() for _ in range(arity)]
-            codes.append(mk(*head, *args))
-        return codes[0]
-
     def term_shapes(self, code: int) -> list[tuple]:
         shapes: list[tuple] = []
         entries = self._seq_or_none(code)
@@ -630,6 +643,17 @@ def _child(bits: str, pos: int, formula: bool) -> tuple[int, int]:
     return int("1" + bits[pos:end], 2), end
 
 
+def _join(head: int, *codes: int) -> int:
+    """The code whose bits are those of the code head, then those of each
+    code in turn."""
+    for code in codes:
+        if not isinstance(code, int) or code < 1:
+            raise CodingError("bit codes are positive")
+        width = code.bit_length() - 1
+        head = (head << width) | (code ^ (1 << width))
+    return head
+
+
 _RUN_BITS = 4096
 
 
@@ -806,34 +830,36 @@ class CompactCoding(Coding):
             raise CodingError("variable index must be a natural")
         return bits_to_code("110" + gamma_bits(i + 1))
 
+    # a composite code is its tag, as a code 0b1<tag>, followed by the bits
+    # of its children's codes
+
     def mk_add(self, a: int, b: int) -> int:
-        return bits_to_code("1110" + code_to_bits(a) + code_to_bits(b))
+        return _join(0b1_1110, a, b)
 
     def mk_mul(self, a: int, b: int) -> int:
-        return bits_to_code("1111" + code_to_bits(a) + code_to_bits(b))
+        return _join(0b1_1111, a, b)
 
     def mk_eq(self, a: int, b: int) -> int:
-        return bits_to_code("0" + code_to_bits(a) + code_to_bits(b))
+        return _join(0b1_0, a, b)
 
     def mk_le(self, a: int, b: int) -> int:
-        return bits_to_code("10" + code_to_bits(a) + code_to_bits(b))
+        return _join(0b1_10, a, b)
 
     def mk_not(self, a: int) -> int:
-        return bits_to_code("110" + code_to_bits(a))
+        return _join(0b1_110, a)
 
     def mk_implies(self, a: int, b: int) -> int:
-        return bits_to_code("1110" + code_to_bits(a) + code_to_bits(b))
+        return _join(0b1_1110, a, b)
 
     def mk_bforall(self, i: int, t: int, b: int) -> int:
         if i < 0:
             raise CodingError("variable index must be a natural")
-        return bits_to_code("1111" + gamma_bits(i + 1) + "0"
-                            + code_to_bits(t) + code_to_bits(b))
+        return _join(bits_to_code("1111" + gamma_bits(i + 1) + "0"), t, b)
 
     def mk_uforall(self, i: int, b: int) -> int:
         if i < 0:
             raise CodingError("variable index must be a natural")
-        return bits_to_code("1111" + gamma_bits(i + 1) + "1" + code_to_bits(b))
+        return _join(bits_to_code("1111" + gamma_bits(i + 1) + "1"), b)
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """2^((s+1)(2s+3)+1) for s = bitlen(x) - 1.
@@ -887,15 +913,15 @@ def _listing(scheme: Coding, node: Term | Formula,
              formula: bool) -> tuple[list[int], dict[Node, int]]:
     """The codes of node's subterms, or of its subformulas, in postorder
     and deduplicated by code, and where each of those nodes went."""
+    codes: dict[Node, int | None] = {}
+    scheme._build(node, formula, codes)
     kind = Formula if formula else Term
-    if not isinstance(node, kind):
-        raise CodingError(f"not a {kind.__name__.lower()}: {node!r}")
     order: list[int] = []
     index: dict[int, int] = {}
     where: dict[Node, int] = {}
-    for n in postorder(node):
+    # the fold filled codes children first: its keys are in postorder
+    for n, c in codes.items():
         if isinstance(n, kind):
-            c = scheme._write(n, formula)
             if c not in index:
                 index[c] = len(order)
                 order.append(c)

@@ -44,35 +44,35 @@ def _check_var(var: int, *rest) -> None:
         raise FormulaError(f"variable index must be a natural number, got {var!r}")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Term(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ConstZero(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class ConstOne(Term):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Var(Term):
     index: int
 
     check = staticmethod(_check_var)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Mul(Term):
     left: Term
     right: Term
@@ -85,41 +85,41 @@ ONE = ConstOne()
 # -------------------------------------------------------------- formulas
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Formula(Node):
     pass
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Le(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -131,7 +131,7 @@ def _check_bounded(var: int, bound: Term, body: Formula) -> None:
         raise FormulaError(f"bound variable v{var} occurs in its own bound term")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BForall(Formula):
     var: int
     bound: Term
@@ -140,7 +140,7 @@ class BForall(Formula):
     check = staticmethod(_check_bounded)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class BExists(Formula):
     var: int
     bound: Term
@@ -149,7 +149,7 @@ class BExists(Formula):
     check = staticmethod(_check_bounded)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class UForall(Formula):
     var: int
     body: Formula
@@ -157,7 +157,7 @@ class UForall(Formula):
     check = staticmethod(_check_var)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class UExists(Formula):
     var: int
     body: Formula
@@ -169,11 +169,10 @@ class UExists(Formula):
 
 
 def _syntax(node, kind: type | tuple = (Term, Formula)):
-    """node, when it is a kind; FormulaError otherwise.  The message names
-    the class only: the repr of a deep node recurses."""
+    """node, when it is a kind; FormulaError otherwise."""
     if not isinstance(node, kind):
         noun = getattr(kind, "__name__", "term or formula").lower()
-        raise FormulaError(f"not a {noun}: got a {type(node).__name__}")
+        raise FormulaError(f"not a {noun}: {node!r}")
     return node
 
 

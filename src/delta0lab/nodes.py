@@ -9,9 +9,11 @@ equality and hashing are identity.  The table is a plain dict, so nodes
 live for the whole process.
 
 A node records its child nodes once, when it is interned: the fields that
-are nodes, in order, with a tuple field read as its entries.  fold walks
-them on its own stack, so the depth of a node is bounded by memory, not by
-the interpreter's recursion limit.
+are nodes, in order, with a tuple field read as its entries that are
+nodes.  fold walks them on its own stack, so the depth of a node is
+bounded by memory, not by the interpreter's recursion limit.  So does
+repr, which writes a node as a constructor call down to REPR_DEPTH levels
+and abbreviates what lies below.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ T = TypeVar("T")
 
 # the hash-consing table: (class, *fields) -> the one node with them
 NODES: dict[tuple, Node] = {}
+
+# repr writes a node that has children this many levels down as Name(..)
+REPR_DEPTH = 4
 
 
 class Interned(type):
@@ -43,7 +48,7 @@ class Interned(type):
                 if isinstance(f, Node):
                     children.append(f)
                 elif type(f) is tuple:
-                    children += f
+                    children += [c for c in f if isinstance(c, Node)]
             object.__setattr__(node, "children", tuple(children))
             NODES[key] = node
         return node
@@ -55,6 +60,39 @@ class Node(metaclass=Interned):
     # a class that restricts its fields sets this to a function of them
     # that raises on fields it rejects
     check: Callable[..., None] | None = None
+
+    def __repr__(self) -> str:
+        """The node as a constructor call, its fields in order; a node
+        REPR_DEPTH levels down that has children is written Name(..).
+        Nodes share subterms heavily and nest deep, so an unbounded repr
+        could expand a small DAG into a huge tree."""
+        out: list[str] = []
+        # (value, depth) to write, or (text, None) to copy
+        todo: list[tuple] = [(self, 0)]
+        while todo:
+            x, depth = todo.pop()
+            if depth is None:
+                out.append(x)
+                continue
+            if isinstance(x, Node):
+                name = type(x).__name__
+                if x.children and depth == REPR_DEPTH:
+                    out.append(f"{name}(..)")
+                    continue
+                head, items, tail = f"{name}(", [getattr(x, f) for f in x.__match_args__], ")"
+                depth += 1
+            elif type(x) is tuple:
+                head, items, tail = "(", x, ",)" if len(x) == 1 else ")"
+            else:
+                out.append(repr(x))
+                continue
+            out.append(head)
+            todo.append((tail, None))
+            for k in range(len(items) - 1, -1, -1):
+                todo.append((items[k], depth))
+                if k:
+                    todo.append((", ", None))
+        return "".join(out)
 
 
 def fold(node: Node, combine: Callable[..., T], table: dict[Node, T]) -> T:

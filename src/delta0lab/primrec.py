@@ -70,7 +70,11 @@ compositions.
 Terms are interned nodes (nodes.py): structurally equal terms are the
 same object, and equality and hashing are identity.  Every cache (the
 evaluator's tables, the compiled closures, validate's arities, the
-intrinsic registry) is keyed by the node itself.
+intrinsic registry) is keyed by the node itself.  validate, serialize and
+the compiler walk a term only through nodes.fold and nodes.postorder, so
+none of them recurses.  The text form of a term is its DAG, one line per
+distinct node (serialize), so a term that shares its subterms, as the Sat
+checker does, is written in as many lines as it has distinct nodes.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .nodes import Node, fold
+from .nodes import Node, fold, postorder
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
 
@@ -104,13 +108,8 @@ class FeasibilityError(RuntimeError):
 # cannot interrupt a single step
 RESULT_BITS_CAP = 1 << 30
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PRTerm(Node):
-    # terms share subterms heavily; an unbounded repr expands the DAG into
-    # a tree and never finishes on assembled checkers
-    def __repr__(self) -> str:
-        return _abbrev(self, 4)
-
     def __call__(self, *args: Expr | int) -> App:
         """This term applied to the arguments of a prlib.fn body."""
         return App(self, args)
@@ -155,26 +154,6 @@ class PrimRec(PRTerm):
     g: PRTerm
 
 
-def _abbrev(node: PRTerm, depth: int) -> str:
-    match node:
-        case Zero():
-            return "Z"
-        case Succ():
-            return "S"
-        case Proj(i, n):
-            return f"P({i},{n})"
-        case Comp(f, gs):
-            if depth == 0:
-                return "C(..)"
-            inner = ", ".join(_abbrev(g, depth - 1) for g in gs)
-            return f"C({_abbrev(f, depth - 1)}; {inner})"
-        case PrimRec(f, g):
-            if depth == 0:
-                return "R(..)"
-            return f"R({_abbrev(f, depth - 1)}; {_abbrev(g, depth - 1)})"
-    return object.__repr__(node)
-
-
 # ---------------------------------------------------- builder expressions
 
 class Expr:
@@ -217,74 +196,87 @@ class App(Expr):
         self.f, self.args = f, args
 
 
-# arities of the well-formed nodes validated so far
-_ARITY: dict[PRTerm, int] = {}
+# validate's fold table: the arity of each well-formed node validated so
+# far, and None for each node it met that is not a PR term
+_ARITY: dict[Node, int | None] = {}
 
 
 def validate(t: PRTerm) -> int:
     """Arity of a well-formed term; raises ArityError with the offending path.
 
-    The walk keeps its own stack, so term depth is bounded by memory, not by
-    the interpreter's recursion limit.  A path is a chain of (step, parent)
-    links, spelled out only when it is reported.
+    The arities are one nodes.fold, so term depth is bounded by memory, not
+    by the interpreter's recursion limit.  A term with several defects
+    reports the first in post-order.  Only when validation fails is the
+    path looked for: a walk down from t, left to right as the fold went,
+    on its own stack of (step, parent) links.
     """
-    stack: list[tuple[PRTerm, tuple]] = [(t, ("root", None))]
+    try:
+        arity = fold(t, _arity, _ARITY) if isinstance(t, Node) else None
+    except _Defect as defect:
+        bad, message, last = defect.args
+    else:
+        if arity is None:
+            raise ArityError(f"not a PR term: {t!r}", "root")
+        return arity
+    seen: set[Node] = set()
+    stack: list[tuple[Node, tuple]] = [(t, ("root", None))]
     while stack:
-        node, path = stack[-1]
-        todo = None if node in _ARITY else _check(node, path)
-        if todo:
-            stack.extend(reversed(todo))
-        else:
-            stack.pop()
-    return _ARITY[t]
+        node, link = stack.pop()
+        if node is bad:
+            break
+        if node not in seen:
+            seen.add(node)
+            stack += [(c, (step, link)) for step, c in reversed(_fields(node))
+                      if isinstance(c, Node)]
+    path = [last]
+    while link is not None:
+        step, link = link
+        path.append(step)
+    raise ArityError(message, "".join(reversed(path)))
 
 
-def _check(node: PRTerm, path: tuple) -> list[tuple[PRTerm, tuple]] | None:
-    """The children of node to validate first, in order, or None once
-    node's arity is in _ARITY.  A composition checks that its inner
-    functions agree before it looks at its outer one."""
+class _Defect(Exception):
+    """(node, message, step): the node validate rejects, why, and the step
+    from it to the field at fault, or "" when the fault is the node's."""
+
+
+def _fields(node: Node) -> list[tuple[str, object]]:
+    """(step, value) for each field of node, as a path spells the step."""
+    match node:
+        case Comp(f, gs):
+            return [(".f", f), *((f".g{k}", g) for k, g in enumerate(gs, 1))]
+        case PrimRec(f, g):
+            return [(".f", f), (".g", g)]
+    return [(f".{name}", getattr(node, name)) for name in node.__match_args__]
+
+
+def _arity(node: Node, *kids: int | None) -> int | None:
+    """The combine of validate's fold: node's arity from its children's,
+    None for a node that is not a PR term, which its parent reports.  A
+    composition checks that its inner functions agree before it looks at
+    its outer one."""
     match node:
         case Zero() | Succ():
-            a = 1
+            return 1
         case Proj(_, n):
-            a = n
-        case Comp(f, gs):
-            todo = [(g, (f".g{k}", path))
-                    for k, g in enumerate(gs, 1) if g not in _ARITY]
-            if todo:
-                return todo
-            inner = [_ARITY[g] for g in gs]
-            if len(set(inner)) != 1:
-                raise ArityError(
-                    f"composed inner functions disagree on arity {inner}", _spell(path))
-            if f not in _ARITY:
-                return [(f, (".f", path))]
-            if _ARITY[f] != len(gs):
-                raise ArityError(
-                    f"outer function takes {_ARITY[f]} arguments, got {len(gs)} "
-                    f"inner functions", _spell(path))
-            a = inner[0]
-        case PrimRec(f, g):
-            todo = [(c, (step, path)) for c, step in ((f, ".f"), (g, ".g"))
-                    if c not in _ARITY]
-            if todo:
-                return todo
-            if _ARITY[g] != _ARITY[f] + 2:
-                raise ArityError(f"recursion step must have arity {_ARITY[f] + 2}, "
-                                 f"got {_ARITY[g]}", _spell(path))
-            a = _ARITY[f] + 1
-        case _:
-            raise ArityError(f"not a PR term: {node!r}", _spell(path))
-    _ARITY[node] = a
-    return None
-
-
-def _spell(path: tuple | None) -> str:
-    steps = []
-    while path is not None:
-        step, path = path
-        steps.append(step)
-    return "".join(reversed(steps))
+            return n
+    if not isinstance(node, (Comp, PrimRec)):
+        return None
+    for step, field in _fields(node):
+        if not isinstance(field, Node) or _ARITY[field] is None:
+            raise _Defect(node, f"not a PR term: {field!r}", step)
+    if type(node) is PrimRec:
+        if kids[1] != kids[0] + 2:
+            raise _Defect(node, f"recursion step must have arity {kids[0] + 2}, "
+                                f"got {kids[1]}", "")
+        return kids[0] + 1
+    outer, *inner = kids
+    if len(set(inner)) != 1:
+        raise _Defect(node, f"composed inner functions disagree on arity {inner}", "")
+    if outer != len(inner):
+        raise _Defect(node, f"outer function takes {outer} arguments, got {len(inner)} "
+                            f"inner functions", "")
+    return inner[0]
 
 
 # --------------------------------------------------- canonical arithmetic
@@ -838,114 +830,50 @@ def eval_pr(t: PRTerm, args, max_steps: int | None = None,
 
 
 def serialize(t: PRTerm) -> str:
-    """Z, S, P(i,n), C(f; g1, ..., gm), R(f; g)."""
-    out: list[str] = []
-
-    def emit(node: PRTerm):
-        match node:
-            case Zero():
-                out.append("Z")
-            case Succ():
-                out.append("S")
-            case Proj(i, n):
-                out.append(f"P({i},{n})")
-            case Comp(f, gs):
-                out.append("C(")
-                emit(f)
-                out.append("; ")
-                for k, g in enumerate(gs):
-                    if k:
-                        out.append(", ")
-                    emit(g)
-                out.append(")")
-            case PrimRec(f, g):
-                out.append("R(")
-                emit(f)
-                out.append("; ")
-                emit(g)
-                out.append(")")
-            case _:
-                raise PRError(f"not a PR term: {node!r}")
-
-    emit(t)
-    return "".join(out)
-
-
-class _PRParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _expect(self, ch: str):
-        self._skip()
-        if not self.text.startswith(ch, self.pos):
-            raise PRError(f"expected {ch!r} at position {self.pos}")
-        self.pos += len(ch)
-
-    def _int(self) -> int:
-        self._skip()
-        j = self.pos
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.pos:
-            raise PRError(f"expected a number at position {self.pos}")
-        v = int(self.text[self.pos:j])
-        self.pos = j
-        return v
-
-    def parse(self) -> PRTerm:
-        self._skip()
-        if self.pos >= len(self.text):
-            raise PRError("unexpected end of input")
-        c = self.text[self.pos]
-        if c == "Z":
-            self.pos += 1
-            return Zero()
-        if c == "S":
-            self.pos += 1
-            return Succ()
-        if c == "P":
-            self.pos += 1
-            self._expect("(")
-            i = self._int()
-            self._expect(",")
-            n = self._int()
-            self._expect(")")
-            return Proj(i, n)
-        if c == "C":
-            self.pos += 1
-            self._expect("(")
-            f = self.parse()
-            self._expect(";")
-            gs = [self.parse()]
-            while True:
-                self._skip()
-                if self.text.startswith(",", self.pos):
-                    self.pos += 1
-                    gs.append(self.parse())
-                else:
-                    break
-            self._expect(")")
-            return Comp(f, tuple(gs))
-        if c == "R":
-            self.pos += 1
-            self._expect("(")
-            f = self.parse()
-            self._expect(";")
-            g = self.parse()
-            self._expect(")")
-            return PrimRec(f, g)
-        raise PRError(f"unexpected character {c!r} at position {self.pos}")
+    """The DAG of the well-formed term t as text, one line per distinct
+    node, each after its children and t last.  A line is Z, S, P i n,
+    C f g1 ... gm or R f g, where f, g, g1, ... are the numbers of earlier
+    lines, counted from 0.  The text has as many lines as postorder(t)
+    has nodes, so a term that shares its subterms stays small."""
+    validate(t)
+    tags = {Zero: "Z", Succ: "S", Comp: "C", PrimRec: "R"}
+    order = postorder(t)
+    line = {node: k for k, node in enumerate(order)}
+    return "\n".join(
+        f"P {node.i} {node.n}" if type(node) is Proj
+        else " ".join([tags[type(node)], *(str(line[c]) for c in node.children)])
+        for node in order)
 
 
 def parse_pr(text: str) -> PRTerm:
-    p = _PRParser(text)
-    t = p.parse()
-    p._skip()
-    if p.pos != len(text):
-        raise PRError(f"trailing input at position {p.pos}")
-    return t
+    """The term of the last line of a text that serialize writes.
+
+    Fields are separated by blanks, and a reference is a decimal number
+    of an earlier line, counted from 0.  A malformed line raises PRError
+    naming the line, and so does a line that builds no well-formed node,
+    such as P 0 1.  Interning makes parse_pr(serialize(t)) t itself.
+    """
+    terms: list[PRTerm] = []
+    for k, line in enumerate(text.splitlines()):
+        tag, *fields = line.split() or [""]
+        try:
+            if not all(f.isascii() and f.isdigit() for f in fields):
+                raise PRError("fields must be decimal numbers")
+            nums = [int(f) for f in fields]
+            if tag == "P" and len(nums) == 2:
+                term = Proj(*nums)
+            elif tag in ("Z", "S") and not nums:
+                term = Zero() if tag == "Z" else Succ()
+            elif tag == "C" and nums or tag == "R" and len(nums) == 2:
+                if max(nums) >= k:
+                    raise PRError("a reference must name an earlier line")
+                f, *gs = [terms[r] for r in nums]
+                term = Comp(f, tuple(gs)) if tag == "C" else PrimRec(f, *gs)
+            else:
+                raise PRError("expected Z, S, P i n, C f g1 ... gm or R f g")
+        except PRError as exc:
+            raise PRError(f"line {k} {line!r}: {exc}") from None
+        terms.append(term)
+    if not terms:
+        raise PRError("no term in an empty text")
+    return terms[-1]

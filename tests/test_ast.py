@@ -1,11 +1,13 @@
+import time
+
 from hypothesis import given, strategies as st
 import pytest
 
 from delta0lab import (
-    COMPACT, Add, And, BExists, BForall, CaptureError, Eq, FormulaError,
+    COMPACT, PAPER, Add, And, BExists, BForall, CaptureError, CodingError, Eq, FormulaError,
     Implies, Le, Mul, Not, ONE, Or, ParseError, Proj, UExists, UForall, Var,
     ZERO, Zero, canonical_formula_seq, canonical_term_seq, contains_subterm,
-    desugar, eval_delta0, free_vars, fresh_index, is_delta0, lt, numeral,
+    desugar, eval_delta0, formula_seq_index, free_vars, fresh_index, is_delta0, lt, numeral,
     parse, parse_formula, parse_term, show, substitute,
 )
 from delta0lab.prlib import const
@@ -131,8 +133,6 @@ def test_walkers_take_deep_input_at_the_default_recursion_limit():
         assert show(bounded).startswith("(A v1 <= ((((")
         assert hash(chain) == hash(Not(chain.body)) and chain == Not(chain.body)
         assert chain != chain.body and t == numeral(100_000) != t.left
-        # depth 3,000 only: the canonical sequences encode every subterm or
-        # subformula anew, which is quadratic in the depth
         short, term = Eq(ZERO, ONE), numeral(3_000)
         for _ in range(3_000):
             short = Not(short)
@@ -147,6 +147,39 @@ def test_walkers_take_deep_input_at_the_default_recursion_limit():
     for walker in (free_vars, is_delta0, fresh_index, desugar, show):
         with pytest.raises(FormulaError):
             walker(5)
+
+
+def test_canonical_sequences_build_each_code_from_its_children():
+    term, chain = numeral(3_000), Eq(ZERO, ONE)
+    for _ in range(3_000):
+        chain = Not(chain)
+    for scheme, n in ((COMPACT, 40), (PAPER, 3)):
+        assert canonical_term_seq(scheme, numeral(n)) == [
+            scheme.encode_term(numeral(k)) for k in range(1, n + 1)]
+    start = time.perf_counter()
+    seq = canonical_term_seq(COMPACT, term)
+    assert len(canonical_formula_seq(COMPACT, chain)) == 3_001
+    assert time.perf_counter() - start < 0.6
+    assert seq[-1] == COMPACT.encode_term(term) and len(seq) == 3_000
+
+
+def test_coding_a_deep_node_in_the_wrong_place_raises_a_typed_error():
+    with default_recursion_limit():
+        chain = Eq(ZERO, ONE)
+        for _ in range(100_000):
+            chain = Not(chain)
+        assert len(repr(chain)) < 200
+        for encode in (COMPACT.encode_term, PAPER.encode_term,
+                       lambda t: canonical_term_seq(COMPACT, t)):
+            with pytest.raises(CodingError, match=r"^not a term: Not\(Not\("):
+                encode(chain)
+        for scheme in (COMPACT, PAPER):
+            with pytest.raises(CodingError, match=r"^not a core formula: Var\(0\)$"):
+                scheme.encode(Not(Var(0)))
+            with pytest.raises(CodingError, match=r"^not a term: Eq\("):
+                scheme.encode(Le(ZERO, Add(ONE, Eq(ZERO, ONE))))
+            with pytest.raises(CodingError, match=r"^not a core formula: 5$"):
+                formula_seq_index(scheme, Implies(Eq(ZERO, ONE), 5))
 
 
 def test_substitute_in_terms_and_atoms():

@@ -19,11 +19,14 @@ from delta0lab.prlib import (
 )
 from delta0lab.numbers import nthprime
 from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN, sat_pr_parts
+from delta0lab.coding import COMPACT, PAPER
+from delta0lab.formulas import Var
+from delta0lab.nodes import postorder
 from delta0lab.primrec import POW2_UNBUILT, Pow2
 import delta0lab.primrec as primrec_module
 import delta0lab.satpr as satpr_module
 
-from helpers import ARITIES, DIRECT, d_chi_prime, seq_encode
+from helpers import ARITIES, DIRECT, d_chi_prime, default_recursion_limit, seq_encode
 
 CORE = ["add", "mul", "sg", "sgbar", "pred", "monus", "chi_eq", "chi_le", "pow"]
 
@@ -62,13 +65,97 @@ def test_validate_walks_deep_terms():
     assert validate(const(40_000, 1)) == 1
 
 
+def test_validate_pins_each_single_defect_and_its_path():
+    bad = Comp(ADD, (Zero(),))
+    outer = "outer function takes 2 arguments, got 1 inner functions"
+    cases = [
+        (bad, f"{outer} at root"),
+        (Comp(Succ(), (Zero(), Proj(1, 2))),
+         "composed inner functions disagree on arity [1, 2] at root"),
+        (PrimRec(Zero(), Zero()), "recursion step must have arity 3, got 1 at root"),
+        (Comp(bad, (Zero(), Zero())), f"{outer} at root.f"),
+        (Comp(Succ(), (Comp(Succ(), (bad,)),)), f"{outer} at root.g1.g1"),
+        (Comp(ADD, (Zero(), bad)), f"{outer} at root.g2"),
+        (PrimRec(bad, Proj(1, 4)), f"{outer} at root.f"),
+        (PrimRec(Zero(), Comp(Succ(), (bad,))), f"{outer} at root.g.g1"),
+        (Comp(Succ(), (Var(0),)), "not a PR term: Var(0) at root.g1"),
+    ]
+    for term, message in cases:
+        with pytest.raises(ArityError) as err:
+            validate(term)
+        assert str(err.value) == message
+    # two defects: the first in post-order is reported
+    with pytest.raises(ArityError, match=f"^{outer} at root.f$"):
+        validate(Comp(bad, (Zero(), Proj(1, 2))))
+
+
+def test_validate_reports_a_field_that_is_not_a_term():
+    for term, path in [(Comp(Succ(), (5,)), "root.g1"), (Comp("S", (Zero(),)), "root.f"),
+                       (PrimRec(Zero(), None), "root.g"),
+                       (Comp(Succ(), (Comp(ADD, (Zero(), 5)),)), "root.g1.g2"),
+                       (Var(1), "root"), (7, "root")]:
+        with pytest.raises(ArityError, match="not a PR term") as err:
+            validate(term)
+        assert err.value.path == path
+
+
+def test_validate_spells_a_deep_path_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        t = PrimRec(Zero(), Zero())
+        for _ in range(100_000):
+            t = Comp(Succ(), (t,))
+        start = time.perf_counter()
+        with pytest.raises(ArityError) as err:
+            validate(t)
+        assert err.value.path == "root" + ".g1" * 100_000
+        assert str(err.value).startswith("recursion step must have arity 3, got 1 at root.g1")
+        assert time.perf_counter() - start < 3.0
+
+
 def test_serialize_canonical_add():
-    assert serialize(ADD) == "R(P(1,1); C(S; P(1,3)))"
+    assert serialize(ADD) == "P 1 1\nS\nP 1 3\nC 1 2\nR 0 3"
 
 
 def test_serialize_round_trips_stdlib():
     for name, term in STDLIB.items():
         assert parse_pr(serialize(term)) == term, name
+
+
+def test_serialize_writes_one_line_per_distinct_node():
+    for name, term in STDLIB.items():
+        assert parse_pr(serialize(term)) is term, name
+    for scheme in (COMPACT, PAPER):
+        for name, part in sat_pr_parts(scheme).items():
+            assert parse_pr(serialize(part)) is part, (scheme.name, name)
+    for scheme, size in ((COMPACT, 1_085), (PAPER, 1_003)):
+        t = sat_as_pr(scheme)
+        start = time.perf_counter()
+        text = serialize(t)
+        assert parse_pr(text) is t
+        assert time.perf_counter() - start < 1.0
+        assert len(text.splitlines()) == len(postorder(t)) == size
+
+
+def test_deep_term_round_trips_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        t = const(100_000, 1)
+        text = serialize(t)
+        assert text.count("\n") == 100_001
+        assert parse_pr(text) is t
+        assert len(repr(t)) < 200
+
+
+def test_parse_pr_names_the_bad_line():
+    cases = [("Z\nC 2 0\nS", 1), ("Z\nC 1 0", 1), ("C 0 0", 0),   # forward and self
+             ("Z\nS\nC 1 0x0", 2), ("Z\nS\nC 1 +0", 2), ("Z\nS\nC 1 -0", 2),
+             ("Z\nS\nC 1 \uff10", 2), ("Z\nS\nC 1 1_0", 2),   # not decimal
+             ("Z\n\nS", 1), ("P 2", 0), ("S 0", 0), ("Z\nR 0 0 0", 1)]
+    for text, line in cases:
+        with pytest.raises(PRError, match=f"^line {line} "):
+            parse_pr(text)
+    for empty in ("", "\n"):
+        with pytest.raises(PRError):
+            parse_pr(empty)
 
 
 def test_nodes_are_hash_consed():
@@ -86,13 +173,13 @@ def test_deep_term_hashes_and_compares_in_constant_time():
 
 
 def test_parse_pr_errors():
-    for bad in ["", "Q", "P(0,1)", "C(S)", "R(Z; Z", "Z extra", "C(S; Z,)"]:
+    for bad in ["", "Q", "P 0 1", "S\nC 0", "Z\nR 0", "Z extra", "S\nC 0 1"]:
         with pytest.raises(PRError):
             parse_pr(bad)
 
 
 def test_parse_pr_whitespace():
-    assert parse_pr(" R( P(1,1) ; C(S ; P(1,3)) ) ") == ADD
+    assert parse_pr(" P 1  1\n\tS \nP 1 3\nC  1 2\nR 0 3\n") == ADD
 
 
 # ----------------------------------------------- values match the oracle
