@@ -19,12 +19,11 @@ from .coding import (
     COMPACT, Coding, CodingError, CompactCoding, KINDS, PAPER, PaperCoding,
     SCHEMES, bits_to_code, canonical_build_code, canonical_formula_seq,
     canonical_term_seq, check_build_seq, code_to_bits, formula_seq_index,
-    gamma_bits, get_scheme, paper_bound, quantifier_bound, seqdef, syn,
-    syn_search, val,
+    gamma_bits, get_scheme, quantifier_bound, seqdef, syn, syn_search, val,
 )
 from .numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
 from .satisfaction import (
-    Counterexample, SatError, SatInstance, falsify, sat_direct, sat_valuation,
+    Counterexample, SatError, SatInstance, falsify, sat_valuation,
     sat_witness, satseq_check, triple_decode, triple_encode,
 )
 from .satpr import contains_subterm, sat_as_pr, sat_pr_eval, sat_pr_parts

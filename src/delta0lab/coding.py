@@ -179,9 +179,6 @@ class Coding:
         except CodingError:
             return False
 
-    def seq_len(self, code: int) -> int:
-        return len(self.seq_decode(code))
-
     def seq_idx(self, code: int, i: int) -> int:
         """Entry i, with 0 past the end (absent-variable convention)."""
         if i < 0:
@@ -208,13 +205,6 @@ class Coding:
                 return shape[1]
         return None
 
-    def is_formula_code(self, code: int) -> bool:
-        try:
-            self.decode(code)
-            return True
-        except CodingError:
-            return False
-
     def is_delta0_code(self, code: int) -> bool:
         try:
             return is_delta0(self.decode(code))
@@ -235,16 +225,6 @@ class Coding:
 
     def val_get(self, y: int, i: int) -> int:
         return self.seq_idx(y, i)
-
-    def val_with(self, y: int, i: int, v: int) -> int:
-        """The valuation y updated to send v_i to v, padding with zeros."""
-        if i < 0 or v < 0:
-            raise ValueError("indices and values must be naturals")
-        entries = self.seq_decode(y)
-        if i >= len(entries):
-            entries = entries + [0] * (i + 1 - len(entries))
-        entries[i] = v
-        return self.seq_encode(entries)
 
     # -- magnitude bounds ---------------------------------------------------
 
@@ -1229,16 +1209,3 @@ def seqdef(scheme: Coding, pred: str, args: tuple[int, ...],
             return _val_search(scheme, x, y, z)
     raise ValueError(f"pred must be one of {SEQDEF_PREDS}")
 
-
-def paper_bound(kind: str, *args: int) -> int | LazyPow:
-    """The cited bound expressions, exact (symbolic only when unwritable)."""
-    if kind == "buildseq":
-        (x,) = args
-        b = PAPER.buildseq_bound(x)
-    elif kind == "termval":
-        u, z = args
-        b = PAPER.termval_bound(u, z)
-    else:
-        raise ValueError("kind must be 'buildseq' or 'termval'")
-    exact = magnitude_to_int(b)
-    return b if exact is None else exact

@@ -6,9 +6,10 @@ quantifier in it carries a bound.
 
 Terms and formulas are interned nodes (nodes.py), so == and hash are
 identity.  free_vars, is_delta0, fresh_index and desugar are combines of
-nodes.fold, each keeping its results in a table keyed by the node, and
-show emits its tokens from one stack, so none of them recurses;
-substitute and the parser still do.
+nodes.fold, each keeping its results in a table keyed by the node; show
+emits its tokens from one stack; substitute and the parser, which carry a
+variable or a position down, are steps of nodes.walk.  So none of them
+recurses, and the depth of a node is bounded by memory.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 
-from .nodes import Node, fold
+from .nodes import Node, fold, walk
 
 
 class FormulaError(ValueError):
@@ -44,9 +45,21 @@ def _check_var(var: int, *rest) -> None:
         raise FormulaError(f"variable index must be a natural number, got {var!r}")
 
 
+def _check_fields(node: Term | Formula) -> None:
+    """Reject a field of a new node that is not a term or formula, other
+    than a variable index.  A node of the wrong kind, such as the term in
+    Not(ZERO), passes: the walkers report it.  This runs only when a node
+    is first built: a field that is not a node never matches an interned
+    one, whose fields compare by identity."""
+    for name in node.__match_args__:
+        field = getattr(node, name)
+        if not isinstance(field, (Term, Formula)) and name != "var" and name != "index":
+            _syntax(field)
+
+
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Term(Node):
-    pass
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -87,7 +100,7 @@ ONE = ConstOne()
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Formula(Node):
-    pass
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -249,54 +262,30 @@ def substitute(node: Formula | Term, var: int, replacement: Term):
     or would put the binder's own variable into a quantifier bound.
     """
     repl_vars = free_vars(replacement)
+    # fills _FREE for node and every node below it, which sub reads
+    free_vars(node)
 
-    def sub_t(t: Term) -> Term:
-        match t:
-            case Var(i) if i == var:
-                return replacement
-            case ConstZero() | ConstOne() | Var():
-                return t
-            case Add(l, r):
-                return Add(sub_t(l), sub_t(r))
-            case Mul(l, r):
-                return Mul(sub_t(l), sub_t(r))
-        raise FormulaError(f"not a term: {t!r}")
+    def sub(n: Formula | Term):
+        """A step of nodes.walk: n with the replacement made, yielding
+        (child,) for a child's.  A node where var is not free is its own
+        result, so a binder of var, whose bound cannot contain it, is."""
+        if var not in _FREE[n]:
+            return n
+        cls = type(n)
+        if cls is Var:
+            return replacement
+        if cls is Not:
+            return Not((yield (n.body,)))
+        if cls in _INFIX:   # the binary nodes
+            return cls((yield (n.left,)), (yield (n.right,)))
+        if n.var in repl_vars:
+            raise CaptureError(
+                f"substituting for v{var} would capture v{n.var} under its binder")
+        if cls is BForall or cls is BExists:
+            return cls(n.var, (yield (n.bound,)), (yield (n.body,)))
+        return cls(n.var, (yield (n.body,)))
 
-    def sub_f(phi: Formula) -> Formula:
-        match phi:
-            case Eq(l, r):
-                return Eq(sub_t(l), sub_t(r))
-            case Le(l, r):
-                return Le(sub_t(l), sub_t(r))
-            case Not(b):
-                return Not(sub_f(b))
-            case Implies(l, r):
-                return Implies(sub_f(l), sub_f(r))
-            case And(l, r):
-                return And(sub_f(l), sub_f(r))
-            case Or(l, r):
-                return Or(sub_f(l), sub_f(r))
-            case BForall(v, t, b) | BExists(v, t, b):
-                cls = type(phi)
-                if v == var:
-                    # var is bound here; only the bound term is in scope,
-                    # and it may not contain v anyway.
-                    return cls(v, sub_t(t), b)
-                if v in repl_vars and (var in free_vars(t) or var in free_vars(b)):
-                    raise CaptureError(
-                        f"substituting for v{var} would capture v{v} under its binder")
-                return cls(v, sub_t(t), sub_f(b))
-            case UForall(v, b) | UExists(v, b):
-                cls = type(phi)
-                if v == var:
-                    return phi
-                if v in repl_vars and var in free_vars(b):
-                    raise CaptureError(
-                        f"substituting for v{var} would capture v{v} under its binder")
-                return cls(v, sub_f(b))
-        raise FormulaError(f"not a formula: {phi!r}")
-
-    return sub_t(node) if isinstance(node, Term) else sub_f(node)
+    return walk(sub, node)
 
 
 def desugar(phi: Formula) -> Formula:
@@ -415,35 +404,43 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", at)
 
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
+    def atom(self) -> Term | None:
+        """The constant or variable at the current token, read; None, and
+        nothing read, at any other token."""
+        kind, val, _ = self.toks[self.pos]
+        if kind == "const":
+            self.pos += 1
+            return ZERO if val == "0" else ONE
+        if kind == "var":
+            self.pos += 1
+            return Var(int(val[1:]))
+        return None
 
     # Inside "(...)" the shape is only known once the operator is seen, so
     # parse a generic expression first and let the operator disambiguate.
-    def parse_expr(self) -> Formula | Term:
+    def parse_expr(self):
+        """A step of nodes.walk: the expression at the current token,
+        yielding () for one that follows unless it is an atom."""
+        node = self.atom()
+        if node is not None:
+            return node
         kind, val, at = self.peek()
-        if kind == "const":
-            self.next()
-            return ZERO if val == "0" else ONE
-        if kind == "var":
-            self.next()
-            return Var(int(val[1:]))
         if val == "~":
             self.next()
-            body = self.parse_expr()
+            body = self.atom() or (yield ())
             if not isinstance(body, Formula):
                 raise ParseError("negation applies to formulas", at)
             return Not(body)
         if val == "(":
             self.next()
             if self.peek()[0] == "quant":
-                return self.parse_quantifier()
-            left = self.parse_expr()
+                return (yield from self.parse_quantifier())
+            left = self.atom() or (yield ())
             okind, op, oat = self.next()
             if op in ("+", "*"):
                 if not isinstance(left, Term):
                     raise ParseError(f"operator {op!r} applies to terms", oat)
-                right = self.parse_expr()
+                right = self.atom() or (yield ())
                 if not isinstance(right, Term):
                     raise ParseError(f"operator {op!r} applies to terms", oat)
                 self.expect(")")
@@ -451,7 +448,7 @@ class _Parser:
             if op in ("=", "<="):
                 if not isinstance(left, Term):
                     raise ParseError(f"operator {op!r} compares terms", oat)
-                right = self.parse_expr()
+                right = self.atom() or (yield ())
                 if not isinstance(right, Term):
                     raise ParseError(f"operator {op!r} compares terms", oat)
                 self.expect(")")
@@ -459,7 +456,7 @@ class _Parser:
             if op in ("->", "&", "|"):
                 if not isinstance(left, Formula):
                     raise ParseError(f"connective {op!r} joins formulas", oat)
-                right = self.parse_expr()
+                right = self.atom() or (yield ())
                 if not isinstance(right, Formula):
                     raise ParseError(f"connective {op!r} joins formulas", oat)
                 self.expect(")")
@@ -468,7 +465,9 @@ class _Parser:
             raise ParseError(f"unexpected token {op!r} after subexpression", oat)
         raise ParseError(f"unexpected token {val or 'end of input'!r}", at)
 
-    def parse_quantifier(self) -> Formula:
+    def parse_quantifier(self):
+        """The quantified formula whose "(" has been read: part of the
+        parse_expr step, yielding () for its bound and its body."""
         _, q, qat = self.next()
         kind, val, at = self.next()
         if kind != "var":
@@ -478,11 +477,11 @@ class _Parser:
         bound = None
         if val2 == "<=":
             self.next()
-            bound = self.parse_expr()
+            bound = self.atom() or (yield ())
             if not isinstance(bound, Term):
                 raise ParseError("quantifier bound must be a term", at2)
         self.expect(")")
-        body = self.parse_expr()
+        body = self.atom() or (yield ())
         if not isinstance(body, Formula):
             raise ParseError("quantifier body must be a formula", qat)
         if bound is None:
@@ -496,7 +495,7 @@ class _Parser:
 def parse(text: str) -> Formula | Term:
     """Parse a term or formula from the concrete grammar."""
     p = _Parser(text)
-    node = p.parse_expr()
+    node = walk(p.parse_expr)
     kind, val, at = p.peek()
     if kind != "eof":
         raise ParseError(f"trailing input {val!r}", at)

@@ -1,4 +1,5 @@
-"""Interned nodes, and one post-order fold over them.
+"""Interned nodes, one post-order fold over them, and one trampoline for
+walkers that carry context down.
 
 Both node families, the terms and formulas of formulas.py and the PR terms
 of primrec.py, are hash-consed (Goto, "Monocopy and associative algorithms
@@ -14,11 +15,22 @@ nodes.  fold walks them on its own stack, so the depth of a node is
 bounded by memory, not by the interpreter's recursion limit.  So does
 repr, which writes a node as a constructor call down to REPR_DEPTH levels
 and abbreviates what lies below.
+
+fold serves a walker whose result at a node depends on the node alone: it
+is computed once per distinct node and kept in a table.  A walker whose
+result also depends on context passed down, such as a valuation, a
+variable being replaced or the parser's position, uses walk instead.  Its
+step is written as a recursive function that is a generator: where it
+would call itself it yields the arguments and receives the result, and
+walk keeps the suspended steps on its own list (a generator trampoline:
+Ganz, Friedman & Wand, "Trampolined style", ICFP 1999).  Its depth too is
+bounded by memory.  A step cannot catch an error raised by a step it
+asked for: the error leaves walk at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -126,3 +138,21 @@ def postorder(node: Node) -> list[Node]:
     order: list[Node] = []
     fold(node, lambda n, *_: order.append(n), {})
     return order
+
+
+def walk(step: Callable[..., Generator[tuple, T, T]], *args) -> T:
+    """The result of step(*args), where step is a generator function: a
+    yield of a tuple args' stands for a call of step(*args') and receives
+    its result, and step's return value is its result."""
+    stack: list[Generator] = []
+    gen, value = step(*args), None
+    while True:
+        try:
+            args = gen.send(value)
+        except StopIteration as done:
+            if not stack:
+                return done.value
+            gen, value = stack.pop(), done.value
+        else:
+            stack.append(gen)
+            gen, value = step(*args), None

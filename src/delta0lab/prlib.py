@@ -80,42 +80,35 @@ def _apply_at_next(f: PRTerm, m: int) -> PRTerm:
     return Comp(f, params(m - 2, offset=1, width=m) + (Comp(Succ(), (Proj(m, m),)),))
 
 
-def _lift1(f: PRTerm) -> PRTerm:
-    """Arity-1 f as an arity-2 function of its second argument.
+def _column(f: PRTerm, op: PRTerm, sg: bool) -> PRTerm:
+    """From f(xs, i) to op(...op(f(xs, 0), f(xs, 1))..., f(xs, y)), the
+    bound y last, with each partial result passed through SG when sg.
 
-    Recursion needs at least one parameter beside the index, so arity-1
-    relations are lifted and the result diagonalized back down.
+    Recursion needs at least one parameter beside the index, so an arity-1
+    f is lifted to the arity-2 f(x2) and the column of that diagonalized
+    back down.
     """
-    return Comp(f, (Proj(2, 2),))
-
-
-_DIAG = (P11, P11)
+    n = validate(f) - 1
+    lift = n == 0
+    if lift:
+        f, n = Comp(f, (Proj(2, 2),)), 1
+    m = n + 2
+    base = Comp(f, params(n, width=n) + (const(0, n),))
+    step = Comp(op, (Proj(1, m), _apply_at_next(f, m)))
+    if sg:
+        base, step = comp1(SG, base), comp1(SG, step)
+    column = PrimRec(base, step)
+    return Comp(column, (P11, P11)) if lift else column
 
 
 def bounded_sum(f: PRTerm) -> PRTerm:
     """From f(xs, i) to sum of f(xs, i) for i <= y; same arity, bound last."""
-    n = validate(f) - 1
-    if n < 0:
-        raise ValueError("bounded_sum needs arity >= 1")
-    if n == 0:
-        return Comp(bounded_sum(_lift1(f)), _DIAG)
-    m = n + 2
-    base = Comp(f, params(n, width=n) + (const(0, n),))
-    step = Comp(ADD, (Proj(1, m), _apply_at_next(f, m)))
-    return PrimRec(base, step)
+    return _column(f, ADD, False)
 
 
 def bounded_prod(f: PRTerm) -> PRTerm:
     """From f(xs, i) to product of f(xs, i) for i <= y."""
-    n = validate(f) - 1
-    if n < 0:
-        raise ValueError("bounded_prod needs arity >= 1")
-    if n == 0:
-        return Comp(bounded_prod(_lift1(f)), _DIAG)
-    m = n + 2
-    base = Comp(f, params(n, width=n) + (const(0, n),))
-    step = Comp(MUL, (Proj(1, m), _apply_at_next(f, m)))
-    return PrimRec(base, step)
+    return _column(f, MUL, False)
 
 
 def bounded_min(f: PRTerm) -> PRTerm:
@@ -136,13 +129,7 @@ def rel_bforall(f: PRTerm) -> PRTerm:
 
 def rel_bexists(f: PRTerm) -> PRTerm:
     """From chi(xs, i) to chi(xs, y) = [for some i <= y, chi(xs, i)]."""
-    n = validate(f) - 1
-    if n == 0:
-        return Comp(rel_bexists(_lift1(f)), _DIAG)
-    m = n + 2
-    base = comp1(SG, Comp(f, params(n, width=n) + (const(0, n),)))
-    step = Comp(SG, (Comp(ADD, (Proj(1, m), _apply_at_next(f, m))),))
-    return PrimRec(base, step)
+    return _column(f, ADD, True)
 
 
 def graph_of(f: PRTerm) -> PRTerm:

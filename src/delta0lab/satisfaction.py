@@ -10,6 +10,11 @@ body triples at z[r/v] for every r up to the bound's value.
 
 The diagonal falsifier turns any claimed truth definition into a test
 point on which it must disagree with actual satisfaction.
+
+The sat_witness visitor and the diagonal renamer are steps of nodes.walk,
+and the evaluators they call keep their work on explicit stacks too, so
+the depth of a formula is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .formulas import (
     is_delta0,
     substitute,
 )
+from .nodes import walk
 from .numbers import LazyPow, magnitude_ge
 from .primrec import FeasibilityError
 from .semantics import Verdict, eval_delta0, eval_delta0_verdict, eval_term
@@ -55,13 +61,6 @@ class SatError(ValueError):
 
 # ---------------------------------------------------------------------------
 # direct evaluation of coded formulas
-
-
-def sat_direct(x: int, a: int, scheme: Coding = COMPACT) -> bool:
-    """Truth of the coded formula with a substituted for every free variable."""
-    phi = scheme.decode(x)
-    rho = {i: a for i in free_vars(phi)}
-    return eval_delta0(phi, rho)
 
 
 def sat_valuation(x: int, y: int, scheme: Coding = COMPACT) -> bool:
@@ -135,17 +134,19 @@ def sat_witness(phi: Formula | int, y: int | None = None,
     triples: list[int] = []
     seen: set[tuple[int, int, int]] = set()
 
-    def visit(node: Formula, z: int, zs: list[int]) -> int:
-        """Truth value of node under the valuation z, whose entries are zs."""
+    def visit(node: Formula, z: int, zs: list[int]):
+        """Truth value of node under the valuation z, whose entries are zs:
+        a step of nodes.walk, yielding (subformula, z', zs') for the value
+        of a subformula under z'."""
         match node:
             case Eq(left=l, right=r) | Le(left=l, right=r):
                 rho = _valuation(zs)
                 a, b = eval_term(l, rho), eval_term(r, rho)
                 w = int(a == b if isinstance(node, Eq) else a <= b)
             case Not(body=b):
-                w = 1 - visit(b, z, zs)
+                w = 1 - (yield (b, z, zs))
             case Implies(left=l, right=r):
-                wl, wr = visit(l, z, zs), visit(r, z, zs)
+                wl, wr = (yield (l, z, zs)), (yield (r, z, zs))
                 w = int(wl == 0 or wr == 1)
             case BForall(var=v, bound=u, body=b):
                 top = eval_term(u, _valuation(zs))
@@ -154,7 +155,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
                 for r in range(top + 1):
                     zr = padded.copy()
                     zr[v] = r
-                    ws.append(visit(b, scheme.seq_encode(zr), zr))
+                    ws.append((yield (b, scheme.seq_encode(zr), zr)))
                 w = int(all(ws))
             case _:
                 raise SatError(f"not a core bounded formula: {node!r}")
@@ -164,7 +165,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
             triples.append(triple_encode(*key))
         return w
 
-    value = visit(phi, y, scheme.seq_decode(y))
+    value = walk(visit, phi, y, scheme.seq_decode(y))
     return SatInstance(s=scheme.seq_encode(entries),
                        t=scheme.seq_encode(triples), value=bool(value))
 
@@ -366,23 +367,25 @@ def _rename_low_bound_vars(phi: Formula) -> Formula:
     """Rename bound v0/v1 so the diagonal substitution cannot capture."""
     counter = [max(2, fresh_index(phi))]
 
-    def walk(node: Formula) -> Formula:
+    def rename(node: Formula):
+        """A step of nodes.walk: node renamed, yielding (child,) for a
+        child's renaming."""
         match node:
             case Eq() | Le():
                 return node
             case Not(body=b):
-                return Not(walk(b))
+                return Not((yield (b,)))
             case Implies(left=l, right=r):
-                return Implies(walk(l), walk(r))
+                return Implies((yield (l,)), (yield (r,)))
             case BForall(var=v, bound=u, body=b):
-                b = walk(b)
+                b = yield (b,)
                 if v <= 1:
                     fresh = counter[0]
                     counter[0] += 1
                     return BForall(fresh, u, substitute(b, v, Var(fresh)))
                 return BForall(v, u, b)
             case UForall(var=v, body=b):
-                b = walk(b)
+                b = yield (b,)
                 if v <= 1:
                     fresh = counter[0]
                     counter[0] += 1
@@ -390,7 +393,7 @@ def _rename_low_bound_vars(phi: Formula) -> Formula:
                 return UForall(v, b)
         raise SatError(f"not a core formula: {node!r}")
 
-    return walk(phi)
+    return walk(rename, phi)
 
 
 def falsify(candidate: Formula, scheme: Coding = COMPACT,

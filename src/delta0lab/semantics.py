@@ -26,18 +26,23 @@ evaluates, computed from the atoms' degrees and the bit length of the
 bound before any point is evaluated, is below the top + 1 points of the
 sweep; under a budget it must also be at most budget + 1.  Every other
 quantifier is swept.  Both give the exact value.
+
+The walker and eval_term keep their pending work on explicit stacks
+(nodes.walk), so the depth of a formula or term is bounded by memory,
+not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import enum
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .formulas import (
     Add, And, BExists, BForall, ConstOne, ConstZero, Eq, Formula,
     Implies, Le, Mul, Not, Or, Term, UExists, UForall, Var, is_delta0,
 )
+from .nodes import walk
 
 
 class EvalError(ValueError):
@@ -96,21 +101,27 @@ Valuation = Mapping[int, int]
 
 
 def eval_term(t: Term, rho: Valuation) -> int:
-    match t:
-        case ConstZero():
-            return 0
-        case ConstOne():
-            return 1
-        case Var(i):
+    """The value of t under rho, left operand first, on an explicit stack."""
+    out: list[int] = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if t is Add or t is Mul:
+            b = out.pop()
+            out[-1] = out[-1] + b if t is Add else out[-1] * b
+        elif cls is Add or cls is Mul:
+            todo += (cls, t.right, t.left)
+        elif cls is Var:
             try:
-                return rho[i]
+                out.append(rho[t.index])
             except KeyError:
-                raise UnboundVariableError(f"v{i} has no value") from None
-        case Add(l, r):
-            return eval_term(l, rho) + eval_term(r, rho)
-        case Mul(l, r):
-            return eval_term(l, rho) * eval_term(r, rho)
-    raise EvalError(f"not a term: {t!r}")
+                raise UnboundVariableError(f"v{t.index} has no value") from None
+        elif cls is ConstZero or cls is ConstOne:
+            out.append(0 if cls is ConstZero else 1)
+        else:
+            raise EvalError(f"not a term: {t!r}")
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,53 +319,54 @@ def decide_bounded(phi: BForall | BExists, rho: Valuation) -> bool:
     starts = _segment_starts(phi.var, eval_term(phi.bound, rho), phi.body, rho, None)
     if starts is None:
         raise EvalError("the body must be quantifier-free, with every variable valued")
-    return _quantify(phi, rho, [0] + starts, None) is Verdict.TRUE
+    settles = any if isinstance(phi, BExists) else all
+    return settles(eval_delta0(phi.body, {**rho, phi.var: a}) for a in [0] + starts)
 
 
-def _eval(phi: Formula, rho: Valuation, budget: int | None) -> Verdict:
-    """The verdict on phi under rho, exact when budget is None.
+def _eval(phi: Formula, rho: Valuation, budget: int | None):
+    """The verdict on phi under rho, exact when budget is None: a step of
+    nodes.walk, which yields (subformula, valuation, budget) for the
+    verdict on a subformula.
 
     A connective reads its right operand only when its left one leaves the
     result open.  By the strong Kleene tables this changes no verdict, but
-    an error that the unread operand would raise is not raised."""
+    an error that the unread operand would raise is not raised.
+
+    A quantifier reads its body's verdicts at its points up to the first
+    witness (E) or counterexample (A); a point None says the range was cut
+    there."""
     match phi:
         case Eq(l, r):
             return Verdict.of(eval_term(l, rho) == eval_term(r, rho))
         case Le(l, r):
             return Verdict.of(eval_term(l, rho) <= eval_term(r, rho))
         case Not(b):
-            return v_not(_eval(b, rho, budget))
+            return v_not((yield (b, rho, budget)))
         case Implies(l, r):
-            a = _eval(l, rho, budget)
-            return Verdict.TRUE if a is Verdict.FALSE else v_implies(a, _eval(r, rho, budget))
+            a = yield (l, rho, budget)
+            return Verdict.TRUE if a is Verdict.FALSE else v_implies(a, (yield (r, rho, budget)))
         case And(l, r):
-            a = _eval(l, rho, budget)
-            return a if a is Verdict.FALSE else v_and(a, _eval(r, rho, budget))
+            a = yield (l, rho, budget)
+            return a if a is Verdict.FALSE else v_and(a, (yield (r, rho, budget)))
         case Or(l, r):
-            a = _eval(l, rho, budget)
-            return a if a is Verdict.TRUE else v_or(a, _eval(r, rho, budget))
+            a = yield (l, rho, budget)
+            return a if a is Verdict.TRUE else v_or(a, (yield (r, rho, budget)))
         case BForall(v, t, b) | BExists(v, t, b):
-            return _quantify(phi, rho, _points(v, eval_term(t, rho), b, rho, budget), budget)
-        case UForall() | UExists():
+            points = _points(v, eval_term(t, rho), b, rho, budget)
+        case UForall(v, b) | UExists(v, b):
             if budget is None:
                 raise NotDelta0Error("formula contains an unbounded quantifier")
-            return _quantify(phi, rho, chain(range(budget + 1), [None]), budget)
-    raise EvalError(f"not a formula: {phi!r}")
-
-
-def _quantify(phi: BForall | BExists | UForall | UExists, rho: Valuation,
-              points: Iterable[int | None], budget: int | None) -> Verdict:
-    """The quantifier's verdict from its body's verdicts at points, read up
-    to the first witness (E) or counterexample (A); a point None says the
-    range was cut there."""
+            points = chain(range(budget + 1), [None])
+        case _:
+            raise EvalError(f"not a formula: {phi!r}")
     want = Verdict.of(isinstance(phi, (BExists, UExists)))
     out = v_not(want)
     inner = dict(rho)
     for a in points:
         if a is None:
             return Verdict.UNKNOWN
-        inner[phi.var] = a
-        sub = _eval(phi.body, inner, budget)
+        inner[v] = a
+        sub = yield (b, inner, budget)
         if sub is want:
             return want
         if sub is Verdict.UNKNOWN:
@@ -362,17 +374,11 @@ def _quantify(phi: BForall | BExists | UForall | UExists, rho: Valuation,
     return out
 
 
-_TOO_DEEP = "formula nests deeper than the recursion limit lets it be walked"
-
-
 def _verdict(phi: Formula, rho: Valuation, budget: int | None) -> Verdict:
-    """_eval from the top, with a formula too deep to walk as an EvalError."""
+    """_eval from the top."""
     if budget is not None and budget < 0:
         raise EvalError("budget must be a natural number")
-    try:
-        return _eval(phi, rho, budget)
-    except RecursionError:
-        raise EvalError(_TOO_DEEP) from None
+    return walk(_eval, phi, rho, budget)
 
 
 def eval_delta0(phi: Formula, rho: Valuation) -> bool:

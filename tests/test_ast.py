@@ -83,6 +83,16 @@ def test_var_index_validation():
     assert show(UForall(0, body)) == "(A v0)(0 = 0)"
 
 
+def test_constructors_reject_a_field_that_is_not_a_node():
+    for build in (lambda: Not(5), lambda: Add(ONE, 5), lambda: Implies(Eq(ZERO, ONE), 5),
+                  lambda: UForall(0, 5), lambda: BExists(0, ONE, "x"), lambda: Eq(Zero(), ONE)):
+        with pytest.raises(FormulaError, match="^not a term or formula: "):
+            build()
+    # a node of the wrong kind is built, and a walker reports it
+    with pytest.raises(CodingError, match=r"^not a core formula: ConstZero\(\)$"):
+        COMPACT.encode(Not(ZERO))
+
+
 def test_numeral_shapes():
     assert numeral(0) == ZERO
     assert numeral(1) == ONE
@@ -178,8 +188,8 @@ def test_coding_a_deep_node_in_the_wrong_place_raises_a_typed_error():
                 scheme.encode(Not(Var(0)))
             with pytest.raises(CodingError, match=r"^not a term: Eq\("):
                 scheme.encode(Le(ZERO, Add(ONE, Eq(ZERO, ONE))))
-            with pytest.raises(CodingError, match=r"^not a core formula: 5$"):
-                formula_seq_index(scheme, Implies(Eq(ZERO, ONE), 5))
+            with pytest.raises(CodingError, match=r"^not a core formula: ConstZero\(\)$"):
+                formula_seq_index(scheme, Implies(Eq(ZERO, ONE), ZERO))
 
 
 def test_substitute_in_terms_and_atoms():

@@ -5,15 +5,17 @@ from hypothesis import given, strategies as st
 import pytest
 
 from delta0lab import (
-    EvalError, NotDelta0Error, UnboundVariableError, Verdict, eval_delta0,
-    eval_delta0_verdict, eval_fo, eval_term, parse, parse_formula,
-    parse_term, parse_valuation,
+    COMPACT, EvalError, NotDelta0Error, UnboundVariableError, Verdict,
+    eval_delta0, eval_delta0_verdict, eval_fo, eval_term, falsify, numeral,
+    parse, parse_formula, parse_term, parse_valuation, sat_witness,
+    satseq_check, show, substitute,
 )
 from delta0lab.formulas import (
     ONE, ZERO, And, BExists, BForall, Eq, Implies, Le, Mul, Not, Or, Add, Var,
 )
 from delta0lab.semantics import decide_bounded, v_and, v_implies, v_not, v_or
 
+from helpers import default_recursion_limit
 from test_ast import _formulas, _rho
 
 
@@ -105,15 +107,29 @@ def test_walker_reads_a_right_operand_only_when_the_left_leaves_it_open():
         eval_fo(parse("((0 = 0) & (v9 = 0))"), {}, 3)
 
 
-def test_a_formula_too_deep_to_walk_raises_a_typed_error():
-    phi = Eq(ZERO, ZERO)
-    for _ in range(50_000):
-        phi = Not(phi)
-    for call in (lambda: eval_delta0(phi, {}), lambda: eval_fo(phi, {}, 3),
-                 lambda: eval_delta0_verdict(phi, {}), lambda: eval_delta0_verdict(phi, {}, 3)):
-        with pytest.raises(EvalError, match="recursion limit") as caught:
-            call()
-        assert caught.value.__suppress_context__
+def test_context_walkers_take_deep_input_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        inner = parse_formula("(A v1 <= v0)(v1 <= v0)")
+        chain = inner
+        for _ in range(100_000):
+            chain = Not(chain)
+        t = numeral(100_000)
+        assert eval_delta0(chain, {0: 5}) is True
+        assert eval_fo(chain, {0: 5}, 3) is Verdict.UNKNOWN
+        assert eval_delta0_verdict(chain, {0: 5}) is Verdict.TRUE
+        assert eval_term(t, {}) == 100_000
+        text = show(chain)
+        assert parse(text) is chain and parse(show(t)) is t
+        # a closed candidate, so that its diagonal point m, with about
+        # 300,000 bits, bounds no quantifier
+        candidate = substitute(chain, 0, ONE)
+        assert show(candidate) == text.replace("v0", "1")
+        assert falsify(candidate).refuted is True
+        short = inner
+        for _ in range(3_000):
+            short = Not(short)
+        run = sat_witness(short, COMPACT.seq_encode([2]))
+        assert run.value is True and satseq_check(run.s, run.t) is Verdict.TRUE
 
 
 def test_eval_delta0_verdict_modes():

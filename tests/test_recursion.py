@@ -1,10 +1,11 @@
-"""The functions of delta0lab that call themselves are exactly the listed ones.
+"""The functions of delta0lab that recurse are exactly the listed ones.
 
 Each one nests a Python frame per level of its input, so deep input can
-exhaust the recursion limit.  A new recursive walker fails this test; one
-rewritten on an explicit stack comes off the list.  Only a direct call is
-seen: a call of the function's own name, or of self.<name> in a method.
-Mutual recursion, such as _term calling _formula and back, is not.
+exhaust the recursion limit.  A new recursive walker fails these tests;
+one rewritten on an explicit stack comes off the list.  A call is seen
+when it names a function of the same module: by a name that resolves to a
+function defined in an enclosing scope, or as self.<name> for a method of
+the enclosing class.  A call through a variable or a callback is not.
 """
 
 import ast
@@ -15,49 +16,110 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "delta0lab"
 RECURSIVE = {
     "compiler._formula",
     "compiler._term",
-    "formulas._Parser.parse_expr",
-    "formulas.substitute.sub_f",
-    "formulas.substitute.sub_t",
     "prlib._lower",
-    "prlib.bounded_prod",
-    "prlib.bounded_sum",
-    "prlib.rel_bexists",
-    "satisfaction._rename_low_bound_vars.walk",
-    "satisfaction.sat_witness.visit",
-    "semantics._eval",
-    "semantics.eval_term",
 }
 
-
-def _calls_itself(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            f = node.func
-            if isinstance(f, ast.Name) and f.id == fn.name:
-                return True
-            if (isinstance(f, ast.Attribute) and f.attr == fn.name
-                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
-                return True
-    return False
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _recursive(tree: ast.AST, prefix: str) -> set[str]:
-    """Qualified names, below prefix, of the functions in tree that call
-    themselves; a nested function or a method is named after its parent."""
-    found = set()
-    for child in ast.iter_child_nodes(tree):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            name = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
-                found.add(name)
-            found |= _recursive(child, name)
-        else:
-            found |= _recursive(child, prefix)
+def _under(node: ast.AST, kinds: tuple) -> list[ast.AST]:
+    """The nodes of the given kinds below node, looking through other
+    statements and expressions but not into a definition."""
+    found, todo = [], list(ast.iter_child_nodes(node))
+    while todo:
+        c = todo.pop()
+        if isinstance(c, kinds):
+            found.append(c)
+        if not isinstance(c, (*DEFS, ast.ClassDef)):
+            todo += ast.iter_child_nodes(c)
     return found
 
 
+def _call_graph(tree: ast.Module, module: str) -> dict[str, set[str]]:
+    """Each function of the module, by qualified name (a nested function
+    or a method named after its parent), to the functions it calls."""
+    graph = {}
+    # (node, its qualified name, functions it sees by name, self's methods)
+    todo = [(tree, module, {}, {})]
+    while todo:
+        node, prefix, scope, methods = todo.pop()
+        defs = _under(node, (*DEFS, ast.ClassDef))
+        names = {c.name: f"{prefix}.{c.name}" for c in defs if isinstance(c, DEFS)}
+        if isinstance(node, ast.ClassDef):
+            methods = names   # reached as self.<name>, not by name
+        else:
+            scope = {**scope, **names}
+        if isinstance(node, DEFS):
+            calls = set()
+            for call in _under(node, (ast.Call,)):
+                f = call.func
+                if isinstance(f, ast.Name) and f.id in scope:
+                    calls.add(scope[f.id])
+                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                      and f.value.id == "self" and f.attr in methods):
+                    calls.add(methods[f.attr])
+            graph[prefix] = calls
+        todo += [(c, f"{prefix}.{c.name}", scope, methods) for c in defs]
+    return graph
+
+
+def _graphs() -> dict[str, dict[str, set[str]]]:
+    return {path.stem: _call_graph(ast.parse(path.read_text(), str(path)), path.stem)
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _reach(graph: dict[str, set[str]], start: str) -> set[str]:
+    seen, todo = set(), [start]
+    while todo:
+        for g in graph.get(todo.pop(), ()):
+            if g not in seen:
+                seen.add(g)
+                todo.append(g)
+    return seen
+
+
 def test_only_the_listed_functions_call_themselves():
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= _recursive(ast.parse(path.read_text(), str(path)), path.stem)
+    found = {f for graph in _graphs().values() for f, calls in graph.items() if f in calls}
     assert found == RECURSIVE
+
+
+def test_no_functions_of_one_module_call_each_other_in_a_cycle():
+    cycles = set()
+    for graph in _graphs().values():
+        reach = {f: _reach(graph, f) for f in graph}
+        for f in graph:
+            cycle = frozenset(g for g in reach[f] if f in reach[g])
+            if len(cycle) > 1:
+                cycles.add(cycle)
+    assert cycles == set()
+
+
+def test_the_call_graph_sees_mutual_and_nested_calls():
+    tree = ast.parse(
+        "def a(x):\n    return b(x)\n"
+        "def b(x):\n    def c():\n        return a(x)\n    return c()\n"
+        "class K:\n    def m(self):\n        return self.n()\n"
+        "    def n(self):\n        return self.m() + a(1)\n")
+    assert _call_graph(tree, "mod") == {
+        "mod.a": {"mod.b"}, "mod.b": {"mod.b.c"}, "mod.b.c": {"mod.a"},
+        "mod.K.m": {"mod.K.n"}, "mod.K.n": {"mod.K.m", "mod.a"}}
+
+
+def test_only_the_evaluator_catches_recursion_error():
+    """Everything else walks on explicit stacks, so only the evaluator of
+    compiled PR terms, which nests a frame per level of a term, turns the
+    limit into a typed error."""
+    catches = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        todo = [(tree, path.stem)]
+        while todo:
+            node, name = todo.pop()
+            for c in ast.iter_child_nodes(node):
+                inner = f"{name}.{c.name}" if isinstance(c, (*DEFS, ast.ClassDef)) else name
+                if isinstance(c, ast.ExceptHandler) and c.type is not None and any(
+                        isinstance(n, ast.Name) and n.id == "RecursionError"
+                        for n in ast.walk(c.type)):
+                    catches.append(inner)
+                todo.append((c, inner))
+    assert catches == ["primrec.Evaluator.eval"]

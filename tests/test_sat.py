@@ -22,7 +22,6 @@ from delta0lab.satisfaction import (
     _atom_cap,
     _atom_clause,
     falsify,
-    sat_direct,
     sat_valuation,
     sat_witness,
     satseq_check,
@@ -61,6 +60,12 @@ def code_of(text, scheme=COMPACT):
 
 # -- direct satisfaction ------------------------------------------------------
 
+def sat_direct(x, a):
+    """The pair form: every free variable of the formula coded by x reads a."""
+    width = max(free_vars(COMPACT.decode(x)), default=-1) + 1
+    return sat_valuation(x, COMPACT.seq_encode([a] * width))
+
+
 def test_sat_direct_examples():
     assert sat_direct(code_of("(v0 <= (v0+1))"), 5) is True
     assert sat_direct(code_of("~(v0 = v0)"), 0) is False
@@ -71,7 +76,7 @@ def test_sat_direct_rejects_unbounded():
     from delta0lab.formulas import UForall
     x = COMPACT.encode(UForall(0, parse("(v0 = v0)")))
     with pytest.raises(NotDelta0Error):
-        sat_direct(x, 0)
+        sat_valuation(x, COMPACT.seq_encode([0]))
 
 
 def test_sat_direct_matches_substitution():
@@ -84,13 +89,12 @@ def test_sat_direct_matches_substitution():
 
 
 def test_pair_form_is_constant_sequence_reduction():
+    # positions past the last free variable are never read
     for text in CORPUS:
-        phi = desugar(parse(text))
-        x = COMPACT.encode(phi)
-        width = max(free_vars(phi), default=-1) + 1
+        x = COMPACT.encode(desugar(parse(text)))
         for a in range(7):
-            y = COMPACT.seq_encode([a] * width)
-            assert sat_valuation(x, y) == sat_direct(x, a), (text, a)
+            longer = COMPACT.seq_encode([a] * 8)
+            assert sat_valuation(x, longer) == sat_direct(x, a), (text, a)
 
 
 def test_valuation_reads_by_variable_index():
@@ -439,7 +443,7 @@ def test_sat_as_pr_contains_named_stages():
 def test_sat_as_pr_minimal_instance_agrees():
     smallest = next(x for x in range(1, 20) if _is_formula_code(x))
     assert smallest == 8
-    assert sat_pr_eval(8, 1) == 1 == int(sat_direct(8, 0))
+    assert sat_pr_eval(8, 1) == 1 == int(sat_valuation(8, 1))
 
 
 def _is_formula_code(x):
@@ -452,13 +456,13 @@ def _is_formula_code(x):
 
 def test_sat_as_pr_second_instance_agrees():
     x = code_of("(0 <= 0)")
-    assert sat_pr_eval(x, 1, max_steps=10_000_000) == 1 == int(sat_direct(x, 0))
+    assert sat_pr_eval(x, 1, max_steps=10_000_000) == 1 == int(sat_valuation(x, 1))
 
 
 def test_sat_as_pr_fourth_instance_agrees():
     x = code_of("(0 <= 1)")
     assert x == 50
-    assert sat_pr_eval(x, 1) == 1 == int(sat_direct(x, 0))
+    assert sat_pr_eval(x, 1) == 1 == int(sat_valuation(x, 1))
 
 
 def test_sat_pr_refuses_huge_b2_up_front():
