@@ -48,12 +48,15 @@ from .formulas import (
     free_vars,
     is_delta0,
 )
-from .nodes import Node, fold
+from .nodes import Node, fold, walk
 from .numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
 from .primrec import FeasibilityError
 from .semantics import Verdict, eval_term
 
 KINDS = ("term", "formula", "delta0")
+
+# the most bits a compact sequence entry, and so an annotation triple, may have
+ENTRY_BITS_CAP = 50_000_000
 
 
 class CodingError(ValueError):
@@ -252,6 +255,12 @@ _P_SYM = {"zero": 1, "one": 3, "add": 5, "mul": 7, "eq": 9, "le": 11,
           "not": 13, "implies": 15, "forall": 17}
 
 
+# each shape's class, and its fields: a term (False), a formula (True) or an index
+_READINGS = {"const0": (ConstZero,), "const1": (ConstOne,), "var": (Var, None),
+             "add": (Add, False, False), "mul": (Mul, False, False), "eq": (Eq, False, False),
+             "le": (Le, False, False), "not": (Not, True), "implies": (Implies, True, True),
+             "bforall": (BForall, None, False, True), "uforall": (UForall, None, True)}
+
 _POW_CHECK_BITS = 4096
 
 
@@ -358,38 +367,27 @@ class PaperCoding(Coding):
         return entries
 
     def _read(self, code: int, formula: bool) -> Term | Formula:
-        """The first reading of code whose children decode, shape by shape."""
-        shapes = self.formula_shapes(code) if formula else self.term_shapes(code)
-        for shape in shapes:
-            try:
-                match shape:
-                    case ("const0",):
-                        return ZERO
-                    case ("const1",):
-                        return ONE
-                    case ("var", i):
-                        return Var(i)
-                    case ("add", a, b):
-                        return Add(self.decode_term(a), self.decode_term(b))
-                    case ("mul", a, b):
-                        return Mul(self.decode_term(a), self.decode_term(b))
-                    case ("eq", a, b):
-                        return Eq(self.decode_term(a), self.decode_term(b))
-                    case ("le", a, b):
-                        return Le(self.decode_term(a), self.decode_term(b))
-                    case ("not", b):
-                        return Not(self.decode(b))
-                    case ("implies", a, b):
-                        return Implies(self.decode(a), self.decode(b))
-                    case ("bforall", i, t, b):
-                        return BForall(i, self.decode_term(t), self.decode(b))
-                    case ("uforall", i, b):
-                        return UForall(i, self.decode(b))
-            except (CodingError, FormulaError):
-                # FormulaError: a quantifier whose variable is in its bound
-                continue
-        kind = "formula" if formula else "term"
-        raise CodingError(f"{short_code(code)} is not a {kind} code")
+        node = walk(self._reading, code, formula)
+        if node is None:
+            raise CodingError(f"{short_code(code)} is not a {'formula' if formula else 'term'} code")
+        return node
+
+    def _reading(self, code: int, formula: bool):
+        """The first reading of code whose children read, or None: a step of
+        nodes.walk, yielding (child code, formula) for a child's reading."""
+        for tag, *fields in self.formula_shapes(code) if formula else self.term_shapes(code):
+            cls, *kinds = _READINGS[tag]
+            kids = []
+            for f, kind in zip(fields, kinds):
+                kids.append(f if kind is None else (yield f, kind))
+                if kids[-1] is None:
+                    break
+            else:
+                try:
+                    return cls(*kids)
+                except FormulaError:
+                    pass   # a quantifier whose variable is in its bound
+        return None
 
     def term_shapes(self, code: int) -> list[tuple]:
         shapes: list[tuple] = []
@@ -666,7 +664,7 @@ class CompactCoding(Coding):
         for e in entries:
             if not isinstance(e, int) or e < 0:
                 raise CodingError("sequence entries must be naturals")
-            if e.bit_length() > 50_000_000:
+            if e.bit_length() > ENTRY_BITS_CAP:
                 raise FeasibilityError("sequence entry exceeds the bit budget")
             w = 2 * (e + 1).bit_length() - 1
             run = (run << w) | (e + 1)

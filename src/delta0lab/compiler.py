@@ -6,17 +6,19 @@ quantifiers become the recursion-based bounded operators; their bound
 terms are compiled in the enclosing scope.  Both are lowered through
 prlib's named-argument builder: each object-language variable names a
 builder argument, so the builder alone turns names into projections.
+One step of nodes.walk reads the syntax, and prlib lowers what it builds
+on a walk of its own, so compiling nests a bounded number of frames.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .formulas import (
     Add, And, BExists, BForall, ConstOne, ConstZero, Eq, Formula, Implies,
     Le, Mul, Not, Or, Term, UExists, UForall, Var, free_vars,
 )
+from .nodes import walk
 from .primrec import ADD, CHI_EQ, CHI_LE, MUL, Evaluator, PRTerm
 from .prlib import Arg, Expr, and_, ex, fa, fn, implies, not_, or_
 from .semantics import NotDelta0Error, UnboundVariableError
@@ -50,7 +52,18 @@ class CompiledRelation:
         return self._evaluator.eval(self.term, args) == 1
 
 
-def _term(u: Term, env: dict[int, Arg]) -> Expr | int:
+# each binary node's builder (applied, not + and *, which fold constants)
+# and whether its operands are formulas
+_BINARY = {Add: (ADD, False), Mul: (MUL, False), Eq: (CHI_EQ, False),
+           Le: (CHI_LE, False), Implies: (implies, True), And: (and_, True),
+           Or: (or_, True)}
+
+
+def _expr(u: Term | Formula, env: dict[int, Arg], formula: bool):
+    """u's builder expression, u a formula or a term as formula says: a step
+    of nodes.walk.  A quantifier's body is a callback that walks on its own."""
+    if not isinstance(u, Formula if formula else Term):
+        raise CompileError(f"not a {'formula' if formula else 'term'}: {u!r}")
     match u:
         case ConstZero():
             return 0
@@ -60,42 +73,22 @@ def _term(u: Term, env: dict[int, Arg]) -> Expr | int:
             if i not in env:
                 raise CompileError(f"variable v{i} is not in scope {sorted(env)}")
             return env[i]
-        # applied, not + and *, which would fold two constants in Python
-        case Add(l, r):
-            return ADD(_term(l, env), _term(r, env))
-        case Mul(l, r):
-            return MUL(_term(l, env), _term(r, env))
-    raise CompileError(f"not a term: {u!r}")
-
-
-def _formula(f: Formula, env: dict[int, Arg]) -> Expr:
-    match f:
-        case Eq(l, r):
-            return CHI_EQ(_term(l, env), _term(r, env))
-        case Le(l, r):
-            return CHI_LE(_term(l, env), _term(r, env))
         case Not(b):
-            return not_(_formula(b, env))
-        case Implies(l, r):
-            return implies(_formula(l, env), _formula(r, env))
-        case And(l, r):
-            return and_(_formula(l, env), _formula(r, env))
-        case Or(l, r):
-            return or_(_formula(l, env), _formula(r, env))
+            return not_((yield b, env, True))
         case BForall(v, t, b) | BExists(v, t, b):
-            quant = fa if isinstance(f, BForall) else ex
-            return quant(_term(t, env), lambda a: _formula(b, {**env, v: a}))
+            quant = fa if isinstance(u, BForall) else ex
+            return quant((yield t, env, False),
+                         lambda a: walk(_expr, b, {**env, v: a}, True))
         case UForall() | UExists():
             raise NotDelta0Error("only bounded quantifiers can be compiled")
-    raise CompileError(f"not a formula: {f!r}")
+    op, kind = _BINARY[type(u)]
+    return op((yield u.left, env, kind), (yield u.right, env, kind))
 
 
-def _scoped(scope: tuple[int | None, ...],
-            lower: Callable[[dict[int, Arg]], Expr | int]) -> PRTerm:
-    """lower(env) over one builder argument per scope slot; None names no
-    variable."""
-    def body(*args: Arg):
-        return lower({v: a for v, a in zip(scope, args) if v is not None})
+def _lowered(u: Term | Formula, scope: tuple[int | None, ...], formula: bool) -> PRTerm:
+    """u over one builder argument per scope slot; None names no variable."""
+    def body(*args: Arg) -> Expr | int:
+        return walk(_expr, u, {v: a for v, a in zip(scope, args) if v is not None}, formula)
     return fn(body, len(scope))
 
 
@@ -104,7 +97,7 @@ def compile_term(t: Term, scope: tuple[int | None, ...]) -> PRTerm:
 
     Shadowed variables resolve to their innermost (rightmost) slot.
     """
-    return _scoped(scope, lambda env: _term(t, env))
+    return _lowered(t, scope, False)
 
 
 def compile_formula(phi: Formula,
@@ -122,5 +115,4 @@ def compile_formula(phi: Formula,
     # formulas with no arguments still need arity 1: one inert slot that
     # no variable resolves to
     scope = tuple(var_order) if var_order else (None,)
-    return CompiledRelation(_scoped(scope, lambda env: _formula(phi, env)),
-                            tuple(var_order))
+    return CompiledRelation(_lowered(phi, scope, True), tuple(var_order))

@@ -17,15 +17,17 @@ repr, which writes a node as a constructor call down to REPR_DEPTH levels
 and abbreviates what lies below.
 
 fold serves a walker whose result at a node depends on the node alone: it
-is computed once per distinct node and kept in a table.  A walker whose
-result also depends on context passed down, such as a valuation, a
-variable being replaced or the parser's position, uses walk instead.  Its
-step is written as a recursive function that is a generator: where it
-would call itself it yields the arguments and receives the result, and
-walk keeps the suspended steps on its own list (a generator trampoline:
-Ganz, Friedman & Wand, "Trampolined style", ICFP 1999).  Its depth too is
-bounded by memory.  A step cannot catch an error raised by a step it
-asked for: the error leaves walk at once.
+is computed once per distinct node and kept in a table.  The walkers whose
+result also depends on context passed down use walk instead: the Delta0
+evaluator, substitute, the parser, the sat_witness visitor, the diagonal
+renamer, the paper decoder, the compiler and prlib.fn.  A step is written
+as a recursive function that is a generator: where it would call itself it
+yields the arguments and receives the result, and walk keeps the suspended
+steps on its own list (a generator trampoline: Ganz, Friedman & Wand,
+"Trampolined style", ICFP 1999).  Its depth too is bounded by memory.  A
+step cannot catch an error raised by a step it asked for: the error leaves
+walk at once, so a step whose failure its caller would recover from
+returns a value that says so.
 """
 
 from __future__ import annotations

@@ -59,9 +59,12 @@ arguments: it counts one step, probes and fills the evaluator's cache
 The closures live in one table per mode at module level, keyed by the
 node like validate's arities, so every evaluator of a mode shares them;
 only steps and caches belong to an evaluator.  nodes.fold fills the
-table, children first, on its own stack.  A term evaluates with one
-interpreter frame per level of nesting; a term nested past the recursion
-limit raises FeasibilityError.
+table, children first, on its own stack.  A closure calls its children's,
+a frame per level (two for a recursion column), so each call into a lower
+band of NEST levels, of a node at least NEST tall, goes through a cut.  An
+attempt stopped at a cut with no value cached is made again after
+Evaluator.eval evaluates the cut, so it nests at most 2 NEST levels and
+its steps depend only on the term and its arguments; no Sat part is cut.
 
 Calling a term on builder expressions, f(x, y), builds an App; prlib.fn
 lowers a body of such expressions over named arguments to projections and
@@ -72,9 +75,7 @@ same object, and equality and hashing are identity.  Every cache (the
 evaluator's tables, the compiled closures, validate's arities, the
 intrinsic registry) is keyed by the node itself.  validate, serialize and
 the compiler walk a term only through nodes.fold and nodes.postorder, so
-none of them recurses.  The text form of a term is its DAG, one line per
-distinct node (serialize), so a term that shares its subterms, as the Sat
-checker does, is written in as many lines as it has distinct nodes.
+none of them recurses.  The text form of a term is its DAG (serialize).
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .nodes import Node, fold, postorder
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 30000))
 
 
 class PRError(ValueError):
@@ -312,6 +311,12 @@ _INTRINSICS: dict[PRTerm, Twin] = {}
 _RUN: dict[tuple[bool, bool], dict[PRTerm, Run]] = {
     (i, a): {} for i in (True, False) for a in (True, False)}
 
+# the levels of a band: over every Sat part (158), and an attempt of 2 NEST
+# levels, two frames each at most, fits the default recursion limit
+NEST = 200
+# the nodes on the longest path down from each node compiled so far
+_HEIGHT: dict[PRTerm, int] = {}
+
 
 def intrinsic(t: PRTerm, twin: Twin) -> PRTerm:
     """Register twin as the Python computation of t and return t.
@@ -494,6 +499,10 @@ def _compile(t: PRTerm, mode: tuple[bool, bool]) -> Run:
 def _closure(node: PRTerm, mode: tuple[bool, bool], table: dict[PRTerm, Run]) -> Run:
     intrinsics, absorbing = mode
     twin = _INTRINSICS.get(node) if intrinsics else None
+    h = _HEIGHT[node] = 1 + max(map(_HEIGHT.__getitem__, node.children), default=0)
+    if h > NEST:   # a cut to each callee in a lower band, tall enough to be cached
+        table = {c: _cut(c, table[c]) if NEST <= _HEIGHT[c] <= (h - 1) // NEST * NEST
+                 else table[c] for k in node.children for c in (k, *k.children)}
     match node:
         case Zero():
             return _zero
@@ -520,6 +529,19 @@ def _closure(node: PRTerm, mode: tuple[bool, bool], table: dict[PRTerm, Run]) ->
 
 def _over_budget(ev: Evaluator) -> FeasibilityError:
     return FeasibilityError(f"evaluation exceeded the step budget of {ev.max_steps}")
+
+
+class _Suspend(Exception):
+    """(run, args): an attempt stopped at a cut, for run(ev, args) first."""
+
+
+def _cut(node: PRTerm, run: Run) -> Run:
+    """run past a cut: it suspends the attempt until node's value is cached."""
+    def cut(ev, args):
+        if (node, args) not in ev._cache:
+            raise _Suspend(run, args)
+        return run(ev, args)
+    return cut
 
 
 # leaves tick and return: they are never cached
@@ -668,23 +690,27 @@ def _primrec(node: PrimRec, twin: Twin | None, f: Run, g: Run,
             acc = cache[(node, xs + (start,))]
         # a counter, not range(start, n), which copies a huge n several times
         i = start
-        while i < n:
-            if absorb is not None and acc == absorb:
-                ev._absorbed[col] = (i, absorb)
-                ev._hi[col] = max(ev._hi.get(col, -1), i)
-                return absorb
-            if tail is not None:
-                inner = ev._absorbed.get((tail, xs))
-                if inner is not None and inner[1] == 0 and i + 1 > inner[0]:
-                    # every remaining summand is 0: the column stays at acc
-                    ev._const_from[col] = (i, acc)
-                    return acc
-            s = ev.steps = ev.steps + 1
-            if s > ev._limit:
-                raise _over_budget(ev)
-            acc = g(ev, (acc,) + xs + (i,))
-            i += 1
-            cache[(node, xs + (i,))] = acc
+        try:
+            while i < n:
+                if absorb is not None and acc == absorb:
+                    ev._absorbed[col] = (i, absorb)
+                    ev._hi[col] = max(ev._hi.get(col, -1), i)
+                    return absorb
+                if tail is not None:
+                    inner = ev._absorbed.get((tail, xs))
+                    if inner is not None and inner[1] == 0 and i + 1 > inner[0]:
+                        # every remaining summand is 0: the column stays at acc
+                        ev._const_from[col] = (i, acc)
+                        return acc
+                s = ev.steps = ev.steps + 1
+                if s > ev._limit:
+                    raise _over_budget(ev)
+                acc = g(ev, (acc,) + xs + (i,))
+                i += 1
+                cache[(node, xs + (i,))] = acc
+        except _Suspend:
+            ev._hi[col] = i   # the retry goes on from the rows made so far
+            raise
         ev._hi[col] = n
         return acc
 
@@ -714,11 +740,6 @@ def _exists_body(column: PRTerm) -> PRTerm:
     raise PRError(f"not a bounded-exists column: {column!r}")
 
 
-def _depth(t: PRTerm) -> int:
-    """Nodes on the longest path from t down to a leaf."""
-    return fold(t, lambda node, *kids: 1 + max(kids, default=0), {})
-
-
 class Evaluator:
     """Evaluates PR terms with a persistent cache.
 
@@ -727,17 +748,17 @@ class Evaluator:
     search).  Pass max_steps to get a FeasibilityError instead of a very
     long computation.
 
-    The evaluator runs each node's compiled closure (see _compile).  The
-    closures live in one process-wide table per mode (intrinsics,
-    absorbing), keyed by the node, and are shared by every evaluator of
-    that mode; only the step count and the caches belong to one
-    evaluator.  Closures are per node, not per evaluator, because every
-    CompiledRelation has an evaluator of its own: compiling per evaluator
-    raised the corpus benchmark's median instance from 0.46 to 0.67 ms.
+    The evaluator runs each node's compiled closure, from the table of
+    its mode (see _compile).  Closures are per node, not per evaluator,
+    because every CompiledRelation has an evaluator of its own: compiling
+    per evaluator raised the corpus benchmark's median instance from 0.46
+    to 0.67 ms.
 
     Inside an evaluation a value may be a Pow2 (see _pow), which the
     closures compare, hash and compute with like the int it stands for;
     eval returns a plain int.
+    eval makes an attempt stopped at a cut again after the cut; a caller
+    with no room on the stack for one attempt gets FeasibilityError.
     """
 
     def __init__(self, max_steps: int | None = None,
@@ -758,20 +779,22 @@ class Evaluator:
 
     def eval(self, t: PRTerm, args) -> int:
         args = tuple(args)
-        arity = self._arity.get(t)
-        if arity is None:
+        if (arity := self._arity.get(t)) is None:
             arity = self._arity[t] = validate(t)
         if len(args) != arity:
             raise ArityError(f"term of arity {arity} applied to {len(args)} arguments")
         if any(a < 0 for a in args):
             raise PRError("arguments must be naturals")
         run = self._run.get(t) or _compile(t, (self.use_intrinsics, self.use_absorbing))
-        try:
-            v = run(self, args)
-        except RecursionError:
-            raise FeasibilityError(
-                f"term depth {_depth(t)} is more than evaluation can nest within "
-                f"the recursion limit of {sys.getrecursionlimit()}") from None
+        todo = [(run, args)]   # t's attempt, then each cut one stopped at
+        while todo:
+            try:
+                v = todo[-1][0](self, todo[-1][1])
+                todo.pop()
+            except _Suspend as cut:
+                todo.append(cut.args)
+            except RecursionError:
+                raise FeasibilityError("no room on the stack for one evaluation attempt") from None
         return int(v) if type(v) is Pow2 else v
 
     def confirm(self, column: PRTerm, xs, c: int) -> bool:

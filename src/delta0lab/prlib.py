@@ -35,6 +35,7 @@ from collections.abc import Callable
 from functools import cache, reduce
 from math import isqrt
 
+from .nodes import walk
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, P11, PARITY, POW, PRED, SG, SGBAR,
     App, Arg, ArityError, Comp, Expr, PRError, PRTerm, PrimRec, Proj, Succ,
@@ -194,31 +195,31 @@ def fn(body: Callable[..., Expr | int], arity: int | None = None) -> PRTerm:
     """The closed term of body's named arguments, in order.
 
     arity defaults to the number of body's positional parameters; a body
-    taking *args needs it given.
+    taking *args needs it given.  The body is lowered on nodes.walk.
     """
     n = body.__code__.co_argcount if arity is None else arity
     if n < 1:
         raise ArityError("a PR function takes at least one argument")
     args = tuple(Arg() for _ in range(n))
     ids = params(n)
-    return _lower(body(*args), args, ids, dict(zip(args, ids)))
+    return walk(_lower, body(*args), args, ids, dict(zip(args, ids)))
 
 
-def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...],
-           memo: dict) -> PRTerm:
+def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...], memo: dict):
     """e as a term whose arguments are the scope's, outermost first; ids
     are the projections onto them.  memo maps each argument of the scope to
     its projection and holds the scope's lowerings so far, keyed on the
     expression object, so an expression used twice in one scope is lowered
-    once."""
+    once.  A step of nodes.walk that takes memo hits in place."""
     term = memo.get(e)
     if term is not None:
         return term
     match e:
         case App(f=f, args=args):
-            # most arguments are found in memo, and a lookup costs less than a call
-            gs = tuple([memo.get(a) or _lower(a, scope, ids, memo) for a in args])
-            term = f if gs == ids else Comp(f, gs)
+            gs = []
+            for a in args:
+                gs.append(memo.get(a) or (yield a, scope, ids, memo))
+            term = f if tuple(gs) == ids else Comp(f, tuple(gs))
         case Arg():
             raise ScopeError("argument used outside the fn that bound it")
         case int():
@@ -228,8 +229,8 @@ def _lower(e: Expr | int, scope: tuple[Arg, ...], ids: tuple[PRTerm, ...],
         case _Bounded(op=op, bound=bound, body=body):
             v = Arg()
             inner_scope, inner_ids = scope + (v,), params(len(scope) + 1)
-            inner = _lower(body(v), inner_scope, inner_ids, dict(zip(inner_scope, inner_ids)))
-            term = Comp(op(inner), ids + (_lower(bound, scope, ids, memo),))
+            inner = yield body(v), inner_scope, inner_ids, dict(zip(inner_scope, inner_ids))
+            term = Comp(op(inner), ids + ((yield bound, scope, ids, memo),))
         case _:
             raise PRError(f"not a builder expression: {e!r}")
     memo[e] = term

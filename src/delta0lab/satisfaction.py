@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .coding import (
     COMPACT,
+    ENTRY_BITS_CAP,
     Coding,
     CodingError,
     entry_clauses,
@@ -84,6 +85,9 @@ def _valuation(zs: list[int]) -> defaultdict[int, int]:
 def triple_encode(i: int, z: int, w: int) -> int:
     if min(i, z, w) < 0:
         raise ValueError("triple parts must be naturals")
+    # a lower bound on its bits, with log2 3 and log2 5 rounded down
+    if i + z * 15_849_625 // 10**7 + w * 23_219_280 // 10**7 > ENTRY_BITS_CAP:
+        raise FeasibilityError(f"the triple would have more than {ENTRY_BITS_CAP} bits")
     return 2 ** i * 3 ** z * 5 ** w
 
 

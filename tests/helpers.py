@@ -15,8 +15,9 @@ import sympy
 @contextmanager
 def default_recursion_limit():
     """Run the block at Python's default recursion limit, 1000, and restore
-    the limit after it.  Importing primrec raises the limit for the whole
-    process; under this a walker that still recurses fails on deep input."""
+    the limit after it.  delta0lab leaves the limit alone, but a test
+    runner or a plugin may raise it; under this a walker that recursed
+    would fail on deep input whatever raised the limit."""
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:

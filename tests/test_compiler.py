@@ -4,14 +4,15 @@ import pytest
 
 from delta0lab import (
     ArityError, Evaluator, NotDelta0Error, UnboundVariableError, eval_delta0,
-    parse_formula,
+    eval_pr, parse_formula,
 )
 from delta0lab.compiler import (
     CompileError, CompiledRelation, compile_formula, compile_term,
 )
-from delta0lab.formulas import ZERO, parse_term
+from delta0lab.formulas import ONE, ZERO, Add, Eq, Not, numeral, parse_term
 from delta0lab.prlib import CHI_EQ, const, ex, fn
 
+from helpers import default_recursion_limit
 from test_ast import _formulas, _rho
 
 
@@ -59,6 +60,26 @@ def test_compile_bounded_quantifiers():
     assert not compiled({1: 2})   # 1 has no half
     odd = parse_formula("(A v0 <= v1)(v0 <= v1)")
     assert compile_formula(odd)({1: 4})
+
+
+def test_compile_rejects_a_node_of_the_wrong_kind():
+    with pytest.raises(CompileError, match=r"^not a formula: ConstZero\(\)$"):
+        compile_formula(Not(ZERO))
+    with pytest.raises(CompileError, match=r"^not a term: Eq\("):
+        compile_term(Add(Eq(ZERO, ONE), ONE), (0,))
+    with pytest.raises(CompileError, match=r"^not a term: Eq\("):
+        compile_formula(Eq(Eq(ZERO, ONE), ONE))
+
+
+def test_compile_takes_deep_input_at_the_default_recursion_limit():
+    with default_recursion_limit():
+        chain = parse_formula("(A v1 <= v0)(v1 <= v0)")
+        for _ in range(100_000):
+            chain = Not(chain)
+        chi = compile_formula(chain)
+        for v in (0, 3):
+            assert chi({0: v}) == eval_delta0(chain, {0: v})
+        assert eval_pr(compile_term(numeral(100_000), (0,)), (0,)) == 100_000
 
 
 def test_compile_rejects_unbounded():

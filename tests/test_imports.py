@@ -1,6 +1,10 @@
-"""The modules of delta0lab import no private name from one another."""
+"""The modules of delta0lab import no private name from one another, and
+importing the package leaves the interpreter's settings alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "delta0lab"
@@ -15,3 +19,10 @@ def test_no_private_name_is_imported_across_modules():
                 found += [f"{path.name}:{node.lineno} {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_importing_the_package_keeps_the_recursion_limit():
+    check = ("import sys; n = sys.getrecursionlimit(); import delta0lab; "
+             "assert sys.getrecursionlimit() == n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=60)

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import sys
 import time
 import tracemalloc
 
@@ -588,12 +589,45 @@ def test_pow_twin_returns_an_int_at_the_root():
     assert type(eval_pr(fn(lambda e: POW(2, e) + 1), (10**6,))) is int
 
 
+def _under_frames(n, call):
+    """call() made under n more interpreter frames."""
+    return call() if n == 0 else _under_frames(n - 1, call)
+
+
+def _frames():
+    """The interpreter frames on the stack."""
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
 def test_deep_terms_evaluate_or_raise_a_typed_error():
-    # one closure frame per term level fits 12,000 levels under the limit
-    assert eval_pr(const(12_000, 1), (0,)) == 12_000
-    with pytest.raises(FeasibilityError, match="term depth 100001"):
-        eval_pr(const(100_000, 1), (0,))
+    with default_recursion_limit():
+        deep = const(100_000, 1)
+        steps = []
+        for frames in (50, 300):
+            ev = Evaluator()
+            assert _under_frames(frames, lambda: ev.eval(deep, (0,))) == 100_000
+            steps.append(ev.steps)
+        # the cuts are fixed by the term, so the caller's stack moves no step
+        assert steps[0] == steps[1]
+        # a caller with no room for one attempt gets a typed error at once
+        room = sys.getrecursionlimit() - _frames() - 20
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match="no room on the stack"):
+            _under_frames(room, lambda: Evaluator().eval(deep, (0,)))
+        assert time.perf_counter() - start < 5
     assert eval_pr(const(3, 1), (0,)) == 3
+
+
+def test_no_sat_part_is_cut():
+    # every part is at most NEST tall, so its closures call each other
+    # directly, with no cut and no retry
+    for scheme in (COMPACT, PAPER):
+        for name, part in sat_pr_parts(scheme).items():
+            primrec_module._compile(part, (True, True))
+            assert primrec_module._HEIGHT[part] <= primrec_module.NEST, (scheme.name, name)
 
 
 def test_modes_keep_their_own_closures():

@@ -1,23 +1,19 @@
-"""The functions of delta0lab that recurse are exactly the listed ones.
+"""No function of delta0lab calls itself, directly or through others.
 
-Each one nests a Python frame per level of its input, so deep input can
-exhaust the recursion limit.  A new recursive walker fails these tests;
-one rewritten on an explicit stack comes off the list.  A call is seen
-when it names a function of the same module: by a name that resolves to a
-function defined in an enclosing scope, or as self.<name> for a method of
-the enclosing class.  A call through a variable or a callback is not.
+A function that recursed would nest a Python frame per level of its
+input, so deep input could exhaust the recursion limit; every walker runs
+on an explicit stack instead (nodes.fold, nodes.walk, or a loop).  A call
+is seen when it names a function of the same module: by a name that
+resolves to a function defined in an enclosing scope, or as self.<name>
+for a method of the enclosing class, of one of its bases or of one of its
+subclasses in the module.  A call through a variable or a callback is
+not.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "delta0lab"
-
-RECURSIVE = {
-    "compiler._formula",
-    "compiler._term",
-    "prlib._lower",
-}
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -38,28 +34,40 @@ def _under(node: ast.AST, kinds: tuple) -> list[ast.AST]:
 def _call_graph(tree: ast.Module, module: str) -> dict[str, set[str]]:
     """Each function of the module, by qualified name (a nested function
     or a method named after its parent), to the functions it calls."""
-    graph = {}
-    # (node, its qualified name, functions it sees by name, self's methods)
-    todo = [(tree, module, {}, {})]
+    # each function: its node, the functions it sees by name, and the
+    # class whose methods self.<name> reaches, or None
+    funcs: dict[str, tuple[ast.AST, dict[str, str], str | None]] = {}
+    # each class by name: its methods by name, and its bases in the module
+    methods: dict[str, dict[str, str]] = {}
+    bases: dict[str, set[str]] = {}
+    todo = [(tree, module, {}, None)]
     while todo:
-        node, prefix, scope, methods = todo.pop()
+        node, prefix, scope, cls = todo.pop()
         defs = _under(node, (*DEFS, ast.ClassDef))
         names = {c.name: f"{prefix}.{c.name}" for c in defs if isinstance(c, DEFS)}
         if isinstance(node, ast.ClassDef):
-            methods = names   # reached as self.<name>, not by name
+            cls = node.name
+            methods[cls] = names   # reached as self.<name>, not by name
+            bases[cls] = {b.id for b in node.bases if isinstance(b, ast.Name)}
         else:
             scope = {**scope, **names}
         if isinstance(node, DEFS):
-            calls = set()
-            for call in _under(node, (ast.Call,)):
-                f = call.func
-                if isinstance(f, ast.Name) and f.id in scope:
-                    calls.add(scope[f.id])
-                elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                      and f.value.id == "self" and f.attr in methods):
-                    calls.add(methods[f.attr])
-            graph[prefix] = calls
-        todo += [(c, f"{prefix}.{c.name}", scope, methods) for c in defs]
+            funcs[prefix] = (node, scope, cls)
+        todo += [(c, f"{prefix}.{c.name}", scope, cls) for c in defs]
+    subclasses = {k: {c for c in bases if k in bases[c]} for k in bases}
+    graph = {}
+    for f, (node, scope, cls) in funcs.items():
+        # self may be an instance of the class, of a base or of a subclass
+        kin = {cls} | _reach(bases, cls) | _reach(subclasses, cls) if cls else set()
+        calls = set()
+        for call in _under(node, (ast.Call,)):
+            g = call.func
+            if isinstance(g, ast.Name) and g.id in scope:
+                calls.add(scope[g.id])
+            elif (isinstance(g, ast.Attribute) and isinstance(g.value, ast.Name)
+                  and g.value.id == "self"):
+                calls |= {methods[k][g.attr] for k in kin if g.attr in methods.get(k, {})}
+        graph[f] = calls
     return graph
 
 
@@ -80,7 +88,7 @@ def _reach(graph: dict[str, set[str]], start: str) -> set[str]:
 
 def test_only_the_listed_functions_call_themselves():
     found = {f for graph in _graphs().values() for f, calls in graph.items() if f in calls}
-    assert found == RECURSIVE
+    assert found == set()
 
 
 def test_no_functions_of_one_module_call_each_other_in_a_cycle():
@@ -99,16 +107,20 @@ def test_the_call_graph_sees_mutual_and_nested_calls():
         "def a(x):\n    return b(x)\n"
         "def b(x):\n    def c():\n        return a(x)\n    return c()\n"
         "class K:\n    def m(self):\n        return self.n()\n"
-        "    def n(self):\n        return self.m() + a(1)\n")
+        "    def n(self):\n        return self.m() + a(1)\n"
+        "class Base:\n    def get(self):\n        return self.read()\n"
+        "class Sub(Base):\n    def read(self):\n        return self.get() + self.gone()\n")
     assert _call_graph(tree, "mod") == {
         "mod.a": {"mod.b"}, "mod.b": {"mod.b.c"}, "mod.b.c": {"mod.a"},
-        "mod.K.m": {"mod.K.n"}, "mod.K.n": {"mod.K.m", "mod.a"}}
+        "mod.K.m": {"mod.K.n"}, "mod.K.n": {"mod.K.m", "mod.a"},
+        "mod.Base.get": {"mod.Sub.read"}, "mod.Sub.read": {"mod.Base.get"}}
 
 
 def test_only_the_evaluator_catches_recursion_error():
-    """Everything else walks on explicit stacks, so only the evaluator of
-    compiled PR terms, which nests a frame per level of a term, turns the
-    limit into a typed error."""
+    """Everything walks on explicit stacks, and the evaluator's attempts
+    nest at most 2 NEST levels of a term, so only the evaluator, for a
+    caller that leaves no room for one attempt, turns the limit into a
+    typed error."""
     catches = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))

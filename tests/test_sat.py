@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta0lab.coding import (
-    COMPACT, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
+    COMPACT, ENTRY_BITS_CAP, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
     check_build_seq, quantifier_bound,
 )
 from delta0lab.coding import val as term_value
@@ -125,6 +125,22 @@ def test_triple_decode_rejects_other_primes(z):
     assert triple_decode(7 * 3 ** z) is None
     assert triple_decode(3 ** z * 5 * 11) is None
     assert triple_decode(2 * 3 ** z * 5 + 1) is None
+
+
+def test_a_triple_no_sequence_could_hold_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError):
+        triple_encode(0, 2 ** 26, 1)
+    with pytest.raises(FeasibilityError):
+        triple_encode(ENTRY_BITS_CAP + 1, 0, 0)
+    # the diagonal point of ~(v0 = v0), whose valuation has 26 bits: the
+    # first triple would have 3^z of about 53 Mbit
+    got = falsify(parse("(v0 = v0)"))
+    with pytest.raises(FeasibilityError):
+        sat_witness(got.diagonal_formula, COMPACT.val_encode({0: got.m}))
+    assert time.perf_counter() - start < 1
+    # the widest triple that fits is built
+    assert triple_encode(ENTRY_BITS_CAP - 1, 0, 0).bit_length() == ENTRY_BITS_CAP
 
 
 # -- the run checker ----------------------------------------------------------
