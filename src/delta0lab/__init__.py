@@ -26,6 +26,6 @@ from .satisfaction import (
     Counterexample, SatError, SatInstance, falsify, sat_valuation,
     sat_witness, satseq_check, triple_decode, triple_encode,
 )
-from .satpr import contains_subterm, sat_as_pr, sat_pr_eval, sat_pr_parts
+from .satpr import sat_as_pr, sat_pr_eval, sat_pr_parts
 
 __version__ = "0.1.0"

@@ -40,13 +40,6 @@ evaluator computes body(xs, c) by the equations, and if it is 1 records
 the column as 1 from row c on, the entry its absorbing sweep would write
 on reaching that witness.  This, too, never changes a value.
 
-The POW twin returns 2^k for k >= POW2_UNBUILT = 2^16 as a Pow2, which
-stands in for the int without building it.  satpr's annotation bound B2,
-47 MiB as an int at x = 42, is only compared with the row counter of its
-sweep and hashed in cache keys, so it is never built.  The
-RESULT_BITS_CAP refusal is unchanged, and Evaluator.eval returns a Pow2
-at the root as an int.
-
 Evaluation does not walk the term.  Each node is compiled once per mode
 into a Python closure run(ev, args) (Feeley & Lapalme, "Using closures for
 code generation", Comput. Lang. 12(1), 1987).  Compiling settles what
@@ -80,7 +73,6 @@ none of them recurses.  The text form of a term is its DAG (serialize).
 
 from __future__ import annotations
 
-import operator
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -333,97 +325,12 @@ def intrinsic(t: PRTerm, twin: Twin) -> PRTerm:
     return t
 
 
-# the POW twin hands 2^k on as a Pow2 from this k on, and builds it below
-POW2_UNBUILT = 1 << 16
-
-
-class Pow2:
-    """The natural 2^k, exact, with its k + 1 bits not written out.
-
-    Comparisons, equality and bit_length read k alone, and the hash is that
-    of the int 2^k, so a cache key that holds a Pow2 finds the key that
-    holds the int, and the other way round.  Every other use (arithmetic,
-    shifts, bitwise operators, __index__ and so int() and bin()) writes
-    out 1 << k and computes with it; the int is not kept.  A value that is
-    only compared, such as the bound of a sweep that its row counter is
-    tested against, is never built.
-    """
-
-    __slots__ = ("k",)
-
-    def __init__(self, k: int):
-        self.k = operator.index(k)
-
-    def __repr__(self) -> str:
-        return f"Pow2({self.k})"
-
-    def _sign(self, other) -> int | None:
-        """The sign of 2^k - other; None unless other is an int or a Pow2."""
-        if type(other) is Pow2:
-            return (self.k > other.k) - (self.k < other.k)
-        if not isinstance(other, int):
-            return None
-        if other <= 0:
-            return 1
-        # other lies in [2^n, 2^(n+1)), and equals 2^n iff one bit is set
-        n = other.bit_length() - 1
-        if n != self.k:
-            return 1 if n < self.k else -1
-        return 0 if other.bit_count() == 1 else -1
-
-    def __hash__(self) -> int:
-        return pow(2, self.k, sys.hash_info.modulus)
-
-    def __index__(self) -> int:
-        return 1 << self.k
-
-    def bit_length(self) -> int:
-        return self.k + 1
-
-
-def _compares(test: Callable[[int], bool]):
-    def method(self, other):
-        sign = self._sign(other)
-        return NotImplemented if sign is None else test(sign)
-    return method
-
-
-def _writes_out(op: Callable):
-    def method(self, other, *mod):
-        return op(1 << self.k, other, *mod)
-
-    def reflected(self, other, *mod):
-        return op(other, 1 << self.k, *mod)
-    return method, reflected
-
-
-for _name, _test in (("eq", lambda c: c == 0), ("ne", lambda c: c != 0),
-                     ("lt", lambda c: c < 0), ("le", lambda c: c <= 0),
-                     ("gt", lambda c: c > 0), ("ge", lambda c: c >= 0)):
-    setattr(Pow2, f"__{_name}__", _compares(_test))
-for _name, _op in (("add", operator.add), ("sub", operator.sub),
-                   ("mul", operator.mul), ("floordiv", operator.floordiv),
-                   ("mod", operator.mod), ("divmod", divmod), ("pow", pow),
-                   ("lshift", operator.lshift), ("rshift", operator.rshift),
-                   ("and", operator.and_), ("or", operator.or_),
-                   ("xor", operator.xor)):
-    _method, _reflected = _writes_out(_op)
-    setattr(Pow2, f"__{_name}__", _method)
-    setattr(Pow2, f"__r{_name}__", _reflected)
-for _name in ("neg", "pos", "abs", "invert"):
-    setattr(Pow2, f"__{_name}__",
-            lambda self, _op=getattr(operator, _name): _op(1 << self.k))
-del _name, _test, _op, _method, _reflected
-
-
-def _pow(a: tuple[int, ...]) -> int | Pow2:
-    """a[0]^a[1], as a Pow2 for 2^k with k >= POW2_UNBUILT; FeasibilityError
-    for a result of more than RESULT_BITS_CAP bits, built or not."""
+def _pow(a: tuple[int, ...]) -> int:
+    """a[0]^a[1]; FeasibilityError for a result of more than RESULT_BITS_CAP
+    bits, before it is built."""
     # a[0]^a[1] has at least a[1] * (bitlen(a[0]) - 1) + 1 bits
     if a[1] * (a[0].bit_length() - 1) + 1 > RESULT_BITS_CAP:
         raise FeasibilityError(f"POW would build more than {RESULT_BITS_CAP} bits")
-    if a[0] == 2:
-        return Pow2(a[1]) if a[1] >= POW2_UNBUILT else 1 << a[1]
     return a[0] ** a[1]
 
 
@@ -754,9 +661,6 @@ class Evaluator:
     per evaluator raised the corpus benchmark's median instance from 0.46
     to 0.67 ms.
 
-    Inside an evaluation a value may be a Pow2 (see _pow), which the
-    closures compare, hash and compute with like the int it stands for;
-    eval returns a plain int.
     eval makes an attempt stopped at a cut again after the cut; a caller
     with no room on the stack for one attempt gets FeasibilityError.
     """
@@ -783,7 +687,8 @@ class Evaluator:
             arity = self._arity[t] = validate(t)
         if len(args) != arity:
             raise ArityError(f"term of arity {arity} applied to {len(args)} arguments")
-        if any(a < 0 for a in args):
+        # as formulas._check_var: a bool is not a natural, though True == 1
+        if any(type(a) is not int or a < 0 for a in args):
             raise PRError("arguments must be naturals")
         run = self._run.get(t) or _compile(t, (self.use_intrinsics, self.use_absorbing))
         todo = [(run, args)]   # t's attempt, then each cut one stopped at
@@ -795,7 +700,7 @@ class Evaluator:
                 todo.append(cut.args)
             except RecursionError:
                 raise FeasibilityError("no room on the stack for one evaluation attempt") from None
-        return int(v) if type(v) is Pow2 else v
+        return v
 
     def confirm(self, column: PRTerm, xs, c: int) -> bool:
         """Settle the bounded-exists column = prlib.rel_bexists(body) at the

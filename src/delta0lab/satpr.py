@@ -50,16 +50,15 @@ unchanged); quantified codes validate but are gated off.  Under the
 prime-power scheme the written bounds are kept verbatim, and no instance
 is small enough to evaluate.
 
-The compact B2 is a power of two, 2^k, yielded by one POW step.  Within
-primrec.RESULT_BITS_CAP = 2^30 bits that step hands it on unbuilt, as a
-primrec.Pow2: the sweep over t only compares its row counter with B2 and
-hashes it in its cache keys, which reads k alone, so B2 is never written
-out (at x = 42 it would take 47 MiB).  Past the cap the POW step refuses
-it, which no step budget can pre-empt, so sat_pr_eval refuses every such
-compact instance up front, using a closed-form lower bound on the bit
-length of B2.  Of the 103 true quantifier-free compact codes x <= 4096
-at y = 1, four finish (x = 8, 24, 42, 50); the guard, which refuses every
-x >= 54 at y = 1, takes the other 99, x = 77 first.
+Each kit's B1 is its scheme's buildseq_bound, written as a term: the
+prime power p_x^((x+1)^2) for the prime-power scheme, and the bit-length
+bound 2^((s+1)(2s+3)+1), s = plen(x), for the bit-packed one.  The
+compact B2 = 2^(1 + lam(2 lam + 4y + 8)), lam = bitlen(B1), then has
+13,762 bits at (42, 1), 24,184 at (77, 1), and about 6 Mbit at most for
+codes up to _CODE_CAP: past the guards on its arguments, only the step
+budget stops sat_pr_eval.  Of the 103 true quantifier-free compact codes
+x <= 4096 at y = 1, nine finish within 2M steps (x = 8, 24, 42, 50, 77,
+106, 205, 306, 307), and the others run out of that budget.
 """
 
 from __future__ import annotations
@@ -71,20 +70,17 @@ from types import MappingProxyType
 from .coding import COMPACT, Coding, CodingError, CompactCoding
 from .formulas import BForall, UForall, desugar
 from .nodes import postorder
-from .numbers import nthprime
 from .primrec import (
-    CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, RESULT_BITS_CAP,
-    FeasibilityError, PRTerm, PrimRec, Zero, eval_pr, intrinsic,
+    CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, FeasibilityError, PRTerm,
+    PrimRec, Zero, eval_pr, intrinsic,
 )
 from .prlib import (
-    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, REPLACE, SEQ_TEST, S,
+    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, SEQ_TEST, S,
     and_, bounded_min, ex, fa, fn, implies, least, or_, rel_bexists, select,
 )
 from .satisfaction import sat_witness
 
-__all__ = [
-    "contains_subterm", "sat_as_pr", "sat_pr_eval", "sat_pr_parts",
-]
+__all__ = ["sat_as_pr", "sat_pr_eval", "sat_pr_parts"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +173,21 @@ SEQLEN = fn(lambda c: SEQLEN_MIN(c, PLEN(c)))
 # per-scheme op kits
 #
 # Shared keys: zero/one (constant term codes), isseq, seqlen, entry(i, c),
-# slast, vget(z, n), repl(z, k, r), sapp(s, e), varn (index of a variable
-# code, > arg when none), mk_* (code builders; mk_bfa takes the variable
-# code, the bound code, the body code), trm_bound (covers the canonical
-# building sequence of a term code), b1/b2 (the wrapper search bounds).
+# slast, vget(z, n), repl(z, k, r) (z with entry k set to r, zero padded to
+# length max(len(z), k + 1)), sapp(s, e), varn (a candidate index: c is a
+# variable code iff mk_var(varn(c)) = c), mk_* (code builders; mk_bfa takes
+# the variable code, the bound code, the body code), trm_bound (covers the
+# canonical building sequence of a term code), b1/b2 (the wrapper search
+# bounds; b1 is the scheme's buildseq_bound).
 
-_B1 = fn(lambda x, y: POW(PRIME(x), S(x) * S(x)))
+
+def _repl(sapp, vget, seqlen) -> PRTerm:
+    """A kit's repl(z, k, r) from its sapp, vget and seqlen: z rebuilt entry
+    by entry from the empty sequence, which both schemes code as 1."""
+    build = PrimRec(fn(lambda z, k, r: 1),
+                    fn(lambda acc, z, k, r, i:
+                       sapp(acc, select(CHI_EQ(i, k), r, vget(z, i)))))
+    return fn(lambda z, k, r: build(z, k, r, seqlen(z) + (S(k) - seqlen(z))))
 
 
 def _compact_ops() -> dict[str, object]:
@@ -197,10 +202,6 @@ def _compact_ops() -> dict[str, object]:
     gdec = fn(lambda c, d: mod2k(SHR(pay(c), PLEN(c) - _next(c, d)), S(ZRUN(c, d))))
     entry = fn(lambda i, c: PRED(gdec(c, POSN(c, i))))
     vget = fn(lambda z, n: CHI_LT(n, SEQLEN(z)) * entry(n, z))
-    # rebuild with entry k set to r, zero padded to length max(len, k+1)
-    build = PrimRec(fn(lambda z, k, r: 1),
-                    fn(lambda acc, z, k, r, i:
-                       sapp(acc, select(CHI_EQ(i, k), r, vget(z, i)))))
 
     def tagged(tag: int) -> PRTerm:
         return fn(lambda a, b: cat(cat(tag, a), b))
@@ -208,17 +209,20 @@ def _compact_ops() -> dict[str, object]:
     # variable payload minus its three tag bits, as a code
     gpart = fn(lambda c: pow2(PLEN(c) - 3) + mod2k(pay(c), PLEN(c) - 3))
 
+    # at most plen(x) + 1 subcodes of at most 2 plen(x) + 3 bits once gamma
+    # coded, as CompactCoding.buildseq_bound
+    b1 = fn(lambda x, y: pow2(S(S(PLEN(x)) * (2 * PLEN(x) + 3))))
+
     # quantifier-free runs keep z = y in every triple, so the annotation
     # code has at most bitlen(b1) triples of bitlen(b1) + 2y + 4 bits each
     def b2(x, y):
-        lam = BITLEN(_B1(x, y))
+        lam = BITLEN(b1(x, y))
         return pow2(S(lam * (2 * lam + (4 * y + 8))))
 
     return dict(
         zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
         slast=fn(lambda c: entry(SEQLEN(c) - 1, c)), vget=vget,
-        repl=fn(lambda z, k, r: build(z, k, r, SEQLEN(z) + (S(k) - SEQLEN(z)))),
-        sapp=sapp,
+        repl=_repl(sapp, vget, SEQLEN), sapp=sapp,
         # candidate index read off the bits; callers confirm by rebuilding,
         # a search over indices would cost O(v) on non-variable codes
         varn=fn(lambda c: PRED(pay(gpart(c)))),
@@ -229,7 +233,7 @@ def _compact_ops() -> dict[str, object]:
         # a canonical building sequence has at most plen(u) entries of at
         # most bitlen(u) + 1 bits each once gamma coded
         trm_bound=fn(lambda u: pow2(S(PLEN(u) * S(2 * BITLEN(u))))),
-        b1=_B1, b2=fn(b2))
+        b1=b1, b2=fn(b2))
 
 
 def _paper_ops() -> dict[str, object]:
@@ -241,14 +245,18 @@ def _paper_ops() -> dict[str, object]:
     def tagged(symbol: int) -> PRTerm:
         return fn(lambda a, b: tag(symbol) * POW(3, S(a)) * POW(5, S(b)))
 
+    # p_x^((x+1)^2), as PaperCoding.buildseq_bound
+    b1 = fn(lambda x, y: POW(PRIME(x), S(x) * S(x)))
+    sapp = fn(lambda s, e: s * POW(PRIME(LEN(s)), S(e)))
+    vget = fn(lambda z, n: IDX(n, z))
+
     def b2(x, y):
         tower = POW(PRIME(x), POW(PRIME(x), S(y) * S(y)))
-        return POW(PRIME(x * x), POW(2, _B1(x, y)) * POW(3, tower) * 5)
+        return POW(PRIME(x * x), POW(2, b1(x, y)) * POW(3, tower) * 5)
 
     return dict(
         zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
-        vget=fn(lambda z, n: IDX(n, z)), repl=REPLACE,
-        sapp=fn(lambda s, e: s * POW(PRIME(LEN(s)), S(e))),
+        vget=vget, repl=_repl(sapp, vget, LEN), sapp=sapp,
         varn=fn(lambda c: PRED(HALF(c))),
         mk_eq=tagged(9), mk_le=tagged(11),
         mk_not=fn(lambda a: tag(13) * POW(3, S(a))),
@@ -257,7 +265,7 @@ def _paper_ops() -> dict[str, object]:
         mk_bfa=fn(lambda v, t, b: tag(17) * POW(3, S(v)) * POW(5, S(t))
                   * POW(7, S(b))),
         trm_bound=fn(lambda u: POW(PRIME(u), S(u) * S(u))),
-        b1=_B1, b2=fn(b2))
+        b1=b1, b2=fn(b2))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +506,6 @@ def sat_as_pr(scheme: Coding = COMPACT) -> PRTerm:
     return sat_pr_parts(scheme)["term"]
 
 
-def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
-    """Whether sub occurs in t; nodes are interned, so equal is identical."""
-    return sub in postorder(t)
-
-
 # ---------------------------------------------------------------------------
 # guarded evaluation
 
@@ -510,35 +513,22 @@ def contains_subterm(t: PRTerm, sub: PRTerm) -> bool:
 _CODE_CAP = 4096
 
 
-def _compact_b2_bits_floor(x: int, y: int) -> int:
-    """A lower bound on the bit length of the compact B2(x, y).
-
-    b1 = prime(x)^e with e = (x + 1)^2 has lam >= e * (bitlen(prime(x)) - 1)
-    + 1 bits, and B2 = 2^(1 + lam * (2 lam + 4y + 8)) grows with lam.
-    """
-    e = (x + 1) ** 2
-    lam = e * (nthprime(x).bit_length() - 1) + 1
-    return 2 + lam * (2 * lam + 4 * y + 8)
-
-
 def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
-                max_steps: int = 50_000_000) -> int:
+                max_steps: int = 4_000_000) -> int:
     """Evaluate the assembled checker at (x, y) where that is feasible.
 
     The run that sat_witness builds for (x, y) is passed to satpr.eval_pr
     as certificates for the two outer sweeps (see the module docstring),
-    so the steps go to confirming that run and to the bound B1, not to the
-    candidates below it: at y = 1, 5,476 / 35,734 / 39,226 steps at
-    x = 8 / 24 / 42, against 67,219 / 103,791 / 265,871 for the plain
-    term.  The certificates and the term share the budget max_steps.
+    so the steps go to confirming that run, not to the candidates below
+    it: at y = 1, 5,103 / 33,177 / 34,775 steps at x = 8 / 24 / 42,
+    against 66,846 / 101,232 / 261,418 for the plain term.  The
+    certificates and the term share the budget max_steps.
 
     Only a true instance has a run to confirm, and only quantifier-free
     instances with tiny codes fit the bounds.  Everything else raises
-    FeasibilityError, either up front or through the step budget.  Under
-    the compact scheme that includes every instance whose annotation bound
-    B2 would have more than 2^30 bits: at y = 1, every x >= 54.  Below
-    that B2 stays unbuilt (a primrec.Pow2), so it adds nothing to the
-    memory of an instance.
+    FeasibilityError, either up front or through the step budget.  A run
+    costs about 1 us and 80 bytes a step, so the default budget of 4M
+    steps refuses an instance in seconds and a few hundred MiB.
     """
     if not isinstance(x, int) or not isinstance(y, int) or x < 0 or y < 0:
         raise ValueError("codes are naturals")
@@ -562,13 +552,6 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
         raise FeasibilityError(
             "a false instance is only confirmed by exhausting the "
             "annotation sweep, which exceeds any step budget")
-    # the POW step that yields B2 refuses it too, but only once the sweep
-    # over building sequences has reached its witness
-    if (isinstance(scheme, CompactCoding)
-            and _compact_b2_bits_floor(x, y) > RESULT_BITS_CAP):
-        raise FeasibilityError(
-            f"the annotation bound B2 would take more than {RESULT_BITS_CAP} "
-            f"bits, built in a single step that the step budget cannot stop")
     parts = sat_pr_parts(scheme)
     witnesses = ((rel_bexists(parts["matrix"]), (x, y, run.s), run.t),
                  (rel_bexists(parts["run"]), (x, y), run.s))

@@ -6,10 +6,11 @@ import pytest
 from delta0lab import (
     COMPACT, PAPER, Add, And, BExists, BForall, CaptureError, CodingError, Eq, FormulaError,
     Implies, Le, Mul, Not, ONE, Or, ParseError, Proj, UExists, UForall, Var,
-    ZERO, Zero, canonical_formula_seq, canonical_term_seq, contains_subterm,
+    ZERO, Zero, canonical_formula_seq, canonical_term_seq,
     desugar, eval_delta0, formula_seq_index, free_vars, fresh_index, is_delta0, lt, numeral,
     parse, parse_formula, parse_term, show, substitute,
 )
+from delta0lab.nodes import postorder
 from delta0lab.prlib import const
 from helpers import default_recursion_limit
 
@@ -148,8 +149,8 @@ def test_walkers_take_deep_input_at_the_default_recursion_limit():
             short = Not(short)
         assert canonical_term_seq(COMPACT, term)[-1] == COMPACT.encode_term(term)
         assert len(canonical_formula_seq(COMPACT, short)) == 3_001
-        assert not contains_subterm(const(40_000, 1), Proj(2, 2))
-        assert contains_subterm(const(40_000, 1), Zero())
+        assert Proj(2, 2) not in postorder(const(40_000, 1))
+        assert Zero() in postorder(const(40_000, 1))
         with pytest.raises(FormulaError):
             desugar(t)
         with pytest.raises(FormulaError):

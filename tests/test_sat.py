@@ -11,8 +11,12 @@ from delta0lab.coding import (
     check_build_seq, quantifier_bound,
 )
 from delta0lab.coding import val as term_value
-from delta0lab.formulas import BForall, Var, desugar, free_vars, parse, parse_term
-from delta0lab.numbers import magnitude_ge
+from delta0lab.formulas import (
+    ONE, ZERO, Add, BForall, Eq, Implies, Le, Mul, Not, Var, desugar, free_vars, parse,
+    parse_term,
+)
+from delta0lab.nodes import postorder
+from delta0lab.numbers import magnitude_ge, magnitude_to_int
 from delta0lab.primrec import (
     Comp, Evaluator, FeasibilityError, PrimRec, Proj, eval_pr, validate,
 )
@@ -31,7 +35,7 @@ from delta0lab.satisfaction import (
 from delta0lab.satpr import (
     _assemble,
     _compact_ops,
-    contains_subterm,
+    _paper_ops,
     sat_as_pr,
     sat_pr_eval,
     sat_pr_parts,
@@ -452,8 +456,8 @@ def test_sat_as_pr_contains_named_stages():
         parts = sat_pr_parts(scheme)
         term = parts["term"]
         for stage in ("trmseq", "valseq", "satseq", "matrix"):
-            assert contains_subterm(term, parts[stage]), stage
-        assert not contains_subterm(parts["trmseq"], term)
+            assert parts[stage] in postorder(term), stage
+        assert term not in postorder(parts["trmseq"])
 
 
 def test_sat_as_pr_minimal_instance_agrees():
@@ -481,15 +485,71 @@ def test_sat_as_pr_fourth_instance_agrees():
     assert sat_pr_eval(x, 1) == 1 == int(sat_valuation(x, 1))
 
 
-def test_sat_pr_refuses_huge_b2_up_front():
-    # B2 at x = 77 has over 2^32 bits and is built by one POW step that no
-    # step budget interrupts; the guard must refuse before any evaluation
-    for x in (77, 106):
-        assert sat_valuation(x, 1)
-        start = time.perf_counter()
-        with pytest.raises(FeasibilityError, match="B2"):
-            sat_pr_eval(x, 1)
-        assert time.perf_counter() - start < 1.0, x
+def test_sat_pr_runs_past_the_prime_power_b1():
+    # under the paper's B1 = prime(x)^((x+1)^2), B2 at x = 77 had over 2^32
+    # bits, and every x >= 54 was refused up front; B1 is buildseq_bound now
+    for x in (8, 24, 42, 50, 77, 106):
+        assert sat_pr_eval(x, 1) == 1 == int(sat_valuation(x, 1)), x
+    # the step budget is all that stops a run, and it stops one at once
+    assert sat_valuation(1221, 1)
+    start = time.perf_counter()
+    with pytest.raises(FeasibilityError, match="step budget"):
+        sat_pr_eval(1221, 1, max_steps=200_000)
+    assert time.perf_counter() - start < 1.0
+
+
+# small inputs for each kit: a paper formula code is at least 230,400, and
+# mk_not or mk_imp raise 3 and 5 to it, so paper children stay tiny
+_TERMS = [ZERO, ONE, Var(0), Var(1), Var(3), Add(ONE, Var(0)), Mul(Var(1), Add(ZERO, ONE))]
+_KITS = {
+    "compact": (COMPACT, _compact_ops, _TERMS,
+                [Eq(a, b) for a in _TERMS[:4] for b in _TERMS[:4]] + [Not(Le(ONE, Var(2)))],
+                [[], [0], [3], [0, 1, 2], [5, 0, 7, 1]], 512, 512),
+    "paper": (PAPER, _paper_ops, _TERMS[:4], [Eq(ZERO, ZERO)],
+              [[], [0], [1], [0, 1], [1, 0, 0]], 128, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KITS))
+def test_each_kit_op_agrees_with_the_codec(name):
+    scheme, kit, terms, formulas, seqs, box, b1_top = _KITS[name]
+    ops, ev = kit(), Evaluator()
+
+    def run(op, *args):
+        return ops[op] if isinstance(ops[op], int) else ev.eval(ops[op], args)
+
+    enc, encf = scheme.encode_term, scheme.encode
+    assert (run("zero"), run("one")) == (enc(ZERO), enc(ONE))
+    for i in range(5):
+        assert run("varn", run("mk_var", i)) == i and run("mk_var", i) == enc(Var(i))
+    for a in terms:
+        for b in terms:
+            assert run("mk_add", enc(a), enc(b)) == enc(Add(a, b)), (a, b)
+            assert run("mk_mul", enc(a), enc(b)) == enc(Mul(a, b)), (a, b)
+            assert run("mk_eq", enc(a), enc(b)) == encf(Eq(a, b)), (a, b)
+            assert run("mk_le", enc(a), enc(b)) == encf(Le(a, b)), (a, b)
+    for f in formulas:
+        assert run("mk_not", encf(f)) == encf(Not(f)), f
+        assert run("mk_imp", encf(f), encf(formulas[0])) == encf(Implies(f, formulas[0])), f
+        for i, t in ((0, ONE), (2, Var(1))):
+            assert run("mk_bfa", enc(Var(i)), enc(t), encf(f)) == encf(BForall(i, t, f)), f
+    for c in range(box):
+        # varn reads a candidate off any code; rebuilding confirms a variable
+        assert (run("mk_var", run("varn", c)) == c) == (scheme.var_index(c) is not None), c
+        assert run("isseq", c) == scheme.is_seq(c), c
+    for entries in seqs:
+        c = scheme.seq_encode(entries)
+        assert run("isseq", c) == 1 and run("seqlen", c) == len(entries), entries
+        assert [run("entry", i, c) for i in range(len(entries))] == entries
+        for k in range(len(entries) + 2):
+            assert run("vget", c, k) == scheme.seq_idx(c, k), (entries, k)
+            for r in (0, 2):
+                # past the end, the entries read as 0 are written out
+                want = entries + [0] * (k + 1 - len(entries))
+                want[k] = r
+                assert run("repl", c, k, r) == scheme.seq_encode(want), (entries, k, r)
+    assert [run("b1", x, 1) for x in range(b1_top)] == [
+        magnitude_to_int(scheme.buildseq_bound(x)) for x in range(b1_top)]
 
 
 def test_sat_pr_val_relation_parts():
