@@ -5,9 +5,11 @@ prod_i p_i^(a_i + 1) with the empty sequence coded 1.  Symbols get odd
 codes (0:1, 1:3, +:5, *:7, =:9, <=:11, ~:13, ->:15, A:17), variable v_i
 gets 2i + 2, and a composite node is the sequence <opcode, children...>.
 A bounded quantifier has length 4 (<17, var, bound, body>), an unbounded
-one length 3.  Variable codes overlap composite codes; decoding prefers
-the composite reading, which only matters for astronomically large
-variable indices.
+one length 3.  Variable codes overlap composite codes from v7199 on,
+whose code 14,400 = <5, 1, 1> also codes (0 + 0); decoding prefers the
+composite reading, so the encoder refuses such a term variable and
+decode(encode(phi)) is phi wherever encode succeeds.  A quantifier's
+variable slot is read as a variable only, so any index may stand there.
 
 Bit scheme ("compact"): a code is int("1" + bits, 2) for a bit string
 produced by a prefix-free tag grammar; sequences concatenate the Elias
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
+from functools import partial
 
 from .formulas import (
     ONE,
@@ -49,14 +52,11 @@ from .formulas import (
     is_delta0,
 )
 from .nodes import Node, fold, walk
-from .numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
-from .primrec import FeasibilityError
+from .numbers import BITS_CAP, FeasibilityError, LazyPow, magnitude_ge, magnitude_to_int
+from .numbers import nthprime, pow_bits, prime_tower
 from .semantics import Verdict, eval_term
 
 KINDS = ("term", "formula", "delta0")
-
-# the most bits a compact sequence entry, and so an annotation triple, may have
-ENTRY_BITS_CAP = 50_000_000
 
 
 class CodingError(ValueError):
@@ -89,6 +89,13 @@ def _need(node, kind: frozenset) -> None:
     if type(node) not in kind:
         noun = "term" if kind is _TERMS else "core formula"
         raise CodingError(f"not a {noun}: {node!r}")
+
+
+def _index(i: int) -> int:
+    """i, when it is a natural and so a variable index."""
+    if type(i) is not int or i < 0:
+        raise CodingError("variable index must be a natural")
+    return i
 
 
 def short_code(x: int) -> str:
@@ -156,22 +163,28 @@ class Coding:
         node, so a node shared in the DAG is built once.  The builders
         check the kind of each child where they read it, so a node in
         the wrong place is reported there, with the kind its place needs.
+        Once the codes built pass BITS_CAP bits together, FeasibilityError.
         """
         _need(node, _FORMULAS if formula else _TERMS)
-        return fold(node, self._code, table)
+        return fold(node, partial(self._code, [0]), table)
 
-    def _code(self, node: Node, *codes: int | None) -> int | None:
+    def _code(self, built: list[int], node: Node, *codes: int | None) -> int | None:
         """The combine of _build: node's code from its children's, or None
-        for a node that is not core, which its parent reports."""
+        for a node that is not core, which its parent reports.  built[0]
+        sums the bits of the codes built so far."""
         entry = _BUILDERS.get(type(node))
         if entry is None:
             return None
         mk, head, kids = entry
         for field, kind in kids:
             _need(getattr(node, field), kind)
-        if head is None:
-            return getattr(self, mk)(*codes)
-        return getattr(self, mk)(getattr(node, head), *codes)
+        build = getattr(self, mk)
+        code = build(*codes) if head is None else build(getattr(node, head), *codes)
+        built[0] += code.bit_length()
+        if built[0] > BITS_CAP:
+            raise FeasibilityError(
+                f"the subcodes would have more than BITS_CAP = {BITS_CAP} bits together")
+        return code
 
     # -- recognizers ------------------------------------------------------
 
@@ -219,7 +232,7 @@ class Coding:
     def val_encode(self, rho: Mapping[int, int]) -> int:
         """Valuation code: entry i is the value of v_i, absent means 0."""
         for k, v in rho.items():
-            if not isinstance(k, int) or not isinstance(v, int) or k < 0 or v < 0:
+            if type(k) is not int or type(v) is not int or k < 0 or v < 0:
                 raise CodingError("valuation entries must map naturals to naturals")
         if not rho:
             return self.seq_encode([])
@@ -234,17 +247,12 @@ class Coding:
     def termval_bound(self, u: int, z: int) -> int | LazyPow:
         """Upper bound p_u^(z^u + 1) for the value of term u under z.
 
-        When z^u cannot be materialized the exponent is kept as the lazy
-        power z^u, off by one; lower-bound queries stay sound.
+        Past numbers.prime_tower's size for z^u the exponent is kept as
+        the lazy power z^u, off by one; lower-bound queries stay sound.
         """
         if u < 0 or z < 0:
             raise ValueError("term code and valuation must be naturals")
-        if z <= 1:
-            zu = 1 if (z == 1 or u == 0) else 0
-            return LazyPow(prime_index=u, exp=zu + 1)
-        if u * z.bit_length() <= 200_000:
-            return LazyPow(prime_index=u, exp=z ** u + 1)
-        return LazyPow(prime_index=u, exp=LazyPow(base=z, exp=u))
+        return prime_tower(u, z, lambda zu: zu + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +318,16 @@ class PaperCoding(Coding):
     name = "paper"
 
     def seq_encode(self, entries: list[int]) -> int:
-        code = 1
-        for i, e in enumerate(entries):
-            if not isinstance(e, int) or e < 0:
-                raise CodingError("sequence entries must be naturals")
-            p = nthprime(i)
-            if e.bit_length() > 63 or (e + 1) * math.log2(p) > 1e8:
-                raise FeasibilityError(
-                    f"sequence entry at index {i} exceeds the bit budget")
-            code *= p ** (e + 1)
-        return code
+        """prod_i p_i^(a_i + 1); FeasibilityError, before any factor is
+        built, when the product's lower bound passes BITS_CAP bits."""
+        if any(type(e) is not int or e < 0 for e in entries):
+            raise CodingError("sequence entries must be naturals")
+        factors = [(nthprime(i), e + 1) for i, e in enumerate(entries)]
+        # bitlen(ab) >= bitlen(a) + bitlen(b) - 1
+        if 1 + sum(pow_bits(p, k) - 1 for p, k in factors) > BITS_CAP:
+            raise FeasibilityError(
+                f"the sequence code would have more than BITS_CAP = {BITS_CAP} bits")
+        return math.prod(p ** k for p, k in factors)
 
     def seq_decode(self, code: int) -> list[int]:
         """Entries of prod_i p_i^(a_i + 1), stripped prime by prime.
@@ -336,7 +344,7 @@ class PaperCoding(Coding):
         ((1 + 1) * (1 + 1)), the deferred factors go through the
         quadratic squaring cascade.
         """
-        if not isinstance(code, int) or code < 1:
+        if type(code) is not int or code < 1:
             raise CodingError("sequence codes are positive")
         entries: list[int] = []
         deferred: list[tuple[int, int]] = []
@@ -401,7 +409,7 @@ class PaperCoding(Coding):
             shapes.append(("const0",))
         elif code == _P_SYM["one"]:
             shapes.append(("const1",))
-        elif isinstance(code, int) and code >= 2 and code % 2 == 0:
+        elif type(code) is int and code >= 2 and code % 2 == 0:
             shapes.append(("var", (code - 2) // 2))
         return shapes
 
@@ -441,9 +449,10 @@ class PaperCoding(Coding):
         return _P_SYM["one"]
 
     def mk_var(self, i: int) -> int:
-        if i < 0:
-            raise CodingError("variable index must be a natural")
-        return 2 * i + 2
+        """2i + 2, refused when it also decodes as a composite term."""
+        if self.decode_term(code := 2 * _index(i) + 2) is not Var(i):
+            raise CodingError(f"the code {code} of v{i} also codes a composite term")
+        return code
 
     def mk_add(self, a: int, b: int) -> int:
         return self.seq_encode([_P_SYM["add"], a, b])
@@ -464,10 +473,10 @@ class PaperCoding(Coding):
         return self.seq_encode([_P_SYM["implies"], a, b])
 
     def mk_bforall(self, i: int, t: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["forall"], self.mk_var(i), t, b])
+        return self.seq_encode([_P_SYM["forall"], 2 * _index(i) + 2, t, b])
 
     def mk_uforall(self, i: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["forall"], self.mk_var(i), b])
+        return self.seq_encode([_P_SYM["forall"], 2 * _index(i) + 2, b])
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """p_x^((x+1)^2), the stated budget for a building sequence of x."""
@@ -495,7 +504,7 @@ def bits_to_code(bits: str) -> int:
 
 def _bin(code: int) -> str:
     """bin(code), whose bits from offset 3 on, past "0b1", are the code's."""
-    if not isinstance(code, int) or code < 1:
+    if type(code) is not int or code < 1:
         raise CodingError("bit codes are positive")
     return bin(code)
 
@@ -625,7 +634,7 @@ def _join(head: int, *codes: int) -> int:
     """The code whose bits are those of the code head, then those of each
     code in turn."""
     for code in codes:
-        if not isinstance(code, int) or code < 1:
+        if type(code) is not int or code < 1:
             raise CodingError("bit codes are positive")
         width = code.bit_length() - 1
         head = (head << width) | (code ^ (1 << width))
@@ -662,10 +671,10 @@ class CompactCoding(Coding):
         runs: list[tuple[int, int]] = []
         run = width = 0
         for e in entries:
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise CodingError("sequence entries must be naturals")
-            if e.bit_length() > ENTRY_BITS_CAP:
-                raise FeasibilityError("sequence entry exceeds the bit budget")
+            if e.bit_length() > BITS_CAP:
+                raise FeasibilityError(f"a sequence entry has more than BITS_CAP = {BITS_CAP} bits")
             w = 2 * (e + 1).bit_length() - 1
             run = (run << w) | (e + 1)
             width += w
@@ -804,9 +813,7 @@ class CompactCoding(Coding):
         return bits_to_code("10")
 
     def mk_var(self, i: int) -> int:
-        if i < 0:
-            raise CodingError("variable index must be a natural")
-        return bits_to_code("110" + gamma_bits(i + 1))
+        return bits_to_code("110" + gamma_bits(_index(i) + 1))
 
     # a composite code is its tag, as a code 0b1<tag>, followed by the bits
     # of its children's codes
@@ -830,14 +837,10 @@ class CompactCoding(Coding):
         return _join(0b1_1110, a, b)
 
     def mk_bforall(self, i: int, t: int, b: int) -> int:
-        if i < 0:
-            raise CodingError("variable index must be a natural")
-        return _join(bits_to_code("1111" + gamma_bits(i + 1) + "0"), t, b)
+        return _join(bits_to_code("1111" + gamma_bits(_index(i) + 1) + "0"), t, b)
 
     def mk_uforall(self, i: int, b: int) -> int:
-        if i < 0:
-            raise CodingError("variable index must be a natural")
-        return _join(bits_to_code("1111" + gamma_bits(i + 1) + "1"), b)
+        return _join(bits_to_code("1111" + gamma_bits(_index(i) + 1) + "1"), b)
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """2^((s+1)(2s+3)+1) for s = bitlen(x) - 1.
@@ -849,7 +852,7 @@ class CompactCoding(Coding):
             raise ValueError("codes are naturals")
         s = max(x.bit_length() - 1, 0)
         exp = (s + 1) * (2 * s + 3) + 1
-        if exp <= 4_000_000:
+        if exp < BITS_CAP:
             return 1 << exp
         return LazyPow(base=2, exp=exp)
 
@@ -890,7 +893,8 @@ def formula_seq_index(scheme: Coding,
 def _listing(scheme: Coding, node: Term | Formula,
              formula: bool) -> tuple[list[int], dict[Node, int]]:
     """The codes of node's subterms, or of its subformulas, in postorder
-    and deduplicated by code, and where each of those nodes went."""
+    and deduplicated by code, and where each of those nodes went.  Once
+    the codes written pass BITS_CAP bits together, FeasibilityError."""
     codes: dict[Node, int | None] = {}
     scheme._build(node, formula, codes)
     kind = Formula if formula else Term
@@ -1063,7 +1067,7 @@ SEQDEF_PREDS = ("trmseq", "fml_delta0_seq", "valseq",
 
 def syn(scheme: Coding, pred: str, x: int) -> bool:
     """Structural oracle for the syntactic classes: is x a valid code?"""
-    if not isinstance(x, int) or x < 0:
+    if type(x) is not int or x < 0:
         raise ValueError("codes are naturals")
     if pred == "var":
         return scheme.var_index(x) is not None
@@ -1179,7 +1183,7 @@ def seqdef(scheme: Coding, pred: str, args: tuple[int, ...],
     witness cannot be materialized or the budget truncates a sweep.
     """
     args = tuple(args)
-    if any(not isinstance(a, int) or a < 0 for a in args):
+    if any(type(a) is not int or a < 0 for a in args):
         raise ValueError("codes are naturals")
     match pred:
         case "trmseq" | "fml_delta0_seq":

@@ -1,4 +1,4 @@
-"""Prime tables and order-of-magnitude arithmetic for huge bounds.
+"""Prime tables, order-of-magnitude arithmetic for huge bounds, size limits.
 
 The stated search bounds involve towers like p_x^((x+1)^2) that usually
 cannot be written down.  LazyPow keeps them symbolic and answers the two
@@ -7,12 +7,43 @@ given integer, and can it be materialized within a bit budget.
 
 Primes are certified without evaluation by p_i >= i + 2 and (Bertrand)
 p_i <= 2^(i+1), both for the 0-indexed sequence 2, 3, 5, ...
+
+BITS_CAP bounds each integer built where the output can outgrow its input
+(a power, a prime-power product, a subcode listing, a run), SWEEP_CAP the
+points of one Python sweep.  Each such site checks a cheap lower bound
+(pow_bits) before the work, and raises FeasibilityError naming the limit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from itertools import compress
+
+BITS_CAP = 50_000_000
+SWEEP_CAP = 10 ** 6
+
+
+class FeasibilityError(RuntimeError):
+    """The work would pass a limit: a PR step budget, BITS_CAP bits or
+    SWEEP_CAP points.  The message names it; nothing past it was built."""
+
+
+def pow_bits(base: int, exp: int) -> int:
+    """A lower bound on the bits of base ** exp for naturals base and exp:
+    exact for a power of two, at most exp / 2^23 + 1 short below 2^64."""
+    if base & (base - 1) and base < 1 << 64:   # log2(base) in units of 2^-24, rounded down
+        return (exp * (int(math.log2(base) * (1 << 24)) - 1) >> 24) + 1
+    return exp * (base.bit_length() - 1) + 1
+
+
+def prime_tower(n: int, z: int, lift: Callable[[int], int]) -> LazyPow:
+    """p_n ** lift(z ** n), for lift increasing with lift(0) >= 1.  Past
+    200,000 bits of z^n the exponent is the lazy power z^n, below lift(z^n),
+    so lower-bound queries stay sound."""
+    small = z <= 1 or n * z.bit_length() <= 200_000
+    return LazyPow(prime_index=n, exp=lift(z ** n) if small else LazyPow(base=z, exp=n))
+
 
 _primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -106,7 +137,7 @@ class LazyPow:
                 return False
         return None
 
-    def try_int(self, max_bits: int = 1_000_000) -> int | None:
+    def try_int(self, max_bits: int = BITS_CAP) -> int | None:
         """The exact integer when it fits in max_bits bits, else None."""
         if not isinstance(self.exp, int):
             inner = self.exp.try_int(max_bits=64)
@@ -116,7 +147,7 @@ class LazyPow:
         else:
             exp = self.exp
         _, bhi = self._base_log2_bounds()
-        if exp * bhi > max_bits:
+        if exp * bhi >= max_bits:   # base ** exp has at most floor(exp * bhi) + 1 bits
             return None
         base = self.base if self.base is not None else nthprime(self.prime_index)
         return base ** exp
@@ -129,7 +160,7 @@ def magnitude_ge(v: int | LazyPow, w: int) -> bool | None:
     return v.ge_int(w)
 
 
-def magnitude_to_int(v: int | LazyPow, max_bits: int = 1_000_000) -> int | None:
+def magnitude_to_int(v: int | LazyPow, max_bits: int = BITS_CAP) -> int | None:
     if isinstance(v, int):
         return v if v.bit_length() <= max_bits else None
     return v.try_int(max_bits=max_bits)

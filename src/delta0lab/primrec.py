@@ -24,9 +24,11 @@ skip work whose result is forced):
   Every twin is exact on all naturals, costs one step, and does Python
   work near-linear in the bit length of its arguments; a twin that
   cannot stay within that returns None and the term is evaluated by its
-  equations.  Recursion columns around a twin (the prime column, the
-  next-prime sweep, the offset column) stay ticked, so max_steps keeps
-  bounding the work;
+  equations.  POW's twin alone refuses: a power of more than
+  numbers.BITS_CAP bits raises FeasibilityError (defined in numbers,
+  re-exported here) before it is built.  Recursion columns around a twin
+  (the prime column, the next-prime sweep, the offset column) stay
+  ticked, so max_steps keeps bounding the work;
 * recursions of the shapes emitted for bounded quantifiers stop early at
   their absorbing value (a product stuck at 0, a flagged sum stuck at 1).
 
@@ -78,6 +80,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .nodes import Node, fold, postorder
+from .numbers import BITS_CAP, FeasibilityError, pow_bits
 
 
 class PRError(ValueError):
@@ -89,15 +92,6 @@ class ArityError(PRError):
         super().__init__(f"{message}" + (f" at {path}" if path else ""))
         self.path = path
 
-
-class FeasibilityError(RuntimeError):
-    """Evaluation would exceed the configured step budget, or one step
-    would build a result of more than RESULT_BITS_CAP bits."""
-
-
-# one step builds no result known to exceed this many bits: max_steps
-# cannot interrupt a single step
-RESULT_BITS_CAP = 1 << 30
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class PRTerm(Node):
@@ -326,11 +320,10 @@ def intrinsic(t: PRTerm, twin: Twin) -> PRTerm:
 
 
 def _pow(a: tuple[int, ...]) -> int:
-    """a[0]^a[1]; FeasibilityError for a result of more than RESULT_BITS_CAP
-    bits, before it is built."""
-    # a[0]^a[1] has at least a[1] * (bitlen(a[0]) - 1) + 1 bits
-    if a[1] * (a[0].bit_length() - 1) + 1 > RESULT_BITS_CAP:
-        raise FeasibilityError(f"POW would build more than {RESULT_BITS_CAP} bits")
+    """a[0]^a[1]; FeasibilityError, before it is built, for a result of
+    more than BITS_CAP bits, since max_steps cannot interrupt one step."""
+    if pow_bits(a[0], a[1]) > BITS_CAP:
+        raise FeasibilityError(f"POW would build more than BITS_CAP = {BITS_CAP} bits")
     return a[0] ** a[1]
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .coding import (
     COMPACT,
-    ENTRY_BITS_CAP,
     Coding,
     CodingError,
     entry_clauses,
@@ -49,11 +48,9 @@ from .formulas import (
     substitute,
 )
 from .nodes import walk
-from .numbers import LazyPow, magnitude_ge
-from .primrec import FeasibilityError
+from .numbers import BITS_CAP, SWEEP_CAP, FeasibilityError, LazyPow, magnitude_ge
+from .numbers import pow_bits, prime_tower
 from .semantics import Verdict, eval_delta0, eval_delta0_verdict, eval_term
-
-_SWEEP_CAP = 10 ** 6
 
 
 class SatError(ValueError):
@@ -82,12 +79,17 @@ def _valuation(zs: list[int]) -> defaultdict[int, int]:
 # annotation triples
 
 
+def _triple_bits(i: int, z: int, w: int) -> int:
+    """A lower bound on the bits of 2^i 3^z 5^w, for naturals i, z, w."""
+    return i + pow_bits(3, z) + pow_bits(5, w) - 1
+
+
 def triple_encode(i: int, z: int, w: int) -> int:
-    if min(i, z, w) < 0:
+    """2^i 3^z 5^w; FeasibilityError, before it is built, past BITS_CAP bits."""
+    if not (type(i) is type(z) is type(w) is int) or min(i, z, w) < 0:
         raise ValueError("triple parts must be naturals")
-    # a lower bound on its bits, with log2 3 and log2 5 rounded down
-    if i + z * 15_849_625 // 10**7 + w * 23_219_280 // 10**7 > ENTRY_BITS_CAP:
-        raise FeasibilityError(f"the triple would have more than {ENTRY_BITS_CAP} bits")
+    if _triple_bits(i, z, w) > BITS_CAP:
+        raise FeasibilityError(f"the triple would have more than BITS_CAP = {BITS_CAP} bits")
     return 2 ** i * 3 ** z * 5 ** w
 
 
@@ -126,6 +128,9 @@ def sat_witness(phi: Formula | int, y: int | None = None,
     Each valuation is carried as its code and its entry list: terms are
     evaluated on the nodes of phi, each z[r/v] is encoded once for its
     triples, and a node's entry index is looked up, not encoded again.
+    The triples are built last, so a bound past SWEEP_CAP, or a run whose
+    triples pass BITS_CAP bits by their lower bounds, is refused with
+    FeasibilityError before any is built; so is a subcode listing past it.
     """
     if isinstance(phi, int):
         phi = scheme.decode(phi)
@@ -135,8 +140,8 @@ def sat_witness(phi: Formula | int, y: int | None = None,
     if y is None:
         y = scheme.seq_encode([])
     entries, where = formula_seq_index(scheme, phi)
-    triples: list[int] = []
-    seen: set[tuple[int, int, int]] = set()
+    keys: dict[tuple[int, int, int], None] = {}   # the run's (i, z, w), in order
+    run_bits = [0]
 
     def visit(node: Formula, z: int, zs: list[int]):
         """Truth value of node under the valuation z, whose entries are zs:
@@ -154,6 +159,9 @@ def sat_witness(phi: Formula | int, y: int | None = None,
                 w = int(wl == 0 or wr == 1)
             case BForall(var=v, bound=u, body=b):
                 top = eval_term(u, _valuation(zs))
+                if top > SWEEP_CAP:
+                    raise FeasibilityError(
+                        f"the bound {short_code(top)} of the sweep is past SWEEP_CAP = {SWEEP_CAP}")
                 padded = zs + [0] * (v + 1 - len(zs))
                 ws = []
                 for r in range(top + 1):
@@ -164,14 +172,18 @@ def sat_witness(phi: Formula | int, y: int | None = None,
             case _:
                 raise SatError(f"not a core bounded formula: {node!r}")
         key = (where[node], z, w)
-        if key not in seen:
-            seen.add(key)
-            triples.append(triple_encode(*key))
+        if key not in keys:
+            run_bits[0] += _triple_bits(*key)
+            if run_bits[0] > BITS_CAP:
+                raise FeasibilityError(f"the run would have more than BITS_CAP = {BITS_CAP} bits")
+            keys[key] = None
         return w
 
     value = walk(visit, phi, y, scheme.seq_decode(y))
+    # the triples as triple_encode writes them; their bits were checked above
     return SatInstance(s=scheme.seq_encode(entries),
-                       t=scheme.seq_encode(triples), value=bool(value))
+                       t=scheme.seq_encode([2 ** i * 3 ** z * 5 ** w for i, z, w in keys]),
+                       value=bool(value))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +197,8 @@ def satseq_check(s: int, t: int, budget: int | None = None,
     Each entry of s is read once, into its clauses, by coding.entry_clauses
     without unbounded quantifiers: the reader by which build_entries_ok
     accepts a Delta0 building step, so s is checked as a building sequence
-    on the way.
+    on the way.  A bounded A is swept up to budget and SWEEP_CAP at most:
+    past either, its triple is UNKNOWN unless a point swept refutes it.
     """
     try:
         entries = scheme.seq_decode(s)
@@ -242,16 +255,10 @@ def _triple_justified(scheme: Coding, clauses: list[list[tuple]],
 def _atom_cap(u: int, v: int, z: int) -> LazyPow:
     """p_(u+v) ** ((z^(u+v) + 1)^2), the stated cap for atom value witnesses.
 
-    When z^(u+v) cannot be materialized the exponent falls back to the
-    lazy power z^(u+v); lower-bound queries stay sound.
+    Past numbers.prime_tower's size for z^(u+v) the exponent falls back to
+    the lazy power z^(u+v); lower-bound queries stay sound.
     """
-    n = u + v
-    if z <= 1:
-        zn = 1 if (z == 1 or n == 0) else 0
-        return LazyPow(prime_index=n, exp=(zn + 1) ** 2)
-    if n * z.bit_length() <= 200_000:
-        return LazyPow(prime_index=n, exp=(z ** n + 1) ** 2)
-    return LazyPow(prime_index=n, exp=LazyPow(base=z, exp=n))
+    return prime_tower(u + v, z, lambda zn: (zn + 1) ** 2)
 
 
 def _atom_clause(scheme: Coding, op: str, u: int, v: int, z: int, w: int,
@@ -312,7 +319,7 @@ def _forall_clause(scheme: Coding, earlier: list[tuple[int, int, int]],
     fit = magnitude_ge(scheme.termval_bound(u, z), top)
     if fit is False:
         return Verdict.FALSE
-    limit = min(top if budget is None else min(top, budget), _SWEEP_CAP)
+    limit = min(top if budget is None else min(top, budget), SWEEP_CAP)
     zr = zs + [0] * (vidx + 1 - len(zs))
     all_true = True
     try:
@@ -401,7 +408,7 @@ def _rename_low_bound_vars(phi: Formula) -> Formula:
 
 
 def falsify(candidate: Formula, scheme: Coding = COMPACT,
-            budget: int = 10 ** 6) -> Counterexample:
+            budget: int = SWEEP_CAP) -> Counterexample:
     """Diagonal counterexample point for a claimed truth definition s(x, y).
 
     With theta(x) = ~s(x, x) and m its code, the candidate's verdict at
@@ -416,10 +423,11 @@ def falsify(candidate: Formula, scheme: Coding = COMPACT,
     body is swept, and past the budget its verdict is UNKNOWN.
 
     Under scheme=PAPER a quantified candidate raises FeasibilityError.
-    A quantifier's prime-power code has far more than 63 bits, and the
-    diagonal formula wraps it (at least in the outer negation), so it
-    becomes a sequence entry past the bit budget of
-    PaperCoding.seq_encode and m cannot be written down.
+    A bounded quantifier's prime-power code has a factor 7^(b + 1) for its
+    body's code b >= 230,400, that of (0 = 0), and the diagonal formula
+    wraps it (at least in the outer negation), so a power with it as
+    exponent passes BITS_CAP bits in PaperCoding.seq_encode and m cannot
+    be written down.
     """
     core = desugar(candidate)
     if not is_delta0(core):

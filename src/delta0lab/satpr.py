@@ -514,7 +514,7 @@ _CODE_CAP = 4096
 
 
 def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
-                max_steps: int = 4_000_000) -> int:
+                max_steps: int = 4 * 10 ** 6) -> int:
     """Evaluate the assembled checker at (x, y) where that is feasible.
 
     The run that sat_witness builds for (x, y) is passed to satpr.eval_pr
@@ -530,7 +530,7 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
     costs about 1 us and 80 bytes a step, so the default budget of 4M
     steps refuses an instance in seconds and a few hundred MiB.
     """
-    if not isinstance(x, int) or not isinstance(y, int) or x < 0 or y < 0:
+    if type(x) is not int or type(y) is not int or x < 0 or y < 0:
         raise ValueError("codes are naturals")
     if x > _CODE_CAP or y > _CODE_CAP:
         raise FeasibilityError(

@@ -45,6 +45,7 @@ from delta0lab.formulas import (
 )
 from delta0lab.numbers import LazyPow, magnitude_ge, magnitude_to_int, nthprime
 from delta0lab.primrec import FeasibilityError
+from delta0lab.satisfaction import sat_valuation, sat_witness
 from delta0lab.semantics import Verdict
 
 
@@ -310,6 +311,22 @@ def test_encode_desugars_sugar():
     # prime-power codes of nested connectives exceed any bit budget
     with pytest.raises(FeasibilityError):
         PAPER.encode(parse("((0 = 0) & (0 = 0))"))
+
+
+def test_paper_term_variables_whose_code_reads_as_a_composite_are_refused():
+    # 2 * 7199 + 2 = 14,400 = <5, 1, 1>, which decodes as (0 + 0)
+    assert PAPER.decode_term(14_400) == parse_term("(0 + 0)")
+    phi = parse("(v7198 = 0)")
+    assert PAPER.decode(PAPER.encode(phi)) is phi
+    assert sat_valuation(PAPER.encode(phi), PAPER.val_encode({7198: 5}), PAPER) is False
+    bad = parse("(v7199 = 0)")
+    for call in (lambda: PAPER.encode(bad), lambda: PAPER.encode_term(Var(7199)),
+                 lambda: sat_witness(bad, scheme=PAPER)):
+        with pytest.raises(CodingError, match="composite"):
+            call()
+    # a quantifier's variable slot reads as a variable only
+    q = parse("(A v7199 <= 0)(0 = 0)")
+    assert PAPER.decode(PAPER.encode(q)) is q
 
 
 def test_unbounded_forall_codes():
@@ -798,7 +815,7 @@ def test_seqdef_val_paper_witness_sizes():
     x = PAPER.encode_term(parse_term("(v0 * v0)"))
     y = PAPER.seq_encode([3])
     assert seqdef(PAPER, "val", (x, y, 9)) is Verdict.TRUE
-    # a subterm code past 63 bits makes the witness sequence unwritable
+    # a 157-bit subterm code as an exponent takes the witness sequence past BITS_CAP
     wide = PAPER.encode_term(parse_term("(v0 + v31)"))
     assert seqdef(PAPER, "val", (wide, y, 3)) is Verdict.UNKNOWN
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta0lab.coding import (
-    COMPACT, ENTRY_BITS_CAP, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
+    COMPACT, PAPER, CodingError, build_entries_ok, canonical_formula_seq,
     check_build_seq, quantifier_bound,
 )
 from delta0lab.coding import val as term_value
@@ -16,7 +16,7 @@ from delta0lab.formulas import (
     parse_term,
 )
 from delta0lab.nodes import postorder
-from delta0lab.numbers import magnitude_ge, magnitude_to_int
+from delta0lab.numbers import BITS_CAP, magnitude_ge, magnitude_to_int
 from delta0lab.primrec import (
     Comp, Evaluator, FeasibilityError, PrimRec, Proj, eval_pr, validate,
 )
@@ -136,7 +136,7 @@ def test_a_triple_no_sequence_could_hold_is_refused_before_it_is_built():
     with pytest.raises(FeasibilityError):
         triple_encode(0, 2 ** 26, 1)
     with pytest.raises(FeasibilityError):
-        triple_encode(ENTRY_BITS_CAP + 1, 0, 0)
+        triple_encode(BITS_CAP + 1, 0, 0)
     # the diagonal point of ~(v0 = v0), whose valuation has 26 bits: the
     # first triple would have 3^z of about 53 Mbit
     got = falsify(parse("(v0 = v0)"))
@@ -144,7 +144,7 @@ def test_a_triple_no_sequence_could_hold_is_refused_before_it_is_built():
         sat_witness(got.diagonal_formula, COMPACT.val_encode({0: got.m}))
     assert time.perf_counter() - start < 1
     # the widest triple that fits is built
-    assert triple_encode(ENTRY_BITS_CAP - 1, 0, 0).bit_length() == ENTRY_BITS_CAP
+    assert triple_encode(BITS_CAP - 1, 0, 0).bit_length() == BITS_CAP
 
 
 # -- the run checker ----------------------------------------------------------
@@ -231,11 +231,15 @@ def test_witness_corpus_paper():
     # composite formula entry already blows the sequence bit budget; only
     # atoms over depth-zero terms have encodable building sequences
     for text in ("(0 = 0)", "(0 <= 1)", "(v0 = v0)", "(1 <= v0)",
-                 "(v0 = v1)"):
+                 "(v1 = v0)"):
         phi = parse(text)
         inst = sat_witness(phi, scheme=PAPER)
         assert satseq_check(inst.s, inst.t, scheme=PAPER) is Verdict.TRUE
         assert inst.value == sat_valuation(PAPER.encode(phi), 1, PAPER)
+    # s = 2^(c + 1) for the atom's code c: 31,104,001 bits for (v1 = v0),
+    # 86,400,001 for (v0 = v1), which is past BITS_CAP
+    with pytest.raises(FeasibilityError, match="BITS_CAP"):
+        sat_witness(parse("(v0 = v1)"), scheme=PAPER)
 
 
 def _corruptions(inst, scheme):
@@ -634,6 +638,21 @@ def test_a_false_run_is_not_confirmed():
     with pytest.raises(FeasibilityError):
         eval_pr(sat_as_pr(), (8, 0), max_steps=200_000,
                 witnesses=[(inner, (8, 0, s), tampered)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: s.val_encode({True: 5}),
+    lambda s: s.val_encode({0: True}),
+    lambda s: s.seq_encode([True, False]),
+    lambda s: s.mk_var(True),
+    lambda s: triple_encode(True, 1, False),
+    lambda s: sat_pr_eval(True, True, s),
+], ids=["val key", "val value", "seq entry", "mk_var", "triple", "sat_pr_eval"])
+@pytest.mark.parametrize("scheme", [COMPACT, PAPER], ids=["compact", "paper"])
+def test_a_bool_is_not_a_natural_at_the_coding_boundary(call, scheme):
+    # True == 1, so without a type check each of these took True for 1
+    with pytest.raises(ValueError, match="natural"):
+        call(scheme)
 
 
 def test_sat_pr_guard_errors():
