@@ -239,9 +239,6 @@ class Coding:
         top = max(rho)
         return self.seq_encode([rho.get(i, 0) for i in range(top + 1)])
 
-    def val_get(self, y: int, i: int) -> int:
-        return self.seq_idx(y, i)
-
     # -- magnitude bounds ---------------------------------------------------
 
     def termval_bound(self, u: int, z: int) -> int | LazyPow:
@@ -643,6 +640,21 @@ def _join(head: int, *codes: int) -> int:
 
 _RUN_BITS = 4096
 
+# the tag bits of each core node in a compact code; a variable or a
+# quantifier adds the gamma code of its index + 1
+_TAG_BITS = {ConstZero: 1, ConstOne: 2, Var: 3, Add: 4, Mul: 4,
+             Eq: 1, Le: 2, Not: 3, Implies: 4, BForall: 5, UForall: 5}
+# CompactCoding._write's fold table: the bits of each node's code past
+# its leading 1, computed once per node of a shared DAG
+_CODE_BITS: dict[Node, int] = {}
+
+
+def _code_bits(node: Node, *kids: int) -> int:
+    cls = type(node)
+    index = node.index if cls is Var else node.var if cls in (BForall, UForall) else None
+    gamma = 0 if index is None else 2 * (index + 1).bit_length() - 1
+    return _TAG_BITS.get(cls, 0) + gamma + sum(kids)
+
 
 class CompactCoding(Coding):
     name = "compact"
@@ -666,16 +678,21 @@ class CompactCoding(Coding):
         so the codes are joined as ints: appended one by one into runs of
         about 4096 bits, and the runs joined pairwise in a balanced tree
         of (a << width(b)) | b.  That is O(n log n) bit work, and no bit
-        string the size of the result is built.
+        string the size of the result is built.  The widths are summed as
+        the entries are read, so a code of more than BITS_CAP bits raises
+        FeasibilityError before any entry past the limit is joined.
         """
         runs: list[tuple[int, int]] = []
         run = width = 0
+        total = 1   # the code's bits: the leading 1 and the gamma codes
         for e in entries:
             if type(e) is not int or e < 0:
                 raise CodingError("sequence entries must be naturals")
-            if e.bit_length() > BITS_CAP:
-                raise FeasibilityError(f"a sequence entry has more than BITS_CAP = {BITS_CAP} bits")
             w = 2 * (e + 1).bit_length() - 1
+            total += w
+            if total > BITS_CAP:
+                raise FeasibilityError(
+                    f"the sequence code would have more than BITS_CAP = {BITS_CAP} bits")
             run = (run << w) | (e + 1)
             width += w
             if width > _RUN_BITS:
@@ -720,7 +737,12 @@ class CompactCoding(Coding):
 
     def _write(self, node: Term | Formula, formula: bool) -> int:
         """The code of node: its tags and gamma codes, written in pre-order
-        into one list of bit strings, turned into an int once."""
+        into one list of bit strings, turned into an int once.  The code's
+        size is folded over node's DAG first, so a node whose shared
+        subterms write more than BITS_CAP bits raises FeasibilityError
+        before any is written."""
+        if isinstance(node, Node) and 1 + fold(node, _code_bits, _CODE_BITS) > BITS_CAP:
+            raise FeasibilityError(f"the code would have more than BITS_CAP = {BITS_CAP} bits")
         parts = ["1"]
         todo: list[tuple] = [(node, formula)]
         while todo:
@@ -1126,7 +1148,7 @@ def _valseq_holds(scheme: Coding, y: int, s: int, t: int) -> bool:
         if si == scheme.mk_one() and ti == 1:
             continue
         vi = scheme.var_index(si)
-        if vi is not None and ti == scheme.val_get(y, vi):
+        if vi is not None and ti == scheme.seq_idx(y, vi):
             continue
         if _composite_value_ok(scheme, si, ti, es[:i], et[:i]):
             continue

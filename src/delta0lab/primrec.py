@@ -20,13 +20,17 @@ skip work whose result is forced):
   - the primality test prlib.CHI_PRIME;
   - the compact coding's gamma-stream reader in satpr: its bit-length
     search, right shift, zero-run search, one-hop offset step and
-    sequence-length search.
-  Every twin is exact on all naturals, costs one step, and does Python
-  work near-linear in the bit length of its arguments; a twin that
-  cannot stay within that returns None and the term is evaluated by its
-  equations.  POW's twin alone refuses: a power of more than
-  numbers.BITS_CAP bits raises FeasibilityError (defined in numbers,
-  re-exported here) before it is built.  Recursion columns around a twin
+    sequence-length search;
+  - the codec twins: each op of satpr's kit tables (KIT_OPS) that was
+    built for the kit is computed by the coding function its row names,
+    such as seq_decode, seq_encode or a mk_* builder, which declines an
+    argument outside that function's domain.
+  Every twin is exact on all naturals where it answers, costs one step,
+  and does Python work near-linear in the bit length of its arguments and
+  its result; a twin that cannot stay within that returns None and the
+  term is evaluated by its equations.  POW's twin alone refuses: a power
+  of more than numbers.BITS_CAP bits raises FeasibilityError (defined in
+  numbers, re-exported here) before it is built.  Recursion columns around a twin
   (the prime column, the next-prime sweep, the offset column) stay
   ticked, so max_steps keeps bounding the work;
 * recursions of the shapes emitted for bounded quantifiers stop early at

@@ -129,8 +129,10 @@ def sat_witness(phi: Formula | int, y: int | None = None,
     evaluated on the nodes of phi, each z[r/v] is encoded once for its
     triples, and a node's entry index is looked up, not encoded again.
     The triples are built last, so a bound past SWEEP_CAP, or a run whose
-    triples pass BITS_CAP bits by their lower bounds, is refused with
-    FeasibilityError before any is built; so is a subcode listing past it.
+    code t would pass BITS_CAP bits, is refused with FeasibilityError
+    before any is built, and so is a subcode listing past BITS_CAP.  t's
+    bits are bounded below, under either scheme, by the gamma width of
+    each triple's lower bound.
     """
     if isinstance(phi, int):
         phi = scheme.decode(phi)
@@ -141,7 +143,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
         y = scheme.seq_encode([])
     entries, where = formula_seq_index(scheme, phi)
     keys: dict[tuple[int, int, int], None] = {}   # the run's (i, z, w), in order
-    run_bits = [0]
+    run_bits = [1]   # t's bits: the leading 1 and a gamma code per triple
 
     def visit(node: Formula, z: int, zs: list[int]):
         """Truth value of node under the valuation z, whose entries are zs:
@@ -173,7 +175,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
                 raise SatError(f"not a core bounded formula: {node!r}")
         key = (where[node], z, w)
         if key not in keys:
-            run_bits[0] += _triple_bits(*key)
+            run_bits[0] += 2 * _triple_bits(*key) - 1
             if run_bits[0] > BITS_CAP:
                 raise FeasibilityError(f"the run would have more than BITS_CAP = {BITS_CAP} bits")
             keys[key] = None

@@ -24,6 +24,15 @@ slicing, offset tracking) built here.  The reader's bit-length, shift,
 zero-run, hop and length searches are registered as evaluator intrinsics
 with exact Python twins.
 
+Each kit is one table, KIT_OPS[scheme.name], of rows (name, PR term,
+codec function over the scheme's Coding API).  _assemble reads the terms.
+Each term built for the kit has its codec registered as its twin (the
+codec twins), so the op costs one step wherever the codec answers; the
+codec declines, and the equations run, outside its domain: a non-sequence,
+an entry past the end, a code that names no variable, a result past
+numbers.BITS_CAP.  The stdlib nodes the prime-power kit reuses (SEQ_TEST,
+LEN, IDX, LAST) keep their equations.
+
 The atom and bounded-universal clauses read a term's value off the value
 run along its least building sequence s*, and confirm each such value with
 valseq(z, s*, run).  That check fails when z codes no valuation sequence,
@@ -63,24 +72,27 @@ x <= 4096 at y = 1, nine finish within 2M steps (x = 8, 24, 42, 50, 77,
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from functools import cache
+from itertools import chain
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .coding import COMPACT, Coding, CodingError, CompactCoding
+from .coding import COMPACT, PAPER, Coding, CodingError
 from .formulas import BForall, UForall, desugar
 from .nodes import postorder
+from .numbers import magnitude_to_int
 from .primrec import (
     CHI_EQ, CHI_LE, HALF, P11, PARITY, POW, PRED, FeasibilityError, PRTerm,
-    PrimRec, Zero, eval_pr, intrinsic,
+    PrimRec, Twin, Zero, eval_pr, intrinsic,
 )
 from .prlib import (
-    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, SEQ_TEST, S,
+    CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, SEQ_TEST, STDLIB, S,
     and_, bounded_min, ex, fa, fn, implies, least, or_, rel_bexists, select,
 )
 from .satisfaction import sat_witness
 
-__all__ = ["sat_as_pr", "sat_pr_eval", "sat_pr_parts"]
+__all__ = ["KIT_OPS", "KitOp", "codec_twin", "sat_as_pr", "sat_pr_eval", "sat_pr_parts"]
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +182,65 @@ SEQLEN = fn(lambda c: SEQLEN_MIN(c, PLEN(c)))
 
 
 # ---------------------------------------------------------------------------
-# per-scheme op kits
+# per-scheme op tables
 #
-# Shared keys: zero/one (constant term codes), isseq, seqlen, entry(i, c),
-# slast, vget(z, n), repl(z, k, r) (z with entry k set to r, zero padded to
-# length max(len(z), k + 1)), sapp(s, e), varn (a candidate index: c is a
-# variable code iff mk_var(varn(c)) = c), mk_* (code builders; mk_bfa takes
-# the variable code, the bound code, the body code), trm_bound (covers the
+# A scheme's kit is one table of rows (name, term, codec).  The names:
+# zero/one (constant term codes), isseq, seqlen, entry(i, c), slast,
+# vget(z, n), repl(z, k, r) (z with entry k set to r, zero padded to length
+# max(len(z), k + 1)), sapp(s, e), varn (a candidate index: c is a variable
+# code iff mk_var(varn(c)) = c), mk_* (code builders; mk_bfa takes the
+# variable code, the bound code, the body code), trm_bound (covers the
 # canonical building sequence of a term code), b1/b2 (the wrapper search
 # bounds; b1 is the scheme's buildseq_bound).
+
+
+class KitOp(NamedTuple):
+    """A kit op: its name, its PR term (an int for the constant codes zero
+    and one), and the function over the scheme's Coding API that the term
+    computes, or None for a bound no Coding method states.  The codec
+    declines an argument by returning None or by raising CodingError,
+    IndexError or FeasibilityError."""
+    name: str
+    term: PRTerm | int
+    codec: Callable[..., int | None] | None
+
+    @property
+    def twinned(self) -> bool:
+        """Whether the codec is the term's twin, as for every term built
+        for the kit; the prlib stdlib nodes keep their equations."""
+        return (self.codec is not None and isinstance(self.term, PRTerm)
+                and self.term not in _STDLIB)
+
+
+_STDLIB = frozenset(STDLIB.values())
+
+
+def _table(s: Coding, **terms: PRTerm | int) -> tuple[KitOp, ...]:
+    """The kit of the scheme s: each op's term beside its codec over s."""
+    def repl(z: int, k: int, r: int) -> int | None:
+        # padding to k + 1 entries is work linear in k: past the bits of z
+        # the equations take it, one counted step per entry
+        if k > z.bit_length():
+            return None
+        entries = s.seq_decode(z)
+        entries += [0] * (k + 1 - len(entries))
+        entries[k] = r
+        return s.seq_encode(entries)
+
+    codecs = dict(
+        zero=s.mk_zero, one=s.mk_one, isseq=s.is_seq,
+        seqlen=lambda c: len(s.seq_decode(c)),
+        entry=lambda i, c: s.seq_decode(c)[i],
+        slast=lambda c: s.seq_decode(c)[-1],
+        vget=s.seq_idx, repl=repl,
+        sapp=lambda q, e: s.seq_encode(s.seq_decode(q) + [e]),
+        varn=s.var_index,
+        mk_eq=s.mk_eq, mk_le=s.mk_le, mk_not=s.mk_not, mk_imp=s.mk_implies,
+        mk_add=s.mk_add, mk_mul=s.mk_mul, mk_var=s.mk_var,
+        mk_bfa=lambda v, t, b: s.mk_bforall(s.var_index(v), t, b),
+        b1=lambda x, y: magnitude_to_int(s.buildseq_bound(x)),
+        trm_bound=None, b2=None)
+    return tuple(KitOp(name, term, codecs[name]) for name, term in terms.items())
 
 
 def _repl(sapp, vget, seqlen) -> PRTerm:
@@ -190,7 +252,7 @@ def _repl(sapp, vget, seqlen) -> PRTerm:
     return fn(lambda z, k, r: build(z, k, r, seqlen(z) + (S(k) - seqlen(z))))
 
 
-def _compact_ops() -> dict[str, object]:
+def _compact_kit() -> tuple[KitOp, ...]:
     pow2 = fn(lambda k: POW(2, k))
     pay = fn(lambda c: c - pow2(PLEN(c)))
     mod2k = fn(lambda a, k: a - POW(2, k) * SHR(a, k))
@@ -219,13 +281,14 @@ def _compact_ops() -> dict[str, object]:
         lam = BITLEN(b1(x, y))
         return pow2(S(lam * (2 * lam + (4 * y + 8))))
 
-    return dict(
-        zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
+    return _table(
+        COMPACT, zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
         slast=fn(lambda c: entry(SEQLEN(c) - 1, c)), vget=vget,
         repl=_repl(sapp, vget, SEQLEN), sapp=sapp,
         # candidate index read off the bits; callers confirm by rebuilding,
         # a search over indices would cost O(v) on non-variable codes
         varn=fn(lambda c: PRED(pay(gpart(c)))),
+        # tag 1110 codes both a sum and an implication: one node, one twin
         mk_eq=tagged(2), mk_le=tagged(6), mk_not=fn(lambda a: cat(14, a)),
         mk_imp=tagged(30), mk_add=tagged(30), mk_mul=tagged(31),
         mk_var=fn(lambda v: cat(14, gamma(S(v)))),
@@ -236,7 +299,7 @@ def _compact_ops() -> dict[str, object]:
         b1=b1, b2=fn(b2))
 
 
-def _paper_ops() -> dict[str, object]:
+def _paper_kit() -> tuple[KitOp, ...]:
     # symbol tags enter the product as 2^(symbol+1); keep them in that shape
     # rather than as unary numerals
     def tag(symbol: int):
@@ -254,8 +317,8 @@ def _paper_ops() -> dict[str, object]:
         tower = POW(PRIME(x), POW(PRIME(x), S(y) * S(y)))
         return POW(PRIME(x * x), POW(2, b1(x, y)) * POW(3, tower) * 5)
 
-    return dict(
-        zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
+    return _table(
+        PAPER, zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
         vget=vget, repl=_repl(sapp, vget, LEN), sapp=sapp,
         varn=fn(lambda c: PRED(HALF(c))),
         mk_eq=tagged(9), mk_le=tagged(11),
@@ -268,11 +331,44 @@ def _paper_ops() -> dict[str, object]:
         b1=b1, b2=fn(b2))
 
 
+def codec_twin(codec: Callable[..., int | None]) -> Twin:
+    """codec as an evaluator twin: its value as an int, or None where it
+    declines, which leaves that argument to the term's equations."""
+    def twin(args: tuple[int, ...]) -> int | None:
+        try:
+            v = codec(*args)
+        except (CodingError, IndexError, FeasibilityError):
+            return None
+        return None if v is None else int(v)
+    return twin
+
+
+# both tables are built, and their twins registered, on import, so no step
+# count depends on which scheme's parts are assembled first
+KIT_OPS: Mapping[str, tuple[KitOp, ...]] = MappingProxyType(
+    {"compact": _compact_kit(), "paper": _paper_kit()})
+
+
+def _register_twins() -> None:
+    """Each twinned term's first row's codec, as its twin; a term is
+    registered once, so the compact mk_add and mk_imp node is."""
+    twins: dict[PRTerm, Callable[..., int | None]] = {}
+    for op in chain(*KIT_OPS.values()):
+        if op.twinned:
+            twins.setdefault(op.term, op.codec)
+    for term, codec in twins.items():
+        intrinsic(term, codec_twin(codec))
+
+
+_register_twins()
+
+
 # ---------------------------------------------------------------------------
 # shared clause assembly
 
 
-def _assemble(ops: dict[str, object]) -> dict[str, PRTerm]:
+def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
+    ops = {op.name: op.term for op in table}
     isseq, seqlen, entry, slast, varn, vget, trm_bound, mk_add, mk_mul = (
         ops[k] for k in ("isseq", "seqlen", "entry", "slast", "varn", "vget",
                          "trm_bound", "mk_add", "mk_mul"))
@@ -488,12 +584,12 @@ def sat_pr_parts(scheme: Coding = COMPACT) -> Mapping[str, PRTerm]:
     mapping.  run(x, y, s) is the body of the sweep over building
     sequences, and term(x, y) is that sweep up to B1.
     """
-    return _parts(isinstance(scheme, CompactCoding))
+    return _parts(scheme.name)
 
 
 @cache
-def _parts(compact: bool) -> Mapping[str, PRTerm]:
-    parts = _assemble(_compact_ops() if compact else _paper_ops())
+def _parts(name: str) -> Mapping[str, PRTerm]:
+    parts = _assemble(KIT_OPS[name])
     b1, b2, sgate, matrix = (parts[k] for k in ("b1", "b2", "sgate", "matrix"))
     run = parts["run"] = fn(lambda x, y, s: and_(
         sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t))))
@@ -520,8 +616,8 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
     The run that sat_witness builds for (x, y) is passed to satpr.eval_pr
     as certificates for the two outer sweeps (see the module docstring),
     so the steps go to confirming that run, not to the candidates below
-    it: at y = 1, 5,103 / 33,177 / 34,775 steps at x = 8 / 24 / 42,
-    against 66,846 / 101,232 / 261,418 for the plain term.  The
+    it: at y = 1, 4,343 / 19,435 / 23,816 steps at x = 8 / 24 / 42,
+    against 53,559 / 74,868 / 198,966 for the plain term.  The
     certificates and the term share the budget max_steps.
 
     Only a true instance has a run to confirm, and only quantifier-free

@@ -534,7 +534,7 @@ def test_val_codes():
     for scheme in (PAPER, COMPACT):
         assert scheme.val_encode({}) == 1
         y = scheme.val_encode({0: 1, 2: 2})
-        assert [scheme.val_get(y, i) for i in range(4)] == [1, 0, 2, 0]
+        assert [scheme.seq_idx(y, i) for i in range(4)] == [1, 0, 2, 0]
         with pytest.raises(CodingError):
             scheme.val_encode({-1: 0})
         with pytest.raises(CodingError):

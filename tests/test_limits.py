@@ -33,6 +33,15 @@ def const(n: int):
     return t
 
 
+def doubling(k: int):
+    """t_k, with t_0 = 1 and t_(k+1) = (t_k + t_k): k + 1 distinct nodes,
+    whose code writes t_k out as a tree of 2^k leaves."""
+    t = ONE
+    for _ in range(k):
+        t = Add(t, t)
+    return t
+
+
 def chain(depth: int):
     """~...~(0 = 0) with depth negations."""
     phi = Eq(ZERO, ZERO)
@@ -65,10 +74,17 @@ def test_pow_twin_at_the_bit_limit():
 
 
 def test_sequence_encoders_at_the_bit_limit():
-    widest = (1 << BITS_CAP) - 1
-    assert COMPACT.seq_decode(COMPACT.seq_encode([widest])) == [widest]
+    # an entry e is the gamma code of e + 1, 2 bitlen(e + 1) - 1 bits,
+    # behind the code's leading 1
+    widest = (1 << BITS_CAP // 2) - 2
+    code = COMPACT.seq_encode([widest])
+    assert code.bit_length() == BITS_CAP
+    assert COMPACT.seq_decode(code) == [widest]
     with pytest.raises(FeasibilityError, match="BITS_CAP"):
-        COMPACT.seq_encode([0, 1 << BITS_CAP])
+        COMPACT.seq_encode([widest + 1])
+    # the whole code counts, not each entry
+    with pytest.raises(FeasibilityError, match="BITS_CAP"):
+        COMPACT.seq_encode([0, widest])
     # 2^(e + 1): the lower bound of a power of two is its exact size
     assert PAPER.seq_encode([BITS_CAP - 2]).bit_length() == BITS_CAP
     with pytest.raises(FeasibilityError, match="BITS_CAP"):
@@ -103,11 +119,12 @@ def test_subcode_listing_at_the_bit_limit():
 
 
 def test_run_at_the_bit_limit():
-    # the run's triples pass BITS_CAP bits between the bounds 440 and 460
-    run = sat_witness(sweep(440))
-    assert run.value is True
+    # the run's code t, a gamma code per triple, passes BITS_CAP bits
+    # between the bounds 337 and 338
+    run = sat_witness(sweep(337))
+    assert run.value is True and run.t.bit_length() <= BITS_CAP
     with pytest.raises(FeasibilityError, match="the run .* BITS_CAP"):
-        sat_witness(sweep(460))
+        sat_witness(sweep(338))
 
 
 def test_sat_witness_sweep_at_the_sweep_limit():
@@ -125,8 +142,12 @@ PAST_THE_LIMIT = [
     ("paper encode_term", lambda: PAPER.encode_term(Add(Var(10 ** 8), ONE)), "BITS_CAP"),
     ("paper seq_encode", lambda: PAPER.seq_encode([BITS_CAP - 1]), "BITS_CAP"),
     ("compact seq_encode", lambda: COMPACT.seq_encode([1 << BITS_CAP]), "BITS_CAP"),
+    ("compact seq_encode of three 25 Mbit entries",
+     lambda: COMPACT.seq_encode([1 << 25_000_000] * 3), "BITS_CAP"),
+    ("compact encode_term of t_30", lambda: COMPACT.encode_term(doubling(30)), "BITS_CAP"),
     ("triple_encode", lambda: triple_encode(BITS_CAP, 0, 0), "BITS_CAP"),
     ("sat_witness sweep", lambda: sat_witness(sweep(2 ** 24)), "SWEEP_CAP"),
+    ("sat_witness run 440", lambda: sat_witness(sweep(440)), "BITS_CAP"),
     ("sat_witness run 2^10", lambda: sat_witness(sweep(2 ** 10)), "BITS_CAP"),
     ("sat_witness run 2^12", lambda: sat_witness(sweep(2 ** 12)), "BITS_CAP"),
     ("sat_witness listing", lambda: sat_witness(chain(30_000)), "BITS_CAP"),

@@ -12,13 +12,15 @@ from delta0lab import (
     Succ, Zero, eval_pr, parse_pr, sat_as_pr, sat_pr_eval, serialize, validate,
 )
 from delta0lab.prlib import (
-    ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, MONUS, MUL,
-    NEXTPRIME, POW, PRIME, QUOT, SEQ_TEST, SG, STDLIB, ScopeError, and_, bounded_min,
-    const, ex, fa, fn, graph_of, implies, least, not_, or_, rel_bexists,
-    rel_bforall, rel_combine, select,
+    ADD, CHI_EQ, CHI_LE, CHI_LT, CHI_PRIME, DIVIDES, EXPONENT, HALF, MONUS, MUL,
+    NEXTPRIME, PARITY, POW, PRED, PRIME, QUOT, SEQ_TEST, SG, SGBAR, STDLIB, ScopeError,
+    and_, bounded_min, const, ex, fa, fn, graph_of, implies, least, not_, or_,
+    rel_bexists, rel_bforall, rel_combine, select,
 )
 from delta0lab.numbers import nthprime
-from delta0lab.satpr import BITLEN_MIN, HOP, SEQLEN_MIN, SHR, ZRUN_MIN, sat_pr_parts
+from delta0lab.satpr import (
+    BITLEN_MIN, HOP, KIT_OPS, SEQLEN_MIN, SHR, ZRUN_MIN, sat_pr_parts,
+)
 from delta0lab.coding import COMPACT, PAPER
 from delta0lab.formulas import Var
 from delta0lab.nodes import postorder
@@ -231,13 +233,15 @@ def test_nextprime_and_prime_match_their_oracles(intrinsics):
 
 def test_nextprime_searches_from_above_its_argument():
     # the sweep starts at x + 1 and stops at the first prime; a sweep from 0
-    # took 94,380 steps for the paper b1(42, 1) = prime(42)^(43^2)
+    # took 94,380 steps for the paper b1(42, 1) = prime(42)^(43^2).  b1 has
+    # its codec twin, so its prime column is run one level down
     ev = Evaluator()
     assert ev.eval(NEXTPRIME, (1_000_000,)) == 1_000_003
     assert ev.steps < 100
     ev = Evaluator()
-    assert ev.eval(sat_pr_parts(PAPER)["b1"], (42, 1)) == nthprime(42) ** (43 * 43)
-    assert ev.steps == 5_606
+    b1 = sat_pr_parts(PAPER)["b1"]
+    assert ev.eval(b1.f, [ev.eval(g, (42, 1)) for g in b1.gs]) == nthprime(42) ** (43 * 43)
+    assert ev.steps == 5_605
 
 
 def test_chi_prime_matches_sympy():
@@ -579,11 +583,15 @@ def test_twin_registered_after_compiling_takes_effect():
     before = Evaluator()
     assert before.eval(double, (0, 5)) == 10
     assert before.steps == 4
-    # the twin is exact, so it may stay registered for later tests
     primrec_module.intrinsic(double, lambda a: 2 * a[1])
-    after = Evaluator()
-    assert after.eval(double, (0, 5)) == 10
-    assert after.steps == 1
+    try:
+        after = Evaluator()
+        assert after.eval(double, (0, 5)) == 10
+        assert after.steps == 1
+    finally:   # test_every_twin_is_compared_with_its_equations counts twins
+        del primrec_module._INTRINSICS[double]
+        for table in primrec_module._RUN.values():
+            table.clear()
 
 
 def test_stats_report_steps_and_cache_sizes():
@@ -719,6 +727,27 @@ def test_gamma_reader_twins_match_the_equations():
         assert opt.eval(term, args) == raw.eval(term, args), (term, args)
 
 
+# the twins outside satpr's kit tables, each compared with its equations
+# by a test of this section
+CANONICAL = (ADD, MUL, SG, SGBAR, PRED, MONUS, CHI_LE, CHI_EQ, POW, PARITY, HALF)
+GAMMA_TWINS = (BITLEN_MIN, SHR, ZRUN_MIN, HOP, SEQLEN_MIN)
+
+
+def test_canonical_twins_match_the_equations():
+    raw, opt = Evaluator(intrinsics=False), Evaluator()
+    for term in CANONICAL:
+        for args in grid(validate(term), 0, 4 if term is POW else 9):
+            assert opt.eval(term, args) == raw.eval(term, args), (term, args)
+
+
+def test_every_twin_is_compared_with_its_equations():
+    # the kit rows' twins are compared by test_sat.py's
+    # test_each_kit_op_agrees_with_the_codec; a twin registered anywhere
+    # else without a test fails here
+    kit = {op.term for table in KIT_OPS.values() for op in table if op.twinned}
+    assert set(primrec_module._INTRINSICS) == {*CANONICAL, *GAMMA_TWINS, CHI_PRIME, *kit}
+
+
 def test_intrinsics_cost_one_step():
     for term, args in [(BITLEN_MIN, (200, 200)), (SHR, (200, 5)),
                        (ZRUN_MIN, (200, 1, 7)), (HOP, (0, 200, 0)),
@@ -763,7 +792,7 @@ def test_sat_pr_fits_a_small_budget():
 
 
 # the plain term sweeps every candidate below the canonical run
-@pytest.mark.parametrize("x, steps", [(8, 66_846), (24, 101_232), (42, 261_418)],
+@pytest.mark.parametrize("x, steps", [(8, 53_559), (24, 74_868), (42, 198_966)],
                          ids=["8", "24", "42"])
 def test_sat_pr_step_counts_are_pinned(x, steps):
     ev = Evaluator()
@@ -792,7 +821,7 @@ def _guided(monkeypatch, x):
 
 # sat_pr_eval confirms the run that sat_witness builds instead of sweeping
 # up to it
-@pytest.mark.parametrize("x, steps", [(8, 5_103), (24, 33_177), (42, 34_775)],
+@pytest.mark.parametrize("x, steps", [(8, 4_343), (24, 19_435), (42, 23_816)],
                          ids=["8", "24", "42"])
 def test_sat_pr_guided_step_counts_are_pinned(x, steps, monkeypatch):
     ev, witnesses = _guided(monkeypatch, x)
@@ -825,13 +854,13 @@ def test_annotation_bound_is_never_written_out():
 
 def test_sat_pr_budget_edge():
     # the certificates and the term share one budget
-    assert sat_pr_eval(8, 1, max_steps=5_103) == 1
-    with pytest.raises(FeasibilityError, match="step budget of 5102"):
-        sat_pr_eval(8, 1, max_steps=5_102)
-    ev = Evaluator(max_steps=66_845)
+    assert sat_pr_eval(8, 1, max_steps=4_343) == 1
+    with pytest.raises(FeasibilityError, match="step budget of 4342"):
+        sat_pr_eval(8, 1, max_steps=4_342)
+    ev = Evaluator(max_steps=53_558)
     with pytest.raises(FeasibilityError):
         ev.eval(sat_as_pr(), (8, 1))
-    assert ev.steps == 66_846
+    assert ev.steps == 53_559
 
 
 @given(st.integers(0, 30), st.integers(0, 30))

@@ -1,5 +1,6 @@
 """Satisfaction tests: direct checks, annotated runs, diagonal, PR form."""
 
+import itertools
 import time
 
 import pytest
@@ -16,9 +17,9 @@ from delta0lab.formulas import (
     parse_term,
 )
 from delta0lab.nodes import postorder
-from delta0lab.numbers import BITS_CAP, magnitude_ge, magnitude_to_int
+from delta0lab.numbers import BITS_CAP, magnitude_ge
 from delta0lab.primrec import (
-    Comp, Evaluator, FeasibilityError, PrimRec, Proj, eval_pr, validate,
+    MUL, Comp, Evaluator, FeasibilityError, PrimRec, Proj, eval_pr, validate,
 )
 from delta0lab.prlib import and_, ex, fn, rel_bexists
 from delta0lab.satisfaction import (
@@ -33,9 +34,9 @@ from delta0lab.satisfaction import (
     triple_encode,
 )
 from delta0lab.satpr import (
+    KIT_OPS,
     _assemble,
-    _compact_ops,
-    _paper_ops,
+    codec_twin,
     sat_as_pr,
     sat_pr_eval,
     sat_pr_parts,
@@ -451,7 +452,7 @@ def test_sat_term_shares_every_equal_subterm():
 
 def test_assembling_again_returns_identical_terms():
     parts = sat_pr_parts(COMPACT)
-    rebuilt = _assemble(_compact_ops())
+    rebuilt = _assemble(KIT_OPS["compact"])
     assert all(rebuilt[k] is parts[k] for k in rebuilt)
 
 
@@ -494,6 +495,10 @@ def test_sat_pr_runs_past_the_prime_power_b1():
     # bits, and every x >= 54 was refused up front; B1 is buildseq_bound now
     for x in (8, 24, 42, 50, 77, 106):
         assert sat_pr_eval(x, 1) == 1 == int(sat_valuation(x, 1)), x
+    # with these, all nine of the 103 true quantifier-free codes x <= 4096
+    # that finish within 2M steps at y = 1, a floor for satpr's docstring
+    for x in (205, 306, 307):
+        assert sat_pr_eval(x, 1, max_steps=2_000_000) == 1 == int(sat_valuation(x, 1)), x
     # the step budget is all that stops a run, and it stops one at once
     assert sat_valuation(1221, 1)
     start = time.perf_counter()
@@ -502,58 +507,71 @@ def test_sat_pr_runs_past_the_prime_power_b1():
     assert time.perf_counter() - start < 1.0
 
 
-# small inputs for each kit: a paper formula code is at least 230,400, and
-# mk_not or mk_imp raise 3 and 5 to it, so paper children stay tiny
+# the argument pools of the kit test: every tuple of naturals below a box
+# per arity, and every tuple over a few real codes of each scheme.  A paper
+# formula code is at least 230,400 and the paper stdlib ops sweep to their
+# argument's value, so the paper pool holds no formula code.  Each probe is
+# tried on the twinned rows alone, as every argument at once: 2^5000
+# passes the compact B1's bit limit; 7199 passes the paper B1's and names
+# the variable whose code 14,400 reads as (0 + 0); 2^25 + 1 is no paper
+# sequence, and 3^(2^25 + 2) passes BITS_CAP bits
 _TERMS = [ZERO, ONE, Var(0), Var(1), Var(3), Add(ONE, Var(0)), Mul(Var(1), Add(ZERO, ONE))]
-_KITS = {
-    "compact": (COMPACT, _compact_ops, _TERMS,
-                [Eq(a, b) for a in _TERMS[:4] for b in _TERMS[:4]] + [Not(Le(ONE, Var(2)))],
-                [[], [0], [3], [0, 1, 2], [5, 0, 7, 1]], 512, 512),
-    "paper": (PAPER, _paper_ops, _TERMS[:4], [Eq(ZERO, ZERO)],
-              [[], [0], [1], [0, 1], [1, 0, 0]], 128, 5),
+_POOLS = {
+    "compact": ((512, 24, 8), _TERMS, [Eq(ZERO, ONE), Le(Var(1), Var(0)), Not(Le(ONE, Var(2))),
+                                       Implies(Eq(ZERO, ZERO), Eq(ONE, ONE))],
+                [[], [0], [3], [0, 1, 2], [5, 0, 7, 1]], [1 << 5000]),
+    "paper": ((64, 12, 5), _TERMS[:4], [], [[], [0], [1], [0, 1], [1, 0, 0]],
+              [7199, (1 << 25) + 1]),
 }
+# the codec methods defined on every natural, whose twins never decline
+_TOTAL = {COMPACT.is_seq, COMPACT.mk_var}
 
 
-@pytest.mark.parametrize("name", sorted(_KITS))
-def test_each_kit_op_agrees_with_the_codec(name):
-    scheme, kit, terms, formulas, seqs, box, b1_top = _KITS[name]
-    ops, ev = kit(), Evaluator()
+def _kit_args(scheme, op):
+    box, terms, formulas, seqs, probes = _POOLS[scheme.name]
+    arity = validate(op.term)
+    codes = [*range(4), *map(scheme.encode_term, terms), *map(scheme.encode, formulas),
+             *map(scheme.seq_encode, seqs)]
+    yield from itertools.product(range(box[arity - 1]), repeat=arity)
+    yield from itertools.product(codes, repeat=arity)
+    if op.twinned:
+        yield from ((p,) * arity for p in probes)
 
-    def run(op, *args):
-        return ops[op] if isinstance(ops[op], int) else ev.eval(ops[op], args)
 
-    enc, encf = scheme.encode_term, scheme.encode
-    assert (run("zero"), run("one")) == (enc(ZERO), enc(ONE))
-    for i in range(5):
-        assert run("varn", run("mk_var", i)) == i and run("mk_var", i) == enc(Var(i))
-    for a in terms:
-        for b in terms:
-            assert run("mk_add", enc(a), enc(b)) == enc(Add(a, b)), (a, b)
-            assert run("mk_mul", enc(a), enc(b)) == enc(Mul(a, b)), (a, b)
-            assert run("mk_eq", enc(a), enc(b)) == encf(Eq(a, b)), (a, b)
-            assert run("mk_le", enc(a), enc(b)) == encf(Le(a, b)), (a, b)
-    for f in formulas:
-        assert run("mk_not", encf(f)) == encf(Not(f)), f
-        assert run("mk_imp", encf(f), encf(formulas[0])) == encf(Implies(f, formulas[0])), f
-        for i, t in ((0, ONE), (2, Var(1))):
-            assert run("mk_bfa", enc(Var(i)), enc(t), encf(f)) == encf(BForall(i, t, f)), f
-    for c in range(box):
-        # varn reads a candidate off any code; rebuilding confirms a variable
-        assert (run("mk_var", run("varn", c)) == c) == (scheme.var_index(c) is not None), c
-        assert run("isseq", c) == scheme.is_seq(c), c
-    for entries in seqs:
-        c = scheme.seq_encode(entries)
-        assert run("isseq", c) == 1 and run("seqlen", c) == len(entries), entries
-        assert [run("entry", i, c) for i in range(len(entries))] == entries
-        for k in range(len(entries) + 2):
-            assert run("vget", c, k) == scheme.seq_idx(c, k), (entries, k)
-            for r in (0, 2):
-                # past the end, the entries read as 0 are written out
-                want = entries + [0] * (k + 1 - len(entries))
-                want[k] = r
-                assert run("repl", c, k, r) == scheme.seq_encode(want), (entries, k, r)
-    assert [run("b1", x, 1) for x in range(b1_top)] == [
-        magnitude_to_int(scheme.buildseq_bound(x)) for x in range(b1_top)]
+def _one_level_down(ev, t, args):
+    """The composition t at args from its outer function and the values of
+    its inner ones, so t's own twin is not asked.  A product stops at a
+    first factor 0, as the evaluator's does, so an index past the end of a
+    sequence is not swept."""
+    first, *rest = t.gs
+    v = ev.eval(first, args)
+    if t.f is MUL and v == 0:
+        return 0
+    return ev.eval(t.f, [v, *(ev.eval(g, args) for g in rest)])
+
+
+@pytest.mark.parametrize("scheme", [COMPACT, PAPER], ids=["compact", "paper"])
+def test_each_kit_op_agrees_with_the_codec(scheme):
+    # differential: where a row's codec answers, as its twin then does for
+    # a twinned row, the value is the row's term one level down, with
+    # every other twin on
+    ev, answered, declined = Evaluator(), set(), set()
+    rows = [op for op in KIT_OPS[scheme.name] if op.codec is not None]
+    for op in rows:
+        if isinstance(op.term, int):
+            assert op.term == op.codec(), op.name
+            continue
+        twin = codec_twin(op.codec)
+        for args in _kit_args(scheme, op):
+            want = twin(args)
+            if want is None:
+                declined.add(op)
+            else:
+                answered.add(op)
+                assert _one_level_down(ev, op.term, args) == want, (op.name, args)
+    assert answered == {op for op in rows if not isinstance(op.term, int)}
+    assert {op for op in declined if op.twinned} == {
+        op for op in rows if op.twinned and op.codec not in _TOTAL}
 
 
 def test_sat_pr_val_relation_parts():
