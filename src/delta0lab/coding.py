@@ -125,7 +125,9 @@ class Coding:
     formula_shapes(code); the node codes mk_zero(), mk_one(), mk_var(i),
     mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a), mk_implies(a, b),
     mk_bforall(i, t, b), mk_uforall(i, b) over child codes; and
-    buildseq_bound(x), the budget for a building sequence of x.
+    buildseq_bound(x), the budget for a building sequence of x.  It may
+    replace fields(code), the child codes the Sat term's field readers
+    take, and entry_shapes(code), the reading coding.entry_clauses takes.
 
     encode/encode_term write through _write(node, formula), which builds
     the code bottom-up from the mk_* builders (_build); a subclass may
@@ -208,6 +210,24 @@ class Coding:
             return True
         except CodingError:
             return False
+
+    def fields(self, code: int) -> tuple[int, ...]:
+        """The child codes that the Sat term's field readers take off code:
+        the two terms of an atom, and the variable code, the bound and the
+        body of a bounded universal.  CodingError for any other code."""
+        for shape in self.formula_shapes(code):
+            match shape:
+                case ("eq" | "le", a, b):
+                    return a, b
+                case ("bforall", i, t, b):
+                    return self.mk_var(i), t, b
+        raise CodingError(f"{short_code(code)} is no atom and no bounded universal")
+
+    def entry_shapes(self, code: int) -> list[tuple]:
+        """formula_shapes(code), except that a scheme may leave the last
+        child unread: its code is then the rest of code, which the caller
+        must confirm, as coding.entry_clauses does."""
+        return self.formula_shapes(code)
 
     def var_index(self, code: int) -> int | None:
         """Index i when code is a variable code v_i, else None.
@@ -433,6 +453,11 @@ class PaperCoding(Coding):
             return [("uforall", i, rest[1])]
         return []
 
+    def fields(self, code: int) -> tuple[int, ...]:
+        """The entries after the head of any sequence code: the prime
+        exponents that the field readers take, whatever the head symbol."""
+        return tuple(self.seq_decode(code)[1:])
+
     def _seq_or_none(self, code: int) -> list[int] | None:
         try:
             return self.seq_decode(code)
@@ -627,6 +652,20 @@ def _child(bits: str, pos: int, formula: bool) -> tuple[int, int]:
     return int("1" + bits[pos:end], 2), end
 
 
+def _rest(bits: str, pos: int, formula: bool) -> tuple[int, int]:
+    """(code, end) of the bits from pos on, read as one child but unread."""
+    return int("1" + bits[pos:], 2), len(bits)
+
+
+def term_end(code: int, d: int) -> int | None:
+    """The payload offset just past the term whose compact code starts at
+    payload offset d of code, or None when no whole term starts there."""
+    try:
+        return _skip(_bin(code), 3 + d, False) - 3
+    except CodingError:
+        return None
+
+
 def _join(head: int, *codes: int) -> int:
     """The code whose bits are those of the code head, then those of each
     code in turn."""
@@ -801,28 +840,37 @@ class CompactCoding(Coding):
         return [shape] if pos == len(bits) else []
 
     def formula_shapes(self, code: int) -> list[tuple]:
+        return self._formula_shapes(code, _child)
+
+    def entry_shapes(self, code: int) -> list[tuple]:
+        """formula_shapes(code) with the last child the rest of the bits,
+        unread, so a deep chain of entries is read in linear time."""
+        return self._formula_shapes(code, _rest)
+
+    def _formula_shapes(self, code: int, last) -> list[tuple]:
+        """The formula shapes of code, its last child read by last."""
         try:
             bits = _bin(code)
             k, pos = _tag(bits, 3)
             if k <= 1:
                 a, pos = _child(bits, pos, False)
-                b, pos = _child(bits, pos, False)
+                b, pos = last(bits, pos, False)
                 shape: tuple = ("eq" if k == 0 else "le", a, b)
             elif k == 2:
-                b, pos = _child(bits, pos, True)
+                b, pos = last(bits, pos, True)
                 shape = ("not", b)
             elif k == 3:
                 a, pos = _child(bits, pos, True)
-                b, pos = _child(bits, pos, True)
+                b, pos = last(bits, pos, True)
                 shape = ("implies", a, b)
             else:
                 i, bounded, pos = _quantifier(bits, pos)
                 if bounded:
                     t, pos = _child(bits, pos, False)
-                    b, pos = _child(bits, pos, True)
+                    b, pos = last(bits, pos, True)
                     shape = ("bforall", i, t, b)
                 else:
-                    b, pos = _child(bits, pos, True)
+                    b, pos = last(bits, pos, True)
                     shape = ("uforall", i, b)
         except CodingError:
             return []
@@ -967,12 +1015,17 @@ def entry_clauses(scheme: Coding, entries: list[int],
     children before the entry; ("bforall", i, u, tu, js) with the bound
     read by quantifier_bound; and, only when unbounded, ("uforall", i, js).
     build_entries_ok and satisfaction.satseq_check both read formula
-    entries here, so each of these rules is written once."""
+    entries here, so each of these rules is written once.
+
+    An entry is read by the scheme's entry_shapes: its last child is the
+    rest of its code, unread, and confirmed by the lookup among the
+    earlier entries, or for an atom by decoding.  So each entry is read
+    once, and a deep chain in time linear in its entries' bits."""
     out: list[list[tuple]] = []
     where: dict[int, tuple[int, ...]] = {}   # code -> its positions so far
     for i, e in enumerate(entries):
         clauses: list[tuple] = []
-        for shape in scheme.formula_shapes(e):
+        for shape in scheme.entry_shapes(e):
             try:
                 match shape:
                     case ("eq", u, v) | ("le", u, v):

@@ -17,10 +17,12 @@ skip work whose result is forced):
   - the canonical arithmetic below (addition, multiplication, the sign
     functions, truncated subtraction, the order and equality tests,
     powers, parity and halving);
-  - the primality test prlib.CHI_PRIME;
+  - the primality test prlib.CHI_PRIME and the prime exponent
+    prlib.EXPONENT;
   - the compact coding's gamma-stream reader in satpr: its bit-length
     search, right shift, zero-run search, one-hop offset step and
-    sequence-length search;
+    sequence-length search, and its syntax reader: the tag hop, the end
+    of a term and the subcode span;
   - the codec twins: each op of satpr's kit tables (KIT_OPS) that was
     built for the kit is computed by the coding function its row names,
     such as seq_decode, seq_encode or a mk_* builder, which declines an

@@ -36,6 +36,7 @@ from functools import cache, reduce
 from math import isqrt
 
 from .nodes import walk
+from .numbers import nthprime
 from .primrec import (
     ADD, CHI_EQ, CHI_LE, HALF, MONUS, MUL, P11, PARITY, POW, PRED, SG, SGBAR,
     App, Arg, ArityError, Comp, Expr, PRError, PRTerm, PrimRec, Proj, Succ,
@@ -298,8 +299,34 @@ NEXTPRIME = fn(lambda x: S(x) + least(S(x), lambda d: CHI_PRIME(S(x) + d)))
 _PRIMES = PrimRec(const(2, 1), fn(lambda p, x, i: NEXTPRIME(p)))
 PRIME = fn(lambda i: _PRIMES(i, i))
 
-# exponent(k, x) = largest e with prime(k)^e dividing x (x >= 1)
+# exponent(k, x) = largest e with prime(k)^e dividing x (x >= 1), and 1
+# for x = 0, where no e <= 0 is a witness
 EXPONENT = fn(lambda k, x: least(x, lambda e: not_(DIVIDES(POW(PRIME(k), S(e)), x))))
+
+
+def _exponent(a: tuple[int, ...]) -> int | None:
+    k, x = a
+    if x == 0:
+        return 1
+    if k + 2 > x:
+        return 0   # prime(k) >= k + 2 divides no smaller x >= 1
+    if k >> 16:
+        return None   # the equations take a step per prime below prime(k)
+    # divide by p, p^2, p^4, ... while they divide, then back down: the
+    # exponent bit by bit, in O(log e) divisions
+    powers, e = [nthprime(k)], 0
+    while x % powers[-1] == 0:
+        x //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for j in range(len(powers) - 2, -1, -1):
+        if x % powers[j] == 0:
+            x //= powers[j]
+            e += 1 << j
+    return e
+
+
+intrinsic(EXPONENT, _exponent)
 
 # ------------------------------------------------------- sequence coding
 

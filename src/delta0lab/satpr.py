@@ -18,11 +18,27 @@ projection is numbered by hand.  The quantifier shell is
         sgate(x, y, s), ex(b2(x, y), lambda t: matrix(x, y, s, t)))))
 
 and the matrix is the clause algebra over a per-scheme kit of sequence
-readers and code builders: prime-exponent sequences use the stdlib ops,
-bit-packed sequences get a gamma-stream reader (zero-run scan, entry
-slicing, offset tracking) built here.  The reader's bit-length, shift,
-zero-run, hop and length searches are registered as evaluator intrinsics
-with exact Python twins.
+readers, field readers and code builders: prime-exponent sequences use
+the stdlib ops, bit-packed sequences get a gamma-stream reader (zero-run
+scan, entry slicing, offset tracking) and a syntax reader (tag hops, the
+end of a term, subcode spans) built here.  The readers' bit-length,
+shift, zero-run, hop, length, tag-hop, term-end and span ops are
+registered as evaluator intrinsics with exact Python twins.
+
+No syntax test of the bit-packed kit searches over code values.  The
+fields of an atom or a
+bounded universal e (its two terms; its variable code and bound) are
+read off e by the kit's kid1 and kid2, exponents 1 and 2 of a prime-power
+code and the spans after the tag of a bit-packed one, and every reading
+is confirmed by rebuilding e from it, as e = mk_eq(kid1(e), kid2(e)).
+The building sequence s*(u) of a term u is constructed by the
+bit-packed kit, as u's subterm codes in reverse preorder, so each comes
+after its subterms; the prime-power kit keeps the least witness below
+trm_bound.  trm(u) checks s*(u): any sequence that passes trmseq and ends
+in u shows that u is a term.  A bounded universal also checks that its
+variable is no entry of s*(u) for its bound u, that is, does not occur in
+u.  Refuting a non-atom or a wrong annotation so takes steps polynomial
+in the bit length of the bit-packed codes.
 
 Each kit is one table, KIT_OPS[scheme.name], of rows (name, PR term,
 codec function over the scheme's Coding API).  _assemble reads the terms.
@@ -34,7 +50,7 @@ numbers.BITS_CAP.  The stdlib nodes the prime-power kit reuses (SEQ_TEST,
 LEN, IDX, LAST) keep their equations.
 
 The atom and bounded-universal clauses read a term's value off the value
-run along its least building sequence s*, and confirm each such value with
+run along its building sequence s*, and confirm each such value with
 valseq(z, s*, run).  That check fails when z codes no valuation sequence,
 so such a z gives no value witness: an atom can then only be annotated
 false and a universal clause fails, as in satisfaction's _atom_clause and
@@ -65,9 +81,10 @@ bound 2^((s+1)(2s+3)+1), s = plen(x), for the bit-packed one.  The
 compact B2 = 2^(1 + lam(2 lam + 4y + 8)), lam = bitlen(B1), then has
 13,762 bits at (42, 1), 24,184 at (77, 1), and about 6 Mbit at most for
 codes up to _CODE_CAP: past the guards on its arguments, only the step
-budget stops sat_pr_eval.  Of the 103 true quantifier-free compact codes
-x <= 4096 at y = 1, nine finish within 2M steps (x = 8, 24, 42, 50, 77,
-106, 205, 306, 307), and the others run out of that budget.
+budget stops sat_pr_eval.  All 103 true quantifier-free compact codes
+x <= 4096 at y = 1 finish, in at most 236,109 steps each, most of them
+the prime p_(u+v) of the atom cap; the three true quantified ones are
+gated off.
 """
 
 from __future__ import annotations
@@ -78,7 +95,7 @@ from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .coding import COMPACT, PAPER, Coding, CodingError
+from .coding import COMPACT, PAPER, Coding, CodingError, term_end
 from .formulas import BForall, UForall, desugar
 from .nodes import postorder
 from .numbers import magnitude_to_int
@@ -88,7 +105,7 @@ from .primrec import (
 )
 from .prlib import (
     CHI_LT, EXPONENT, IDX, LAST, LEN, PAIR3, PRIME, SEQ_TEST, STDLIB, S,
-    and_, bounded_min, ex, fa, fn, implies, least, or_, rel_bexists, select,
+    and_, bounded_min, ex, fa, fn, implies, least, not_, or_, rel_bexists, select,
 )
 from .satisfaction import sat_witness
 
@@ -182,16 +199,84 @@ SEQLEN = fn(lambda c: SEQLEN_MIN(c, PLEN(c)))
 
 
 # ---------------------------------------------------------------------------
+# the syntax reader's primitives
+#
+# A compact term code is its tags in preorder: 0 | 10 | 110 g(i+1) |
+# 1110 T T | 1111 T T.  TOKEN hops over one tag, and a variable's gamma
+# code; TEND hops from an offset until no child is pending, which is where
+# the term coded from there ends; SPAN cuts a subcode out of a code.  Each
+# is registered with an exact Python twin; TEND's is coding.term_end.
+
+POW2 = fn(lambda k: POW(2, k))
+MOD2K = fn(lambda a, k: a - POW(2, k) * SHR(a, k))   # a mod 2^k
+
+# the ones read from offset d, at most four: the tag there, 0 for "0"
+# up to 4 for "1111"
+ONES = fn(lambda c, d: _BIT(c, d) * S(_BIT(c, d + 1) * S(
+    _BIT(c, d + 2) * S(_BIT(c, d + 3)))))
+
+
+def _token_eq(c, d):
+    t = ONES(c, d)
+    nxt = select(CHI_EQ(t, 2), _next(c, d + 3), d + S(t) - CHI_EQ(t, 4))
+    return select(CHI_LE(PLEN(c), d), S(PLEN(c)),
+                  select(CHI_LE(nxt, PLEN(c)), nxt, S(PLEN(c))))
+
+
+def _token(c: int, d: int) -> int:
+    """Offset after the term tag at offset d, or plen + 1 (poisoned)."""
+    plen = _plen(c)
+    if d >= plen:
+        return plen + 1
+    payload = bin(c)[3:]
+    zero = payload.find("0", d, d + 4)
+    ones = zero - d if zero >= 0 else 4
+    if ones == 2:
+        # a variable: its gamma code's first one ends the zero run
+        one = payload.find("1", d + 3)
+        nxt = 2 * one - d - 2 if one >= 0 else plen + 1
+    else:
+        nxt = d + min(ones + 1, 4)
+    return nxt if nxt <= plen else plen + 1
+
+
+TOKEN = intrinsic(fn(_token_eq), lambda a: _token(*a))
+# offset of the n-th tag from offset d, as POSN over HOP
+TOKS = PrimRec(fn(lambda c, d: d), fn(lambda p, c, d, n: TOKEN(c, p)))
+# children still pending after n tags from d: a sum or product adds one
+PEND = PrimRec(fn(lambda c, d: 1), fn(lambda k, c, d, n: select(
+    CHI_LE(3, ONES(c, TOKS(c, d, n))), S(k), PRED(k))))
+# no term is done after plen + 1 tags, which poison the offset
+TEND = intrinsic(
+    fn(lambda c, d: TOKS(c, d, least(S(PLEN(c)), lambda n: CHI_EQ(PEND(c, d, n), 0)))),
+    lambda a: term_end(*a))
+
+
+def _span(c: int, a: int, b: int) -> int | None:
+    w = max(b - a, 0)
+    if w > c.bit_length():
+        return None   # a payload past c's; the equations build 2^w
+    return (1 << w) | (c >> max(_plen(c) - b, 0)) & ((1 << w) - 1)
+
+
+# the code whose payload is bits a .. b - 1 of c's payload
+SPAN = intrinsic(fn(lambda c, a, b: POW2(b - a) + MOD2K(SHR(c, PLEN(c) - b), b - a)),
+                 lambda x: _span(*x))
+
+
+# ---------------------------------------------------------------------------
 # per-scheme op tables
 #
 # A scheme's kit is one table of rows (name, term, codec).  The names:
 # zero/one (constant term codes), isseq, seqlen, entry(i, c), slast,
 # vget(z, n), repl(z, k, r) (z with entry k set to r, zero padded to length
 # max(len(z), k + 1)), sapp(s, e), varn (a candidate index: c is a variable
-# code iff mk_var(varn(c)) = c), mk_* (code builders; mk_bfa takes the
-# variable code, the bound code, the body code), trm_bound (covers the
-# canonical building sequence of a term code), b1/b2 (the wrapper search
-# bounds; b1 is the scheme's buildseq_bound).
+# code iff mk_var(varn(c)) = c), kid1/kid2 (the fields of an atom or a
+# bounded universal, Coding.fields; callers confirm them by rebuilding),
+# sstar (bit-packed only: a building sequence of a term code), mk_* (code
+# builders; mk_bfa takes the variable code, the bound code, the body code),
+# trm_bound (covers the canonical building sequence of a term code), b1/b2
+# (the wrapper search bounds; b1 is the scheme's buildseq_bound).
 
 
 class KitOp(NamedTuple):
@@ -227,6 +312,18 @@ def _table(s: Coding, **terms: PRTerm | int) -> tuple[KitOp, ...]:
         entries[k] = r
         return s.seq_encode(entries)
 
+    def sstar(u: int) -> int | None:
+        # the subterm codes of u in preorder, reversed
+        out, todo = [], [u]
+        while todo:
+            shapes = s.term_shapes(c := todo.pop())
+            if not shapes:
+                return None
+            out.append(c)
+            if shapes[0][0] in ("add", "mul"):
+                todo += shapes[0][:0:-1]
+        return s.seq_encode(out[::-1])
+
     codecs = dict(
         zero=s.mk_zero, one=s.mk_one, isseq=s.is_seq,
         seqlen=lambda c: len(s.seq_decode(c)),
@@ -234,7 +331,8 @@ def _table(s: Coding, **terms: PRTerm | int) -> tuple[KitOp, ...]:
         slast=lambda c: s.seq_decode(c)[-1],
         vget=s.seq_idx, repl=repl,
         sapp=lambda q, e: s.seq_encode(s.seq_decode(q) + [e]),
-        varn=s.var_index,
+        varn=s.var_index, kid1=lambda e: s.fields(e)[0], kid2=lambda e: s.fields(e)[1],
+        sstar=sstar,
         mk_eq=s.mk_eq, mk_le=s.mk_le, mk_not=s.mk_not, mk_imp=s.mk_implies,
         mk_add=s.mk_add, mk_mul=s.mk_mul, mk_var=s.mk_var,
         mk_bfa=lambda v, t, b: s.mk_bforall(s.var_index(v), t, b),
@@ -253,15 +351,13 @@ def _repl(sapp, vget, seqlen) -> PRTerm:
 
 
 def _compact_kit() -> tuple[KitOp, ...]:
-    pow2 = fn(lambda k: POW(2, k))
-    pay = fn(lambda c: c - pow2(PLEN(c)))
-    mod2k = fn(lambda a, k: a - POW(2, k) * SHR(a, k))
+    pay = fn(lambda c: c - POW2(PLEN(c)))
     # code concatenation: append c's payload bits to a
-    cat = fn(lambda a, c: a * pow2(PLEN(c)) + pay(c))
-    gamma = fn(lambda v: pow2(2 * BITLEN(v) - 1) + v)
+    cat = fn(lambda a, c: a * POW2(PLEN(c)) + pay(c))
+    gamma = fn(lambda v: POW2(2 * BITLEN(v) - 1) + v)
     sapp = fn(lambda s, e: cat(s, gamma(S(e))))
     isseq = fn(lambda c: and_(CHI_LE(1, c), CHI_LE(SEQLEN(c), PLEN(c))))
-    gdec = fn(lambda c, d: mod2k(SHR(pay(c), PLEN(c) - _next(c, d)), S(ZRUN(c, d))))
+    gdec = fn(lambda c, d: MOD2K(SHR(pay(c), PLEN(c) - _next(c, d)), S(ZRUN(c, d))))
     entry = fn(lambda i, c: PRED(gdec(c, POSN(c, i))))
     vget = fn(lambda z, n: CHI_LT(n, SEQLEN(z)) * entry(n, z))
 
@@ -269,17 +365,39 @@ def _compact_kit() -> tuple[KitOp, ...]:
         return fn(lambda a, b: cat(cat(tag, a), b))
 
     # variable payload minus its three tag bits, as a code
-    gpart = fn(lambda c: pow2(PLEN(c) - 3) + mod2k(pay(c), PLEN(c) - 3))
+    gpart = fn(lambda c: POW2(PLEN(c) - 3) + MOD2K(pay(c), PLEN(c) - 3))
+
+    # the term coded from offset p of e
+    term_at = fn(lambda e, p: SPAN(e, p, TEND(e, p)))
+
+    # the fields of a formula code e, read after its tag: an atom's two
+    # terms, or a quantifier's variable code and bound; the variable's
+    # gamma code runs from offset 4 to gend
+    def gend(e):
+        return S(2 * ZRUN(e, 4)) + 4
+
+    def kid1(e):
+        return select(CHI_EQ(ONES(e, 0), 4), cat(14, SPAN(e, 4, gend(e))),
+                      term_at(e, S(ONES(e, 0))))
+
+    def kid2(e):
+        return select(CHI_EQ(ONES(e, 0), 4), term_at(e, S(gend(e))),
+                      SPAN(e, TEND(e, S(ONES(e, 0))), PLEN(e)))
+
+    # the subterm codes of u in reverse preorder: tag n of u starts a
+    # subterm, put in front as it is read; at most plen(u) of them
+    subs = PrimRec(fn(lambda u: 1), fn(lambda acc, u, n: select(
+        CHI_LT(TOKS(u, 0, n), PLEN(u)), cat(gamma(S(term_at(u, TOKS(u, 0, n)))), acc), acc)))
 
     # at most plen(x) + 1 subcodes of at most 2 plen(x) + 3 bits once gamma
     # coded, as CompactCoding.buildseq_bound
-    b1 = fn(lambda x, y: pow2(S(S(PLEN(x)) * (2 * PLEN(x) + 3))))
+    b1 = fn(lambda x, y: POW2(S(S(PLEN(x)) * (2 * PLEN(x) + 3))))
 
     # quantifier-free runs keep z = y in every triple, so the annotation
     # code has at most bitlen(b1) triples of bitlen(b1) + 2y + 4 bits each
     def b2(x, y):
         lam = BITLEN(b1(x, y))
-        return pow2(S(lam * (2 * lam + (4 * y + 8))))
+        return POW2(S(lam * (2 * lam + (4 * y + 8))))
 
     return _table(
         COMPACT, zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
@@ -288,6 +406,8 @@ def _compact_kit() -> tuple[KitOp, ...]:
         # candidate index read off the bits; callers confirm by rebuilding,
         # a search over indices would cost O(v) on non-variable codes
         varn=fn(lambda c: PRED(pay(gpart(c)))),
+        # fields read off the bits; callers confirm them by rebuilding e
+        kid1=fn(kid1), kid2=fn(kid2), sstar=fn(lambda u: subs(u, PLEN(u))),
         # tag 1110 codes both a sum and an implication: one node, one twin
         mk_eq=tagged(2), mk_le=tagged(6), mk_not=fn(lambda a: cat(14, a)),
         mk_imp=tagged(30), mk_add=tagged(30), mk_mul=tagged(31),
@@ -295,7 +415,7 @@ def _compact_kit() -> tuple[KitOp, ...]:
         mk_bfa=fn(lambda v, t, b: cat(cat(cat(31, gpart(v)) * 2, t), b)),
         # a canonical building sequence has at most plen(u) entries of at
         # most bitlen(u) + 1 bits each once gamma coded
-        trm_bound=fn(lambda u: pow2(S(PLEN(u) * S(2 * BITLEN(u))))),
+        trm_bound=fn(lambda u: POW2(S(PLEN(u) * S(2 * BITLEN(u))))),
         b1=b1, b2=fn(b2))
 
 
@@ -321,6 +441,7 @@ def _paper_kit() -> tuple[KitOp, ...]:
         PAPER, zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
         vget=vget, repl=_repl(sapp, vget, LEN), sapp=sapp,
         varn=fn(lambda c: PRED(HALF(c))),
+        kid1=fn(lambda e: IDX(1, e)), kid2=fn(lambda e: IDX(2, e)),
         mk_eq=tagged(9), mk_le=tagged(11),
         mk_not=fn(lambda a: tag(13) * POW(3, S(a))),
         mk_imp=tagged(15), mk_add=tagged(5), mk_mul=tagged(7),
@@ -369,9 +490,9 @@ _register_twins()
 
 def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
     ops = {op.name: op.term for op in table}
-    isseq, seqlen, entry, slast, varn, vget, trm_bound, mk_add, mk_mul = (
+    isseq, seqlen, entry, slast, varn, vget, trm_bound, mk_add, mk_mul, kid1, kid2 = (
         ops[k] for k in ("isseq", "seqlen", "entry", "slast", "varn", "vget",
-                         "trm_bound", "mk_add", "mk_mul"))
+                         "trm_bound", "mk_add", "mk_mul", "kid1", "kid2"))
     # a code is a variable iff rebuilding from its read-off index returns it
     isvar = fn(lambda c: CHI_EQ(c, ops["mk_var"](varn(c))))
 
@@ -397,18 +518,24 @@ def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
 
     trmseq = fn(lambda s: and_(isseq(s), each(s, lambda i: term_entry(s, i))))
 
-    # -- term codes, witnessed by a non-empty building sequence; the least
-    # witness is reused to read values off, so it is shared, not re-swept
+    # -- term codes, witnessed by a non-empty building sequence s*(u): the
+    # kit's construction where it has one, else the least witness.  Any
+    # sequence that builds u shows that u is a term, so trm checks s*(u),
+    # which is reused to read values off
     def builds(s, u):
         return CHI_EQ(slast(s), u), CHI_LE(1, seqlen(s)), trmseq(s)
 
-    sstar = fn(lambda u: least(trm_bound(u), lambda s: and_(*builds(s, u))))
-    trm = fn(lambda u: CHI_LE(sstar(u), trm_bound(u)))
+    sstar = ops.get("sstar") or fn(
+        lambda u: least(trm_bound(u), lambda s: and_(*builds(s, u))))
+    trm = fn(lambda u: and_(*builds(sstar(u), u)))
 
-    # -- atomic formula codes
-    atm = fn(lambda e: ex(e, lambda a: ex(e, lambda b: and_(
-        or_(CHI_EQ(e, ops["mk_eq"](a, b)), CHI_EQ(e, ops["mk_le"](a, b))),
-        trm(a), trm(b)))))
+    # -- atomic formula codes: the fields read off e, confirmed by
+    # rebuilding e from them
+    def atom(e, *mks):
+        u, v = kid1(e), kid2(e)
+        return and_(or_(*(CHI_EQ(e, mk(u, v)) for mk in mks)), trm(u), trm(v))
+
+    atm = fn(lambda e: atom(e, ops["mk_eq"], ops["mk_le"]))
 
     # -- entrywise values of a term sequence, built functionally
     def split(s, i, e, j, k):
@@ -460,7 +587,7 @@ def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
     val = fn(lambda u, z, x: ex(trm_bound(u), lambda s: valued(u, z, x, s)))
 
     # val is functional in its last slot, so the clauses read the value off
-    # the least witness sequence s* directly; a search over candidate values
+    # the witness sequence s* directly; a search over candidate values
     # would pay a full refutation sweep below the true value.  valok(u, z)
     # confirms that read with valseq on the same s* and value run nodes, so
     # the evaluator's cache shares them; going through val would sweep the
@@ -481,12 +608,13 @@ def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
     # sit inside the witness bit, since w = 0 is allowed when no value
     # witness exists
     def atom_clause(mk, tests):
-        def witness(u, v, z):
+        def clause(e, z, w):
+            u, v = kid1(e), kid2(e)
             a, b = valof(u, z), valof(v, z)
-            return and_(and_(valok(u, z), valok(v, z)), *tests(a, b, pb(u, v, z)))
+            witness = and_(and_(valok(u, z), valok(v, z)), *tests(a, b, pb(u, v, z)))
+            return and_(atom(e, mk), CHI_EQ(w, witness))
 
-        return fn(lambda e, z, w: ex(e, lambda u: ex(e, lambda v: and_(
-            CHI_EQ(e, mk(u, v)), trm(u), trm(v), CHI_EQ(w, witness(u, v, z))))))
+        return fn(clause)
 
     c_eq = atom_clause(ops["mk_eq"], lambda a, b, cap: (CHI_LE(a, cap), CHI_EQ(a, b)))
     c_le = atom_clause(ops["mk_le"], lambda a, b, cap: (
@@ -508,12 +636,15 @@ def _assemble(table: tuple[KitOp, ...]) -> dict[str, PRTerm]:
                 CHI_EQ(e, ops["mk_imp"](entry(j, s), entry(k, s))))
 
     def universal(e, s, i, body):
-        """body(j, v, u) for some j < i, some variable code v <= e, u <= e."""
-        return ex(i - 1, lambda j: and_(CHI_LT(j, i), ex(e, lambda v: and_(
-            isvar(v), ex(e, lambda u: body(j, v, u))))))
+        """body(j, v, u) for some j < i, with the variable code v and the
+        bound u read off e."""
+        return ex(i - 1, lambda j: and_(CHI_LT(j, i), body(j, kid1(e), kid2(e))))
 
+    # e is the bounded universal over v <= u of entry j, and v does not
+    # occur in u: no entry of s*(u), which holds every subterm of u
     def bfa(e, s, j, v, u):
-        return CHI_EQ(e, ops["mk_bfa"](v, u, entry(j, s))), trm(u)
+        return (CHI_EQ(e, ops["mk_bfa"](v, u, entry(j, s))), isvar(v), trm(u),
+                each(sstar(u), lambda k: not_(CHI_EQ(entry(k, sstar(u)), v))))
 
     c_not = fn(lambda e, z, w, i, s, l, t: ex(i - 1, lambda j: and_(
         *negation(e, s, i, j), earlier(l, t, PAIR3(j, z, 1 - w)))))
@@ -616,9 +747,9 @@ def sat_pr_eval(x: int, y: int = 1, scheme: Coding = COMPACT,
     The run that sat_witness builds for (x, y) is passed to satpr.eval_pr
     as certificates for the two outer sweeps (see the module docstring),
     so the steps go to confirming that run, not to the candidates below
-    it: at y = 1, 4,343 / 19,435 / 23,816 steps at x = 8 / 24 / 42,
-    against 53,559 / 74,868 / 198,966 for the plain term.  The
-    certificates and the term share the budget max_steps.
+    it: at y = 1, 781 / 807 / 1,723 steps at x = 8 / 24 / 42, against
+    50,685 / 57,111 / 180,681 for the plain term.  The certificates and
+    the term share the budget max_steps.
 
     Only a true instance has a run to confirm, and only quantifier-free
     instances with tiny codes fit the bounds.  Everything else raises

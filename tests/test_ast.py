@@ -12,7 +12,7 @@ from delta0lab import (
 )
 from delta0lab.nodes import postorder
 from delta0lab.prlib import const
-from helpers import default_recursion_limit
+from helpers import collector_paused, default_recursion_limit
 
 
 def test_show_round_trip_examples():
@@ -124,6 +124,7 @@ def test_fresh_index_scans_binders():
     assert fresh_index() == 0
 
 
+@collector_paused()
 def test_walkers_take_deep_input_at_the_default_recursion_limit():
     with default_recursion_limit():
         atom = Eq(Var(0), ONE)

@@ -48,6 +48,8 @@ from delta0lab.primrec import FeasibilityError
 from delta0lab.satisfaction import sat_valuation, sat_witness
 from delta0lab.semantics import Verdict
 
+from helpers import collector_paused
+
 
 # -- independent oracles ----------------------------------------------------
 
@@ -499,6 +501,7 @@ def test_entry_reader_agrees_with_the_decoder_on_every_small_code():
     assert all(_child_seq(x) is not None for x in _BOUND_VARIABLE_CODES)
 
 
+@collector_paused()
 def test_compact_codec_on_a_100000_deep_numeral():
     t = numeral(100_001)
     bits = "1110" * 100_000 + "10" * 100_001

@@ -12,7 +12,7 @@ from delta0lab.compiler import (
 from delta0lab.formulas import ONE, ZERO, Add, Eq, Not, numeral, parse_term
 from delta0lab.prlib import CHI_EQ, const, ex, fn
 
-from helpers import default_recursion_limit
+from helpers import collector_paused, default_recursion_limit
 from test_ast import _formulas, _rho
 
 
@@ -71,6 +71,7 @@ def test_compile_rejects_a_node_of_the_wrong_kind():
         compile_formula(Eq(Eq(ZERO, ONE), ONE))
 
 
+@collector_paused()
 def test_compile_takes_deep_input_at_the_default_recursion_limit():
     with default_recursion_limit():
         chain = parse_formula("(A v1 <= v0)(v1 <= v0)")

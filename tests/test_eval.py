@@ -15,7 +15,7 @@ from delta0lab.formulas import (
 )
 from delta0lab.semantics import decide_bounded, v_and, v_implies, v_not, v_or
 
-from helpers import default_recursion_limit
+from helpers import collector_paused, default_recursion_limit
 from test_ast import _formulas, _rho
 
 
@@ -107,6 +107,7 @@ def test_walker_reads_a_right_operand_only_when_the_left_leaves_it_open():
         eval_fo(parse("((0 = 0) & (v9 = 0))"), {}, 3)
 
 
+@collector_paused()
 def test_context_walkers_take_deep_input_at_the_default_recursion_limit():
     with default_recursion_limit():
         inner = parse_formula("(A v1 <= v0)(v1 <= v0)")

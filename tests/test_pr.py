@@ -19,15 +19,17 @@ from delta0lab.prlib import (
 )
 from delta0lab.numbers import nthprime
 from delta0lab.satpr import (
-    BITLEN_MIN, HOP, KIT_OPS, SEQLEN_MIN, SHR, ZRUN_MIN, sat_pr_parts,
+    BITLEN_MIN, HOP, KIT_OPS, SEQLEN_MIN, SHR, SPAN, TEND, TOKEN, ZRUN_MIN, sat_pr_parts,
 )
 from delta0lab.coding import COMPACT, PAPER
-from delta0lab.formulas import Var
+from delta0lab.formulas import ONE, ZERO, Add, Mul, Var
 from delta0lab.nodes import postorder
 import delta0lab.primrec as primrec_module
 import delta0lab.satpr as satpr_module
 
-from helpers import ARITIES, DIRECT, d_chi_prime, default_recursion_limit, seq_encode
+from helpers import (
+    ARITIES, DIRECT, d_chi_prime, d_exponent, default_recursion_limit, seq_encode,
+)
 
 CORE = ["add", "mul", "sg", "sgbar", "pred", "monus", "chi_eq", "chi_le", "pow"]
 
@@ -128,7 +130,7 @@ def test_serialize_writes_one_line_per_distinct_node():
     for scheme in (COMPACT, PAPER):
         for name, part in sat_pr_parts(scheme).items():
             assert parse_pr(serialize(part)) is part, (scheme.name, name)
-    for scheme, size in ((COMPACT, 1_088), (PAPER, 1_008)):
+    for scheme, size in ((COMPACT, 1_135), (PAPER, 979)):
         t = sat_as_pr(scheme)
         start = time.perf_counter()
         text = serialize(t)
@@ -723,14 +725,30 @@ def test_gamma_reader_twins_match_the_equations():
             cases += [(BITLEN_MIN, (c, y)), (SHR, (c, y)), (SEQLEN_MIN, (c, y))]
             cases += [(ZRUN_MIN, (c, d, y)) for d in offsets]
         cases += [(HOP, (d, c, i)) for d in offsets for i in range(2)]
+        # the syntax reader, on term codes and on every other code
+        cases += [(t, (c, d)) for d in offsets for t in (TOKEN, TEND)]
+        cases += [(SPAN, (c, a, b)) for a in offsets for b in {0, a, a + 2, pl, pl + 2}]
     for term, args in cases:
         assert opt.eval(term, args) == raw.eval(term, args), (term, args)
+
+
+def test_term_end_reads_each_term_code_to_its_end():
+    ev = Evaluator()
+    # (v1 + 0) * 1: the whole ends at 17, v1 + 0 from offset 4 at 15,
+    # v1 from 8 at 14, and 0 from 14 at 15
+    x = COMPACT.encode_term(Mul(Add(Var(1), ZERO), ONE))
+    assert bin(x)[3:] == "1111" "1110" "110" "010" "0" "10"
+    assert [ev.eval(TEND, (x, d)) for d in (0, 4, 8, 14)] == [17, 15, 14, 15]
+    assert ev.eval(SPAN, (x, 4, 15)) == COMPACT.encode_term(Add(Var(1), ZERO))
+    # a term cut short, and an offset at the end or past it, read plen + 1
+    assert ev.eval(TEND, (x >> 2, 0)) == 16
+    assert [ev.eval(TEND, (x, d)) for d in (17, 99)] == [18, 18]
 
 
 # the twins outside satpr's kit tables, each compared with its equations
 # by a test of this section
 CANONICAL = (ADD, MUL, SG, SGBAR, PRED, MONUS, CHI_LE, CHI_EQ, POW, PARITY, HALF)
-GAMMA_TWINS = (BITLEN_MIN, SHR, ZRUN_MIN, HOP, SEQLEN_MIN)
+GAMMA_TWINS = (BITLEN_MIN, SHR, ZRUN_MIN, HOP, SEQLEN_MIN, TOKEN, TEND, SPAN)
 
 
 def test_canonical_twins_match_the_equations():
@@ -745,13 +763,15 @@ def test_every_twin_is_compared_with_its_equations():
     # test_each_kit_op_agrees_with_the_codec; a twin registered anywhere
     # else without a test fails here
     kit = {op.term for table in KIT_OPS.values() for op in table if op.twinned}
-    assert set(primrec_module._INTRINSICS) == {*CANONICAL, *GAMMA_TWINS, CHI_PRIME, *kit}
+    assert set(primrec_module._INTRINSICS) == {
+        *CANONICAL, *GAMMA_TWINS, CHI_PRIME, EXPONENT, *kit}
 
 
 def test_intrinsics_cost_one_step():
     for term, args in [(BITLEN_MIN, (200, 200)), (SHR, (200, 5)),
                        (ZRUN_MIN, (200, 1, 7)), (HOP, (0, 200, 0)),
-                       (SEQLEN_MIN, (200, 7)), (CHI_PRIME, (97,))]:
+                       (SEQLEN_MIN, (200, 7)), (CHI_PRIME, (97,)), (TOKEN, (200, 1)),
+                       (TEND, (200, 1)), (SPAN, (200, 1, 5)), (EXPONENT, (1, 3**90))]:
         ev = Evaluator()
         ev.eval(term, args)
         assert ev.steps == 1, term
@@ -767,6 +787,22 @@ def test_chi_prime_twin_matches_oracle_and_equations():
         assert opt.eval(CHI_PRIME, (x,)) == d_chi_prime(x), x
 
 
+def test_exponent_twin_matches_oracle_and_equations():
+    opt = Evaluator()
+    raw = Evaluator(intrinsics=False)
+    for k, x in itertools.product(range(5), range(41)):
+        assert opt.eval(EXPONENT, (k, x)) == raw.eval(EXPONENT, (k, x)), (k, x)
+    rest = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 + 1
+    for k in range(12):
+        p = nthprime(k)
+        for e in (0, 1, 2, 3, 7, 64, 1000):
+            for x in (p ** e, p ** e * rest):
+                assert opt.eval(EXPONENT, (k, x)) == d_exponent(k, x) == e, (k, e)
+    # past the 2^16-th prime the equations run; no prime(k) >= k + 2
+    # divides a smaller x
+    assert opt.eval(EXPONENT, (1 << 16, 5)) == 0
+
+
 def test_intrinsics_on_huge_arguments_stay_fast():
     big = (1 << 100_000) | 0x5a5a5a5a5a5a5a5a
     ones = (1 << 100_001) - 1   # payload of all ones: 10^5 one-bit hops
@@ -774,7 +810,9 @@ def test_intrinsics_on_huge_arguments_stay_fast():
              (ZRUN_MIN, (big, 3, big)), (ZRUN_MIN, (big, big, big)),
              (HOP, (3, big, 0)), (HOP, (big, big, 0)),
              (SEQLEN_MIN, (big, big)), (SEQLEN_MIN, (ones, big)),
-             (CHI_PRIME, (big,))]
+             (CHI_PRIME, (big,)), (TOKEN, (big, 3)), (TOKEN, (ones, big)),
+             (TEND, (big, 3)), (TEND, (ones, 0)), (SPAN, (big, 3, big)),
+             (SPAN, (big, big, big)), (EXPONENT, (1, 3 ** 200_000 * 2))]
     for term, args in cases:
         ev = Evaluator(max_steps=10_000)
         start = time.perf_counter()
@@ -792,7 +830,7 @@ def test_sat_pr_fits_a_small_budget():
 
 
 # the plain term sweeps every candidate below the canonical run
-@pytest.mark.parametrize("x, steps", [(8, 53_559), (24, 74_868), (42, 198_966)],
+@pytest.mark.parametrize("x, steps", [(8, 50_685), (24, 57_111), (42, 180_681)],
                          ids=["8", "24", "42"])
 def test_sat_pr_step_counts_are_pinned(x, steps):
     ev = Evaluator()
@@ -821,7 +859,7 @@ def _guided(monkeypatch, x):
 
 # sat_pr_eval confirms the run that sat_witness builds instead of sweeping
 # up to it
-@pytest.mark.parametrize("x, steps", [(8, 4_343), (24, 19_435), (42, 23_816)],
+@pytest.mark.parametrize("x, steps", [(8, 781), (24, 807), (42, 1_723)],
                          ids=["8", "24", "42"])
 def test_sat_pr_guided_step_counts_are_pinned(x, steps, monkeypatch):
     ev, witnesses = _guided(monkeypatch, x)
@@ -854,13 +892,13 @@ def test_annotation_bound_is_never_written_out():
 
 def test_sat_pr_budget_edge():
     # the certificates and the term share one budget
-    assert sat_pr_eval(8, 1, max_steps=4_343) == 1
-    with pytest.raises(FeasibilityError, match="step budget of 4342"):
-        sat_pr_eval(8, 1, max_steps=4_342)
-    ev = Evaluator(max_steps=53_558)
+    assert sat_pr_eval(8, 1, max_steps=781) == 1
+    with pytest.raises(FeasibilityError, match="step budget of 780"):
+        sat_pr_eval(8, 1, max_steps=780)
+    ev = Evaluator(max_steps=50_684)
     with pytest.raises(FeasibilityError):
         ev.eval(sat_as_pr(), (8, 1))
-    assert ev.steps == 53_559
+    assert ev.steps == 50_685
 
 
 @given(st.integers(0, 30), st.integers(0, 30))

@@ -210,6 +210,45 @@ def test_entry_checkers_reject_a_variable_in_its_own_bound():
         assert satseq_check(s2, t2) is Verdict.TRUE
 
 
+def test_emitted_fmlseq_rejects_a_variable_in_its_own_bound():
+    # the PR bfa step reads v and the bound u off the entry, and v must be
+    # no entry of s*(u), which holds every subterm of u
+    fmlseq = sat_pr_parts(COMPACT)["fmlseq"]
+    for x in BOUND_VARIABLE_CODES:
+        (_, _, _, body), = COMPACT.formula_shapes(x)
+        s = COMPACT.seq_encode([body, x])
+        assert eval_pr(fmlseq, (s,), max_steps=5_000) == 0, x
+    s = COMPACT.seq_encode(canonical_formula_seq(COMPACT, parse("(A v1 <= v0)(0 = 0)")))
+    assert eval_pr(fmlseq, (s,), max_steps=5_000) == 1
+
+
+def test_satseq_check_reads_each_entry_once(monkeypatch):
+    # the last child of an entry is the rest of its bits, looked up among
+    # the earlier entries, so a ~ chain costs one tag read per entry;
+    # reading each child to its end cost one per node below the entry
+    import delta0lab.coding as coding_module
+    real, calls = coding_module._tag, [0]
+
+    def counted(bits, pos):
+        calls[0] += 1
+        return real(bits, pos)
+
+    counts = []
+    for depth in (100, 1_000):
+        phi = parse("(0 = 1)")
+        for _ in range(depth):
+            phi = Not(phi)
+        run = sat_witness(phi, 1)
+        calls[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(coding_module, "_tag", counted)
+            assert satseq_check(run.s, run.t) is Verdict.TRUE
+        counts.append(calls[0])
+    # depth + 1 entries: one read per ~ entry, and a fixed few for the atom
+    assert counts[1] - counts[0] == 900
+    assert counts[0] < 2 * 101
+
+
 def test_satseq_empty_annotation_is_vacuous():
     s = COMPACT.seq_encode([code_of("(0 = 0)")])
     assert satseq_check(s, COMPACT.seq_encode([])) is Verdict.TRUE
@@ -492,18 +531,28 @@ def test_sat_as_pr_fourth_instance_agrees():
 
 def test_sat_pr_runs_past_the_prime_power_b1():
     # under the paper's B1 = prime(x)^((x+1)^2), B2 at x = 77 had over 2^32
-    # bits, and every x >= 54 was refused up front; B1 is buildseq_bound now
-    for x in (8, 24, 42, 50, 77, 106):
-        assert sat_pr_eval(x, 1) == 1 == int(sat_valuation(x, 1)), x
-    # with these, all nine of the 103 true quantifier-free codes x <= 4096
-    # that finish within 2M steps at y = 1, a floor for satpr's docstring
-    for x in (205, 306, 307):
-        assert sat_pr_eval(x, 1, max_steps=2_000_000) == 1 == int(sat_valuation(x, 1)), x
-    # the step budget is all that stops a run, and it stops one at once
-    assert sat_valuation(1221, 1)
+    # bits, and every x >= 54 was refused up front; B1 is buildseq_bound now.
+    # Every true Delta0 code x <= 4096 at y = 1 is checked: the 103
+    # quantifier-free ones run within one budget, a floor for satpr's
+    # docstring.  The most, 236,109 steps, go to (0 = (v0 * 0)) at 2554 and
+    # 3060, nearly all of them PRIME(u + v) of the atom cap at u + v = 1020
+    free, quantified = [], []
+    for x in range(4097):
+        if COMPACT.is_delta0_code(x) and sat_valuation(x, 1):
+            phi = COMPACT.decode(x)
+            (quantified if any(isinstance(n, BForall) for n in postorder(phi))
+             else free).append(x)
+    assert len(free) == 103 and quantified == [2016, 4040, 4048]
+    for x in free:
+        assert sat_pr_eval(x, 1, max_steps=300_000) == 1, x
+    for x in quantified:
+        with pytest.raises(FeasibilityError, match="quantifier-free"):
+            sat_pr_eval(x, 1)
+    # the step budget is all that stops a run, and it stops one at once:
+    # (0 = v4) at 1221 takes 94,072 steps
     start = time.perf_counter()
     with pytest.raises(FeasibilityError, match="step budget"):
-        sat_pr_eval(1221, 1, max_steps=200_000)
+        sat_pr_eval(1221, 1, max_steps=90_000)
     assert time.perf_counter() - start < 1.0
 
 
@@ -518,7 +567,8 @@ def test_sat_pr_runs_past_the_prime_power_b1():
 _TERMS = [ZERO, ONE, Var(0), Var(1), Var(3), Add(ONE, Var(0)), Mul(Var(1), Add(ZERO, ONE))]
 _POOLS = {
     "compact": ((512, 24, 8), _TERMS, [Eq(ZERO, ONE), Le(Var(1), Var(0)), Not(Le(ONE, Var(2))),
-                                       Implies(Eq(ZERO, ZERO), Eq(ONE, ONE))],
+                                       Implies(Eq(ZERO, ZERO), Eq(ONE, ONE)),
+                                       BForall(1, Add(Var(0), ONE), Eq(ZERO, Var(1)))],
                 [[], [0], [3], [0, 1, 2], [5, 0, 7, 1]], [1 << 5000]),
     "paper": ((64, 12, 5), _TERMS[:4], [], [[], [0], [1], [0, 1], [1, 0, 0]],
               [7199, (1 << 25) + 1]),
@@ -598,10 +648,23 @@ def test_sat_pr_atom_needs_a_value_witness():
     assert satseq_check(s, t_true_atom) is Verdict.FALSE
     assert eval_pr(parts["satseq"], (s, t_false_atom),
                    max_steps=2_000_000) == 1
-    # a false run is only refuted by exhausting the sweeps; what matters is
-    # that the checker does not accept it
-    with pytest.raises(FeasibilityError):
-        eval_pr(parts["satseq"], (s, t_true_atom), max_steps=200_000)
+    # the atom's fields are read off its bits, so the false run is refuted
+    # without a sweep over code values
+    assert eval_pr(parts["satseq"], (s, t_true_atom), max_steps=200_000) == 0
+
+
+@pytest.mark.parametrize("x", [8, 24, 42, 226])
+def test_sat_pr_refutes_a_flipped_verdict(x):
+    # the run of a true formula with its last verdict flipped; 226 is
+    # ~(0 = 1), whose flipped triple asks for a true (0 = 1) below it
+    satseq = sat_pr_parts(COMPACT)["satseq"]
+    run = sat_witness(x, 1)
+    *head, last = COMPACT.seq_decode(run.t)
+    i, z, w = triple_decode(last)
+    flipped = COMPACT.seq_encode([*head, triple_encode(i, z, 1 - w)])
+    assert satseq_check(run.s, flipped) is Verdict.FALSE
+    assert eval_pr(satseq, (run.s, run.t), max_steps=5_000) == 1
+    assert eval_pr(satseq, (run.s, flipped), max_steps=5_000) == 0
 
 
 def test_sat_pr_parts_are_built_once_and_read_only():
@@ -644,14 +707,15 @@ def test_refuted_certificates_record_nothing():
 def test_a_false_run_is_not_confirmed():
     # at y = 0 the last triple <0, 0, 1> of the tampered run from
     # test_sat_pr_atom_needs_a_value_witness is the one the matrix asks for,
-    # so confirming it runs satseq on a false run, which only the full
-    # sweeps refute: it raises within the budget that satseq raises in
+    # so confirming it runs satseq on a false run, which refutes it: the
+    # certificate is refused and records nothing, and the term is left to
+    # its sweeps, which raise within the budget
     inner, _ = _columns()
     s = COMPACT.seq_encode([code_of("(0 = 0)")])
     tampered = COMPACT.seq_encode([3**0 * 5**1])
     ev = Evaluator(max_steps=200_000)
-    with pytest.raises(FeasibilityError):
-        ev.confirm(inner, (8, 0, s), tampered)
+    assert not ev.confirm(inner, (8, 0, s), tampered)
+    assert ev.stats()["refused"] == 1 and ev.stats()["confirmed"] == 0
     assert (inner, (8, 0, s)) not in ev._absorbed
     with pytest.raises(FeasibilityError):
         eval_pr(sat_as_pr(), (8, 0), max_steps=200_000,
@@ -688,4 +752,4 @@ def test_sat_pr_guard_errors():
 
 def test_sat_pr_step_budget_is_honoured():
     with pytest.raises(FeasibilityError, match="step budget"):
-        sat_pr_eval(8, 1, max_steps=1000)
+        sat_pr_eval(8, 1, max_steps=500)
