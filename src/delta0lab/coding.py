@@ -1,27 +1,33 @@
 """Two interchangeable Godel numberings for terms and formulas.
 
+Only the core nodes are coded: the terms 0, 1, v_i, +, * and the
+formulas =, <=, ~, -> and bounded/unbounded A.  encode() desugars first
+and decode() returns core formulas.  SYNTAX gives each core node class
+its one row: its shape name, its symbol in the prime-power scheme, its
+tag in the bit scheme, and its fields, a variable index and the kind of
+each child.  Every writer, reader and mk of both schemes is derived from
+that table.
+
 Prime-power scheme ("paper"): a sequence <a_0, ..., a_k> is coded as
-prod_i p_i^(a_i + 1) with the empty sequence coded 1.  Symbols get odd
-codes (0:1, 1:3, +:5, *:7, =:9, <=:11, ~:13, ->:15, A:17), variable v_i
-gets 2i + 2, and a composite node is the sequence <opcode, children...>.
-A bounded quantifier has length 4 (<17, var, bound, body>), an unbounded
-one length 3.  Variable codes overlap composite codes from v7199 on,
-whose code 14,400 = <5, 1, 1> also codes (0 + 0); decoding prefers the
-composite reading, so the encoder refuses such a term variable and
-decode(encode(phi)) is phi wherever encode succeeds.  A quantifier's
-variable slot is read as a variable only, so any index may stand there.
+prod_i p_i^(a_i + 1) with the empty sequence coded 1.  A constant is
+coded by its symbol, the variable v_i by 2i + 2, and a composite node by
+the sequence of its symbol and its fields, a quantifier's variable as
+its code.  Variable codes overlap composite codes from v7199 on, whose
+code 14,400 also codes (0 + 0); decoding prefers the composite reading,
+so the encoder refuses such a term variable and decode(encode(phi)) is
+phi wherever encode succeeds.  A quantifier's variable slot is read as
+a variable only, so any index may stand there.
 
 Bit scheme ("compact"): a code is int("1" + bits, 2) for a bit string
-produced by a prefix-free tag grammar; sequences concatenate the Elias
-gamma codes of entry + 1, with the empty sequence again coded 1.  Codes
-stay within a constant factor of the formula size, so deeply nested
-formulas remain materializable.  The bits are the node tags in
-pre-order, so a code is written into one string and read off bin(code)
-in one left-to-right pass, without recursion and without building the
-code of any child.
-
-Only the core connectives (=, <=, ~, ->, bounded/unbounded A) are coded;
-encode() desugars first and decode() returns core formulas.
+produced by a prefix-free tag grammar: each node's tag, then for a
+variable or a quantifier the Elias gamma code of its index + 1, and for
+a quantifier the bit that tells a bounded one from an unbounded one.
+Sequences concatenate the Elias gamma codes of entry + 1, with the empty
+sequence again coded 1.  Codes stay within a constant factor of the
+formula size, so deeply nested formulas remain materializable.  The
+bits are the node tags in pre-order, so a code is written into one
+string and read off bin(code) in one left-to-right pass, without
+recursion and without building the code of any child.
 """
 
 from __future__ import annotations
@@ -29,27 +35,11 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from functools import partial
+from typing import NamedTuple
 
 from .formulas import (
-    ONE,
-    ZERO,
-    Add,
-    BForall,
-    ConstOne,
-    ConstZero,
-    Eq,
-    Formula,
-    FormulaError,
-    Implies,
-    Le,
-    Mul,
-    Not,
-    Term,
-    UForall,
-    Var,
-    desugar,
-    free_vars,
-    is_delta0,
+    Add, BForall, ConstOne, ConstZero, Eq, Formula, FormulaError, Implies, Le, Mul, Not, Term,
+    UForall, Var, desugar, free_vars, is_delta0,
 )
 from .nodes import Node, fold, walk
 from .numbers import BITS_CAP, FeasibilityError, LazyPow, magnitude_ge, magnitude_to_int
@@ -63,32 +53,45 @@ class CodingError(ValueError):
     """The integer does not code an object of the requested kind."""
 
 
-_TERMS = frozenset({ConstZero, ConstOne, Var, Add, Mul})
-_FORMULAS = frozenset({Eq, Le, Not, Implies, BForall, UForall})
+class Syntax(NamedTuple):
+    """How both schemes code the nodes of one core class.  A node's fields,
+    in a shape and for mk, are its variable index, when index names the
+    attribute that holds one, then the codes of its children in order."""
+    shape: str            # the name that leads the node's shapes
+    symbol: int | None    # paper: the head symbol; None for a variable, coded 2i + 2
+    tag: str              # compact: the tag bits
+    bound: str            # compact: the bit after a quantifier's index, else ""
+    index: str | None     # the attribute that holds a variable index, or None
+    kids: tuple[bool, ...]    # each child's kind: a formula (True) or a term (False)
 
-# each core class: its mk_* builder, the field it hands on as it is (a
-# variable index) or None, and the field and kind of each child, whose
-# code the builder takes
-_BUILDERS: dict[type, tuple[str, str | None, tuple[tuple[str, frozenset], ...]]] = {
-    ConstZero: ("mk_zero", None, ()),
-    ConstOne: ("mk_one", None, ()),
-    Var: ("mk_var", "index", ()),
-    Add: ("mk_add", None, (("left", _TERMS), ("right", _TERMS))),
-    Mul: ("mk_mul", None, (("left", _TERMS), ("right", _TERMS))),
-    Eq: ("mk_eq", None, (("left", _TERMS), ("right", _TERMS))),
-    Le: ("mk_le", None, (("left", _TERMS), ("right", _TERMS))),
-    Not: ("mk_not", None, (("body", _FORMULAS),)),
-    Implies: ("mk_implies", None, (("left", _FORMULAS), ("right", _FORMULAS))),
-    BForall: ("mk_bforall", "var", (("bound", _TERMS), ("body", _FORMULAS))),
-    UForall: ("mk_uforall", "var", (("body", _FORMULAS),)),
+    @property
+    def arity(self) -> int:
+        return (self.index is not None) + len(self.kids)
+
+
+SYNTAX: dict[type, Syntax] = {
+    ConstZero: Syntax("const0", 1, "0", "", None, ()),
+    ConstOne: Syntax("const1", 3, "10", "", None, ()),
+    Var: Syntax("var", None, "110", "", "index", ()),
+    Add: Syntax("add", 5, "1110", "", None, (False, False)),
+    Mul: Syntax("mul", 7, "1111", "", None, (False, False)),
+    Eq: Syntax("eq", 9, "0", "", None, (False, False)),
+    Le: Syntax("le", 11, "10", "", None, (False, False)),
+    Not: Syntax("not", 13, "110", "", None, (True,)),
+    Implies: Syntax("implies", 15, "1110", "", None, (True, True)),
+    BForall: Syntax("bforall", 17, "1111", "0", "var", (False, True)),
+    UForall: Syntax("uforall", 17, "1111", "1", "var", (True,)),
 }
 
+_TERMS = frozenset(cls for cls in SYNTAX if issubclass(cls, Term))
+_FORMULAS = frozenset(SYNTAX) - _TERMS
 
-def _need(node, kind: frozenset) -> None:
-    """CodingError unless node is of kind, _TERMS or _FORMULAS."""
-    if type(node) not in kind:
-        noun = "term" if kind is _TERMS else "core formula"
-        raise CodingError(f"not a {noun}: {node!r}")
+
+def _need(nodes: tuple, kinds: tuple[bool, ...]) -> None:
+    """CodingError unless each node is a core formula or a term, as its kind says."""
+    for node, formula in zip(nodes, kinds):
+        if type(node) not in (_FORMULAS if formula else _TERMS):
+            raise CodingError(f"not a {'core formula' if formula else 'term'}: {node!r}")
 
 
 def _index(i: int) -> int:
@@ -112,26 +115,25 @@ def short_code(x: int) -> str:
 class Coding:
     """Common encode/decode layer; subclasses supply codes and shapes.
 
-    A "shape" is a one-level reading of a code: ("const0",), ("const1",),
-    ("var", i), ("add", a, b), ("mul", a, b) for terms and ("eq", a, b),
-    ("le", a, b), ("not", b), ("implies", a, b), ("bforall", i, t, b),
-    ("uforall", i, b) for formulas, with child codes unvalidated.  A code
-    may admit several readings (prime-power variables); decoding tries
-    them in order.
+    A "shape" is a one-level reading of a code: the shape name of a core
+    class (SYNTAX) and the fields of a node of that class, as
+    ("add", a, b) or ("bforall", i, t, b), with child codes unvalidated.
+    A code may admit several readings (prime-power variables); decoding
+    tries them in order.
 
     A subclass supplies seq_encode(entries) and seq_decode(code);
     _read(code, formula), the node reader behind decode/decode_term, where
-    formula tells a formula from a term; term_shapes(code) and
-    formula_shapes(code); the node codes mk_zero(), mk_one(), mk_var(i),
-    mk_add, mk_mul, mk_eq, mk_le (a, b), mk_not(a), mk_implies(a, b),
-    mk_bforall(i, t, b), mk_uforall(i, b) over child codes; and
-    buildseq_bound(x), the budget for a building sequence of x.  It may
-    replace fields(code), the child codes the Sat term's field readers
-    take, and entry_shapes(code), the reading coding.entry_clauses takes.
+    formula tells a formula from a term; _shapes(code, formula), behind
+    term_shapes and formula_shapes; _mk(cls, fields), behind mk(cls, *fields), the
+    code of a node of the core class cls from its fields, as mk(Var, 2) or
+    mk(BForall, i, t, b) over child codes t and b; and buildseq_bound(x),
+    the budget for a building sequence of x.  It may replace fields(code),
+    the child codes the Sat term's field readers take, and
+    entry_shapes(code), the reading coding.entry_clauses takes.
 
     encode/encode_term write through _write(node, formula), which builds
-    the code bottom-up from the mk_* builders (_build); a subclass may
-    override it with a faster writer of the same codes.
+    the code bottom-up with mk (_build); a subclass may override it with
+    a faster writer of the same codes.
     """
 
     name: str
@@ -161,32 +163,42 @@ class Coding:
         """The code of node, a term or a core formula as formula says.
 
         One nodes.fold builds every code from its children's codes with
-        the mk_* builders, and table keeps the code of each node below
-        node, so a node shared in the DAG is built once.  The builders
-        check the kind of each child where they read it, so a node in
-        the wrong place is reported there, with the kind its place needs.
+        _mk, and table keeps the code of each node below node, so a node
+        shared in the DAG is built once.  Each node's children are checked
+        against the kinds SYNTAX gives them, so a node in the wrong place
+        is reported there, with the kind its place needs.
         Once the codes built pass BITS_CAP bits together, FeasibilityError.
         """
-        _need(node, _FORMULAS if formula else _TERMS)
+        _need((node,), (formula,))
         return fold(node, partial(self._code, [0]), table)
 
     def _code(self, built: list[int], node: Node, *codes: int | None) -> int | None:
         """The combine of _build: node's code from its children's, or None
         for a node that is not core, which its parent reports.  built[0]
         sums the bits of the codes built so far."""
-        entry = _BUILDERS.get(type(node))
-        if entry is None:
+        cls = type(node)
+        row = SYNTAX.get(cls)
+        if row is None:
             return None
-        mk, head, kids = entry
-        for field, kind in kids:
-            _need(getattr(node, field), kind)
-        build = getattr(self, mk)
-        code = build(*codes) if head is None else build(getattr(node, head), *codes)
+        _, _, _, _, index, kids = row
+        if kids:
+            _need(node.children, kids)
+        code = self._mk(cls, codes if index is None else (getattr(node, index), *codes))
         built[0] += code.bit_length()
         if built[0] > BITS_CAP:
             raise FeasibilityError(
                 f"the subcodes would have more than BITS_CAP = {BITS_CAP} bits together")
         return code
+
+    def mk(self, cls: type, *fields: int) -> int:
+        """The code of a node of the core class cls from its fields, as
+        SYNTAX gives them: mk(Var, i), mk(Add, a, b) and mk(BForall, i, t, c)
+        over child codes a, b, t and c, and so on.  The scheme's _mk(cls,
+        fields) builds it."""
+        row = SYNTAX.get(cls)
+        if row is None or len(fields) != row.arity:
+            raise TypeError(f"{cls.__name__} is no core class of {len(fields)} fields")
+        return self._mk(cls, fields)
 
     # -- recognizers ------------------------------------------------------
 
@@ -220,8 +232,14 @@ class Coding:
                 case ("eq" | "le", a, b):
                     return a, b
                 case ("bforall", i, t, b):
-                    return self.mk_var(i), t, b
+                    return self.mk(Var, i), t, b
         raise CodingError(f"{short_code(code)} is no atom and no bounded universal")
+
+    def term_shapes(self, code: int) -> list[tuple]:
+        return self._shapes(code, False)
+
+    def formula_shapes(self, code: int) -> list[tuple]:
+        return self._shapes(code, True)
 
     def entry_shapes(self, code: int) -> list[tuple]:
         """formula_shapes(code), except that a scheme may leave the last
@@ -276,15 +294,20 @@ class Coding:
 # prime-power scheme
 
 
-_P_SYM = {"zero": 1, "one": 3, "add": 5, "mul": 7, "eq": 9, "le": 11,
-          "not": 13, "implies": 15, "forall": 17}
+# PaperCoding's tables, built once from SYNTAX: a shape's class and the
+# kinds of its fields, None for an index; and the shape name of a code of
+# a kind, by its symbol and number of fields, None for a constant coded by
+# its symbol alone, with whether a variable code leads the fields.
+_P_CLASSES = {row.shape: (cls, (None,) * (row.index is not None) + row.kids)
+              for cls, row in SYNTAX.items()}
+_P_SHAPES = {(cls in _FORMULAS, row.symbol, row.arity or None): (row.shape, row.index is not None)
+             for cls, row in SYNTAX.items() if row.symbol is not None}
 
 
-# each shape's class, and its fields: a term (False), a formula (True) or an index
-_READINGS = {"const0": (ConstZero,), "const1": (ConstOne,), "var": (Var, None),
-             "add": (Add, False, False), "mul": (Mul, False, False), "eq": (Eq, False, False),
-             "le": (Le, False, False), "not": (Not, True), "implies": (Implies, True, True),
-             "bforall": (BForall, None, False, True), "uforall": (UForall, None, True)}
+def _p_var_index(code: int) -> int | None:
+    """i when code is 2i + 2, the paper code of v_i, else None."""
+    return code // 2 - 1 if type(code) is int and code >= 2 and code % 2 == 0 else None
+
 
 _POW_CHECK_BITS = 4096
 
@@ -400,8 +423,8 @@ class PaperCoding(Coding):
     def _reading(self, code: int, formula: bool):
         """The first reading of code whose children read, or None: a step of
         nodes.walk, yielding (child code, formula) for a child's reading."""
-        for tag, *fields in self.formula_shapes(code) if formula else self.term_shapes(code):
-            cls, *kinds = _READINGS[tag]
+        for shape, *fields in self._shapes(code, formula):
+            cls, kinds = _P_CLASSES[shape]
             kids = []
             for f, kind in zip(fields, kinds):
                 kids.append(f if kind is None else (yield f, kind))
@@ -414,91 +437,46 @@ class PaperCoding(Coding):
                     pass   # a quantifier whose variable is in its bound
         return None
 
-    def term_shapes(self, code: int) -> list[tuple]:
+    def _shapes(self, code: int, formula: bool) -> list[tuple]:
+        """The readings of code as a formula or a term, composite first: a
+        sequence read by its symbol and length, or a term code that is a
+        constant's symbol or a variable's code."""
         shapes: list[tuple] = []
-        entries = self._seq_or_none(code)
-        if entries is not None and len(entries) == 3:
-            if entries[0] == _P_SYM["add"]:
-                shapes.append(("add", entries[1], entries[2]))
-            elif entries[0] == _P_SYM["mul"]:
-                shapes.append(("mul", entries[1], entries[2]))
-        if code == _P_SYM["zero"]:
-            shapes.append(("const0",))
-        elif code == _P_SYM["one"]:
-            shapes.append(("const1",))
-        elif type(code) is int and code >= 2 and code % 2 == 0:
-            shapes.append(("var", (code - 2) // 2))
+        try:
+            entries = self.seq_decode(code)
+        except CodingError:
+            entries = None
+        if entries and (read := _P_SHAPES.get((formula, entries[0], len(entries) - 1))):
+            shape, indexed = read
+            if not indexed:
+                shapes.append((shape, *entries[1:]))
+            elif (i := _p_var_index(entries[1])) is not None:
+                shapes.append((shape, i, *entries[2:]))
+        if not formula:
+            if (read := _P_SHAPES.get((False, code, None))):
+                shapes.append((read[0],))
+            elif (i := _p_var_index(code)) is not None:
+                shapes.append(("var", i))
         return shapes
-
-    def formula_shapes(self, code: int) -> list[tuple]:
-        entries = self._seq_or_none(code)
-        if entries is None or not entries:
-            return []
-        op, rest = entries[0], entries[1:]
-        if op == _P_SYM["eq"] and len(rest) == 2:
-            return [("eq", rest[0], rest[1])]
-        if op == _P_SYM["le"] and len(rest) == 2:
-            return [("le", rest[0], rest[1])]
-        if op == _P_SYM["not"] and len(rest) == 1:
-            return [("not", rest[0])]
-        if op == _P_SYM["implies"] and len(rest) == 2:
-            return [("implies", rest[0], rest[1])]
-        if op == _P_SYM["forall"] and len(rest) in (2, 3):
-            v = rest[0]
-            if v < 2 or v % 2:
-                return []
-            i = (v - 2) // 2
-            if len(rest) == 3:
-                return [("bforall", i, rest[1], rest[2])]
-            return [("uforall", i, rest[1])]
-        return []
 
     def fields(self, code: int) -> tuple[int, ...]:
         """The entries after the head of any sequence code: the prime
         exponents that the field readers take, whatever the head symbol."""
         return tuple(self.seq_decode(code)[1:])
 
-    def _seq_or_none(self, code: int) -> list[int] | None:
-        try:
-            return self.seq_decode(code)
-        except CodingError:
-            return None
-
-    def mk_zero(self) -> int:
-        return _P_SYM["zero"]
-
-    def mk_one(self) -> int:
-        return _P_SYM["one"]
-
-    def mk_var(self, i: int) -> int:
-        """2i + 2, refused when it also decodes as a composite term."""
-        if self.decode_term(code := 2 * _index(i) + 2) is not Var(i):
-            raise CodingError(f"the code {code} of v{i} also codes a composite term")
-        return code
-
-    def mk_add(self, a: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["add"], a, b])
-
-    def mk_mul(self, a: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["mul"], a, b])
-
-    def mk_eq(self, a: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["eq"], a, b])
-
-    def mk_le(self, a: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["le"], a, b])
-
-    def mk_not(self, a: int) -> int:
-        return self.seq_encode([_P_SYM["not"], a])
-
-    def mk_implies(self, a: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["implies"], a, b])
-
-    def mk_bforall(self, i: int, t: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["forall"], 2 * _index(i) + 2, t, b])
-
-    def mk_uforall(self, i: int, b: int) -> int:
-        return self.seq_encode([_P_SYM["forall"], 2 * _index(i) + 2, b])
+    def _mk(self, cls: type, fields: tuple[int, ...]) -> int:
+        """mk: the symbol alone, or the sequence of the symbol and the
+        fields, a variable index as its code 2i + 2; v_i alone is 2i + 2,
+        refused when it also decodes as a composite term."""
+        row = SYNTAX[cls]
+        if row.index is not None:
+            i = _index(fields[0])
+            fields = (2 * i + 2, *fields[1:])
+            if row.symbol is None:
+                if self.decode_term(fields[0]) is not Var(i):
+                    raise CodingError(f"the code {fields[0]} of v{i} also codes a composite term")
+                return fields[0]
+        return self.seq_encode([row.symbol, *fields]) if fields else row.symbol
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """p_x^((x+1)^2), the stated budget for a building sequence of x."""
@@ -561,12 +539,47 @@ def _gamma_parse(bits: str, pos: int) -> tuple[int, int]:
     return int(bits[one:end], 2), end
 
 
-def _quantifier(bits: str, pos: int) -> tuple[int, bool, int]:
-    """(i, bounded, end) for the g(i+1) d part of a quantifier tag."""
+class _Reading(NamedTuple):
+    """A compact tag's reading, prepared from a SYNTAX row for the readers."""
+    leaf: Node | None         # the one node of a class without fields
+    indexed: bool             # an index follows the tag
+    todo: tuple               # what _read_node pushes: (cls, arity), then skip
+    skip: tuple[bool, ...]    # the children's kinds reversed, as _skip pushes them
+    cls: type
+    shape: str
+    firsts: tuple[bool, ...]  # the kinds of the children but the last, in order
+    final: bool | None        # the last child's kind, None for no child
+
+
+def _tag_readings(formula: bool) -> tuple[tuple, ...]:
+    """For each count k of ones in a tag of a formula or a term, the first
+    four fields of its first reading, then its readings: one, or two told
+    apart by the bit after the index, in that bit's order."""
+    by_ones: dict[int, list[_Reading]] = {}
+    for cls, row in sorted(SYNTAX.items(), key=lambda item: item[1].bound):
+        if (cls in _FORMULAS) is formula:
+            skip = row.kids[::-1]
+            by_ones.setdefault(row.tag.count("1"), []).append(_Reading(
+                None if row.arity else cls(), row.index is not None, ((cls, row.arity), *skip),
+                skip, cls, row.shape, row.kids[:-1], skip[0] if skip else None))
+    return tuple((*by_ones[k][0][:4], tuple(by_ones[k])) for k in range(len(by_ones)))
+
+
+# the compact readers' tables, _TERM_TAGS[k] for a tag of k ones read as
+# a term and _FORMULA_TAGS[k] as a formula
+_TERM_TAGS = _tag_readings(False)
+_FORMULA_TAGS = _tag_readings(True)
+
+
+def _indexed(bits: str, pos: int, readings: tuple[_Reading, ...]) -> tuple[int, _Reading, int]:
+    """(i, reading, end) for the gamma code of i + 1 at pos, behind a tag of
+    readings, and for the bit after it that picks one of two readings."""
     m, pos = _gamma_parse(bits, pos)
+    if len(readings) == 1:
+        return m - 1, readings[0], pos
     if pos == len(bits):
         raise CodingError("truncated code")
-    return m - 1, bits[pos] == "0", pos + 1
+    return m - 1, readings[bits[pos] == "1"], pos + 1
 
 
 def _read_node(bits: str, formula: bool) -> tuple[Term | Formula, int]:
@@ -574,9 +587,10 @@ def _read_node(bits: str, formula: bool) -> tuple[Term | Formula, int]:
     of bits = bin(code), read in one pass.
 
     The work stack holds what is left to do: False to read a term, True
-    to read a formula, or a node class to build once its children are
-    read.  Finished nodes, and a quantifier's variable index, wait on
-    the value stack.  Child codes are never materialised.
+    to read a formula, or (cls, n) to build a node of class cls from the
+    last n values once its children are read.  Finished nodes, and
+    variable indexes, wait on the value stack.  Child codes are never
+    materialised.
     """
     todo: list = [formula]
     out: list = []
@@ -585,41 +599,32 @@ def _read_node(bits: str, formula: bool) -> tuple[Term | Formula, int]:
         op = todo.pop()
         if op is False or op is True:
             k, pos = _tag(bits, pos)
-            if op is False:
-                if k == 0:
-                    out.append(ZERO)
-                elif k == 1:
-                    out.append(ONE)
-                elif k == 2:
-                    m, pos = _gamma_parse(bits, pos)
-                    out.append(Var(m - 1))
-                else:
-                    todo += (Add if k == 3 else Mul, False, False)
-            elif k <= 1:
-                todo += (Eq if k == 0 else Le, False, False)
-            elif k == 2:
-                todo += (Not, True)
-            elif k == 3:
-                todo += (Implies, True, True)
-            else:
-                i, bounded, pos = _quantifier(bits, pos)
+            leaf, indexed, push, _, readings = (_FORMULA_TAGS if op else _TERM_TAGS)[k]
+            if leaf is not None:
+                out.append(leaf)
+                continue
+            if indexed:
+                i, r, pos = _indexed(bits, pos, readings)
+                if not r.skip:   # a variable
+                    out.append(r.cls(i))
+                    continue
                 out.append(i)
-                todo += (BForall, True, False) if bounded else (UForall, True)
-        elif op is Not:
-            out[-1] = Not(out[-1])
-        elif op is UForall:
-            body = out.pop()
-            out[-1] = UForall(out[-1], body)
-        elif op is BForall:
-            body = out.pop()
-            bound = out.pop()
-            try:
-                out[-1] = BForall(out[-1], bound, body)
-            except FormulaError:
-                raise CodingError(f"v{out[-1]} occurs in its own bound") from None
+                push = r.todo
+            todo += push
         else:
-            right = out.pop()
-            out[-1] = op(out[-1], right)
+            cls, n = op
+            if n == 2:
+                right = out.pop()
+                out[-1] = cls(out[-1], right)
+            elif n == 1:
+                out[-1] = cls(out[-1])
+            else:
+                fields = out[-n:]
+                del out[-n:]
+                try:
+                    out.append(cls(*fields))
+                except FormulaError:
+                    raise CodingError(f"v{fields[0]} occurs in its own bound") from None
     return out[0], pos
 
 
@@ -629,20 +634,11 @@ def _skip(bits: str, pos: int, formula: bool) -> int:
     todo = [formula]
     while todo:
         k, pos = _tag(bits, pos)
-        if todo.pop():
-            if k <= 1:
-                todo += (False, False)
-            elif k == 2:
-                todo.append(True)
-            elif k == 3:
-                todo += (True, True)
-            else:
-                _, bounded, pos = _quantifier(bits, pos)
-                todo += (True, False) if bounded else (True,)
-        elif k == 2:
-            _, pos = _gamma_parse(bits, pos)
-        elif k > 2:
-            todo += (False, False)
+        _, indexed, _, skip, readings = (_FORMULA_TAGS if todo.pop() else _TERM_TAGS)[k]
+        if indexed:
+            _, r, pos = _indexed(bits, pos, readings)
+            skip = r.skip
+        todo += skip
     return pos
 
 
@@ -666,49 +662,50 @@ def term_end(code: int, d: int) -> int | None:
         return None
 
 
-def _join(head: int, *codes: int) -> int:
-    """The code whose bits are those of the code head, then those of each
-    code in turn."""
-    for code in codes:
-        if type(code) is not int or code < 1:
-            raise CodingError("bit codes are positive")
-        width = code.bit_length() - 1
-        head = (head << width) | (code ^ (1 << width))
-    return head
+def token_end(code: int, d: int) -> int | None:
+    """The payload offset just past the term tag at payload offset d of
+    code, and past a variable's index behind it, or None when no whole tag
+    and index start there."""
+    try:
+        bits = _bin(code)
+        k, pos = _tag(bits, 3 + d)
+        _, indexed, _, _, readings = _TERM_TAGS[k]
+        return (_indexed(bits, pos, readings)[2] if indexed else pos) - 3
+    except CodingError:
+        return None
 
 
 _RUN_BITS = 4096
 
-# the tag bits of each core node in a compact code; a variable or a
-# quantifier adds the gamma code of its index + 1
-_TAG_BITS = {ConstZero: 1, ConstOne: 2, Var: 3, Add: 4, Mul: 4,
-             Eq: 1, Le: 2, Not: 3, Implies: 4, BForall: 5, UForall: 5}
+# the compact writers' table: the tag, the index attribute and the bound
+# bit of each core class, and its tag as a code
+_TAGGING = {cls: (row.tag, row.index, row.bound, bits_to_code(row.tag))
+            for cls, row in SYNTAX.items()}
 # CompactCoding._write's fold table: the bits of each node's code past
 # its leading 1, computed once per node of a shared DAG
 _CODE_BITS: dict[Node, int] = {}
 
 
 def _code_bits(node: Node, *kids: int) -> int:
-    cls = type(node)
-    index = node.index if cls is Var else node.var if cls in (BForall, UForall) else None
-    gamma = 0 if index is None else 2 * (index + 1).bit_length() - 1
-    return _TAG_BITS.get(cls, 0) + gamma + sum(kids)
+    """The bits of node's code past its leading 1, from its children's;
+    CodingError when a child is not of the kind SYNTAX gives it."""
+    row = SYNTAX.get(type(node))
+    if row is None:
+        return sum(kids)
+    _need(node.children, row.kids)
+    gamma = 0 if row.index is None else 2 * (getattr(node, row.index) + 1).bit_length() - 1
+    return len(row.tag) + gamma + len(row.bound) + sum(kids)
 
 
 class CompactCoding(Coding):
     name = "compact"
 
-    # term tags: 0 | 10 | 110 g(i+1) | 1110 T T | 1111 T T
-    # formula tags: 0 T T | 10 T T | 110 F | 1110 F F | 1111 g(i+1) d ...
-    # (d = 0: a bounded quantifier, its bound T then its body F; d = 1:
-    # an unbounded one, its body F)
-    #
-    # A code is the tags of its nodes in pre-order, so it is written and
-    # read in one pass over bin(code): _write appends each node's tag and
-    # gamma code to one list and converts once, _read_node builds the
-    # nodes from the tags on an explicit stack, and the shape readers
-    # find child spans with _skip.  None of them recurses, so a code
-    # nests as deep as memory allows.
+    # A code is its nodes' tags, with their indexes and bound bits, in
+    # pre-order (SYNTAX), so it is written and read in one pass over
+    # bin(code): _write appends to one list of bit strings, _read_node builds
+    # the nodes on an explicit stack, and _shapes finds child spans with
+    # _skip.  Each dispatches through tables built once from SYNTAX, and none
+    # recurses, so a code nests as deep as memory allows.
 
     def seq_encode(self, entries: list[int]) -> int:
         """The gamma codes of entry + 1, concatenated behind a leading 1.
@@ -777,140 +774,66 @@ class CompactCoding(Coding):
     def _write(self, node: Term | Formula, formula: bool) -> int:
         """The code of node: its tags and gamma codes, written in pre-order
         into one list of bit strings, turned into an int once.  The code's
-        size is folded over node's DAG first, so a node whose shared
-        subterms write more than BITS_CAP bits raises FeasibilityError
-        before any is written."""
-        if isinstance(node, Node) and 1 + fold(node, _code_bits, _CODE_BITS) > BITS_CAP:
+        size is folded over node's DAG first, which checks the kind of
+        every child once per node, so a node whose shared subterms write
+        more than BITS_CAP bits raises FeasibilityError before any is
+        written."""
+        _need((node,), (formula,))
+        if 1 + fold(node, _code_bits, _CODE_BITS) > BITS_CAP:
             raise FeasibilityError(f"the code would have more than BITS_CAP = {BITS_CAP} bits")
         parts = ["1"]
-        todo: list[tuple] = [(node, formula)]
+        todo = [node]
         while todo:
-            node, formula = todo.pop()
-            cls = type(node)
-            if not formula:
-                if cls is Add or cls is Mul:
-                    parts.append("1110" if cls is Add else "1111")
-                    todo += ((node.right, False), (node.left, False))
-                elif cls is Var:
-                    parts += ("110", gamma_bits(node.index + 1))
-                elif cls is ConstZero:
-                    parts.append("0")
-                elif cls is ConstOne:
-                    parts.append("10")
-                else:
-                    raise CodingError(f"not a term: {node!r}")
-            elif cls is Eq or cls is Le:
-                parts.append("0" if cls is Eq else "10")
-                todo += ((node.right, False), (node.left, False))
-            elif cls is Not:
-                parts.append("110")
-                todo.append((node.body, True))
-            elif cls is Implies:
-                parts.append("1110")
-                todo += ((node.right, True), (node.left, True))
-            elif cls is BForall or cls is UForall:
-                parts += ("1111", gamma_bits(node.var + 1))
-                if cls is BForall:
-                    parts.append("0")
-                    todo += ((node.body, True), (node.bound, False))
-                else:
-                    parts.append("1")
-                    todo.append((node.body, True))
-            else:
-                raise CodingError(f"not a core formula: {node!r}")
+            node = todo.pop()
+            tag, index, bound, _ = _TAGGING[type(node)]
+            parts.append(tag)
+            if index is not None:
+                parts += (gamma_bits(getattr(node, index) + 1), bound)
+            # the children reversed, so that the first is written first
+            kids = node.children
+            todo += (kids[1], kids[0]) if len(kids) == 2 else kids
         return int("".join(parts), 2)
-
-    def term_shapes(self, code: int) -> list[tuple]:
-        try:
-            bits = _bin(code)
-            k, pos = _tag(bits, 3)
-            if k == 0:
-                shape: tuple = ("const0",)
-            elif k == 1:
-                shape = ("const1",)
-            elif k == 2:
-                m, pos = _gamma_parse(bits, pos)
-                shape = ("var", m - 1)
-            else:
-                a, pos = _child(bits, pos, False)
-                b, pos = _child(bits, pos, False)
-                shape = ("add" if k == 3 else "mul", a, b)
-        except CodingError:
-            return []
-        return [shape] if pos == len(bits) else []
-
-    def formula_shapes(self, code: int) -> list[tuple]:
-        return self._formula_shapes(code, _child)
 
     def entry_shapes(self, code: int) -> list[tuple]:
         """formula_shapes(code) with the last child the rest of the bits,
         unread, so a deep chain of entries is read in linear time."""
-        return self._formula_shapes(code, _rest)
+        return self._shapes(code, True, _rest)
 
-    def _formula_shapes(self, code: int, last) -> list[tuple]:
-        """The formula shapes of code, its last child read by last."""
+    def _shapes(self, code: int, formula: bool, last=_child) -> list[tuple]:
+        """The one shape of code as a formula or a term, its last child read
+        by last, or none."""
         try:
             bits = _bin(code)
             k, pos = _tag(bits, 3)
-            if k <= 1:
-                a, pos = _child(bits, pos, False)
-                b, pos = last(bits, pos, False)
-                shape: tuple = ("eq" if k == 0 else "le", a, b)
-            elif k == 2:
-                b, pos = last(bits, pos, True)
-                shape = ("not", b)
-            elif k == 3:
-                a, pos = _child(bits, pos, True)
-                b, pos = last(bits, pos, True)
-                shape = ("implies", a, b)
-            else:
-                i, bounded, pos = _quantifier(bits, pos)
-                if bounded:
-                    t, pos = _child(bits, pos, False)
-                    b, pos = last(bits, pos, True)
-                    shape = ("bforall", i, t, b)
-                else:
-                    b, pos = last(bits, pos, True)
-                    shape = ("uforall", i, b)
+            _, indexed, _, _, readings = (_FORMULA_TAGS if formula else _TERM_TAGS)[k]
+            r, fields = readings[0], []
+            if indexed:
+                i, r, pos = _indexed(bits, pos, readings)
+                fields.append(i)
+            _, _, _, _, _, shape, firsts, final = r
+            for kind in firsts:
+                c, pos = _child(bits, pos, kind)
+                fields.append(c)
+            if final is not None:
+                c, pos = last(bits, pos, final)
+                fields.append(c)
         except CodingError:
             return []
-        return [shape] if pos == len(bits) else []
+        return [(shape, *fields)] if pos == len(bits) else []
 
-    def mk_zero(self) -> int:
-        return bits_to_code("0")
-
-    def mk_one(self) -> int:
-        return bits_to_code("10")
-
-    def mk_var(self, i: int) -> int:
-        return bits_to_code("110" + gamma_bits(_index(i) + 1))
-
-    # a composite code is its tag, as a code 0b1<tag>, followed by the bits
-    # of its children's codes
-
-    def mk_add(self, a: int, b: int) -> int:
-        return _join(0b1_1110, a, b)
-
-    def mk_mul(self, a: int, b: int) -> int:
-        return _join(0b1_1111, a, b)
-
-    def mk_eq(self, a: int, b: int) -> int:
-        return _join(0b1_0, a, b)
-
-    def mk_le(self, a: int, b: int) -> int:
-        return _join(0b1_10, a, b)
-
-    def mk_not(self, a: int) -> int:
-        return _join(0b1_110, a)
-
-    def mk_implies(self, a: int, b: int) -> int:
-        return _join(0b1_1110, a, b)
-
-    def mk_bforall(self, i: int, t: int, b: int) -> int:
-        return _join(bits_to_code("1111" + gamma_bits(_index(i) + 1) + "0"), t, b)
-
-    def mk_uforall(self, i: int, b: int) -> int:
-        return _join(bits_to_code("1111" + gamma_bits(_index(i) + 1) + "1"), b)
+    def _mk(self, cls: type, fields: tuple[int, ...]) -> int:
+        """mk: the tag, a variable index's gamma code and bound bit, and
+        then the bits of each child's code, appended in turn."""
+        tag, index, bound, code = _TAGGING[cls]
+        if index is not None:
+            code = bits_to_code(tag + gamma_bits(_index(fields[0]) + 1) + bound)
+            fields = fields[1:]
+        for kid in fields:
+            if type(kid) is not int or kid < 1:
+                raise CodingError("bit codes are positive")
+            width = kid.bit_length() - 1
+            code = (code << width) | (kid ^ (1 << width))
+        return code
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """2^((s+1)(2s+3)+1) for s = bitlen(x) - 1.
@@ -982,14 +905,9 @@ def _listing(scheme: Coding, node: Term | Formula,
 
 
 def _term_entry_ok(scheme: Coding, e: int, earlier: set[int]) -> bool:
-    for shape in scheme.term_shapes(e):
-        match shape:
-            case ("const0",) | ("const1",) | ("var", _):
-                return True
-            case ("add", a, b) | ("mul", a, b):
-                if a in earlier and b in earlier:
-                    return True
-    return False
+    """e reads as a term whose children, if any, are earlier entries."""
+    return any(all(c in earlier for c in shape[1 + (shape[0] == "var"):])
+               for shape in scheme.term_shapes(e))
 
 
 def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
@@ -1196,9 +1114,9 @@ def _valseq_holds(scheme: Coding, y: int, s: int, t: int) -> bool:
         return False
     for i in range(len(es)):
         si, ti = es[i], et[i]
-        if si == scheme.mk_zero() and ti == 0:
+        if si == scheme.mk(ConstZero) and ti == 0:
             continue
-        if si == scheme.mk_one() and ti == 1:
+        if si == scheme.mk(ConstOne) and ti == 1:
             continue
         vi = scheme.var_index(si)
         if vi is not None and ti == scheme.seq_idx(y, vi):

@@ -25,7 +25,7 @@ skip work whose result is forced):
     of a term and the subcode span;
   - the codec twins: each op of satpr's kit tables (KIT_OPS) that was
     built for the kit is computed by the coding function its row names,
-    such as seq_decode, seq_encode or a mk_* builder, which declines an
+    such as seq_decode, seq_encode or Coding.mk, which declines an
     argument outside that function's domain.
   Every twin is exact on all naturals where it answers, costs one step,
   and does Python work near-linear in the bit length of its arguments and

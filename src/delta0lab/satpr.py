@@ -90,13 +90,14 @@ gated off.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from functools import cache
+from functools import cache, partial
 from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .coding import COMPACT, PAPER, Coding, CodingError, term_end
-from .formulas import BForall, UForall, desugar
+from .coding import COMPACT, PAPER, SYNTAX, Coding, CodingError, bits_to_code, term_end, token_end
+from .formulas import Add, BForall, ConstOne, ConstZero, Eq, Implies, Le, Mul, Not, UForall, Var
+from .formulas import desugar
 from .nodes import postorder
 from .numbers import magnitude_to_int
 from .primrec import (
@@ -201,11 +202,12 @@ SEQLEN = fn(lambda c: SEQLEN_MIN(c, PLEN(c)))
 # ---------------------------------------------------------------------------
 # the syntax reader's primitives
 #
-# A compact term code is its tags in preorder: 0 | 10 | 110 g(i+1) |
-# 1110 T T | 1111 T T.  TOKEN hops over one tag, and a variable's gamma
-# code; TEND hops from an offset until no child is pending, which is where
-# the term coded from there ends; SPAN cuts a subcode out of a code.  Each
-# is registered with an exact Python twin; TEND's is coding.term_end.
+# A compact term code is its tags in preorder, a variable's tag followed by
+# the gamma code of its index + 1 (coding.SYNTAX).  TOKEN hops over one
+# tag, and a variable's gamma code; TEND hops from an offset until no child
+# is pending, which is where the term coded from there ends; SPAN cuts a
+# subcode out of a code.  Each is registered with an exact Python twin;
+# TOKEN's reads coding.token_end, and TEND's is coding.term_end.
 
 POW2 = fn(lambda k: POW(2, k))
 MOD2K = fn(lambda a, k: a - POW(2, k) * SHR(a, k))   # a mod 2^k
@@ -225,19 +227,8 @@ def _token_eq(c, d):
 
 def _token(c: int, d: int) -> int:
     """Offset after the term tag at offset d, or plen + 1 (poisoned)."""
-    plen = _plen(c)
-    if d >= plen:
-        return plen + 1
-    payload = bin(c)[3:]
-    zero = payload.find("0", d, d + 4)
-    ones = zero - d if zero >= 0 else 4
-    if ones == 2:
-        # a variable: its gamma code's first one ends the zero run
-        one = payload.find("1", d + 3)
-        nxt = 2 * one - d - 2 if one >= 0 else plen + 1
-    else:
-        nxt = d + min(ones + 1, 4)
-    return nxt if nxt <= plen else plen + 1
+    end = token_end(c, d)
+    return _plen(c) + 1 if end is None else end
 
 
 TOKEN = intrinsic(fn(_token_eq), lambda a: _token(*a))
@@ -273,8 +264,10 @@ SPAN = intrinsic(fn(lambda c, a, b: POW2(b - a) + MOD2K(SHR(c, PLEN(c) - b), b -
 # max(len(z), k + 1)), sapp(s, e), varn (a candidate index: c is a variable
 # code iff mk_var(varn(c)) = c), kid1/kid2 (the fields of an atom or a
 # bounded universal, Coding.fields; callers confirm them by rebuilding),
-# sstar (bit-packed only: a building sequence of a term code), mk_* (code
-# builders; mk_bfa takes the variable code, the bound code, the body code),
+# sstar (bit-packed only: a building sequence of a term code), mk_eq,
+# mk_le, mk_not, mk_imp, mk_add, mk_mul, mk_var, mk_bfa (the codes that
+# Coding.mk builds; mk_bfa takes the variable code, the bound code, the
+# body code),
 # trm_bound (covers the canonical building sequence of a term code), b1/b2
 # (the wrapper search bounds; b1 is the scheme's buildseq_bound).
 
@@ -325,7 +318,7 @@ def _table(s: Coding, **terms: PRTerm | int) -> tuple[KitOp, ...]:
         return s.seq_encode(out[::-1])
 
     codecs = dict(
-        zero=s.mk_zero, one=s.mk_one, isseq=s.is_seq,
+        zero=partial(s.mk, ConstZero), one=partial(s.mk, ConstOne), isseq=s.is_seq,
         seqlen=lambda c: len(s.seq_decode(c)),
         entry=lambda i, c: s.seq_decode(c)[i],
         slast=lambda c: s.seq_decode(c)[-1],
@@ -333,9 +326,10 @@ def _table(s: Coding, **terms: PRTerm | int) -> tuple[KitOp, ...]:
         sapp=lambda q, e: s.seq_encode(s.seq_decode(q) + [e]),
         varn=s.var_index, kid1=lambda e: s.fields(e)[0], kid2=lambda e: s.fields(e)[1],
         sstar=sstar,
-        mk_eq=s.mk_eq, mk_le=s.mk_le, mk_not=s.mk_not, mk_imp=s.mk_implies,
-        mk_add=s.mk_add, mk_mul=s.mk_mul, mk_var=s.mk_var,
-        mk_bfa=lambda v, t, b: s.mk_bforall(s.var_index(v), t, b),
+        mk_eq=partial(s.mk, Eq), mk_le=partial(s.mk, Le), mk_not=partial(s.mk, Not),
+        mk_imp=partial(s.mk, Implies), mk_add=partial(s.mk, Add), mk_mul=partial(s.mk, Mul),
+        mk_var=partial(s.mk, Var),
+        mk_bfa=lambda v, t, b: s.mk(BForall, s.var_index(v), t, b),
         b1=lambda x, y: magnitude_to_int(s.buildseq_bound(x)),
         trm_bound=None, b2=None)
     return tuple(KitOp(name, term, codecs[name]) for name, term in terms.items())
@@ -351,6 +345,8 @@ def _repl(sapp, vget, seqlen) -> PRTerm:
 
 
 def _compact_kit() -> tuple[KitOp, ...]:
+    # each core class's tag (coding.SYNTAX), as a code
+    head = {cls: bits_to_code(row.tag) for cls, row in SYNTAX.items()}
     pay = fn(lambda c: c - POW2(PLEN(c)))
     # code concatenation: append c's payload bits to a
     cat = fn(lambda a, c: a * POW2(PLEN(c)) + pay(c))
@@ -364,8 +360,9 @@ def _compact_kit() -> tuple[KitOp, ...]:
     def tagged(tag: int) -> PRTerm:
         return fn(lambda a, b: cat(cat(tag, a), b))
 
-    # variable payload minus its three tag bits, as a code
-    gpart = fn(lambda c: POW2(PLEN(c) - 3) + MOD2K(pay(c), PLEN(c) - 3))
+    # variable payload minus its tag bits, as a code
+    tag_bits = len(SYNTAX[Var].tag)
+    gpart = fn(lambda c: POW2(PLEN(c) - tag_bits) + MOD2K(pay(c), PLEN(c) - tag_bits))
 
     # the term coded from offset p of e
     term_at = fn(lambda e, p: SPAN(e, p, TEND(e, p)))
@@ -377,7 +374,7 @@ def _compact_kit() -> tuple[KitOp, ...]:
         return S(2 * ZRUN(e, 4)) + 4
 
     def kid1(e):
-        return select(CHI_EQ(ONES(e, 0), 4), cat(14, SPAN(e, 4, gend(e))),
+        return select(CHI_EQ(ONES(e, 0), 4), cat(head[Var], SPAN(e, 4, gend(e))),
                       term_at(e, S(ONES(e, 0))))
 
     def kid2(e):
@@ -400,7 +397,8 @@ def _compact_kit() -> tuple[KitOp, ...]:
         return POW2(S(lam * (2 * lam + (4 * y + 8))))
 
     return _table(
-        COMPACT, zero=2, one=6, isseq=isseq, seqlen=SEQLEN, entry=entry,
+        COMPACT, zero=COMPACT.mk(ConstZero), one=COMPACT.mk(ConstOne), isseq=isseq,
+        seqlen=SEQLEN, entry=entry,
         slast=fn(lambda c: entry(SEQLEN(c) - 1, c)), vget=vget,
         repl=_repl(sapp, vget, SEQLEN), sapp=sapp,
         # candidate index read off the bits; callers confirm by rebuilding,
@@ -408,11 +406,13 @@ def _compact_kit() -> tuple[KitOp, ...]:
         varn=fn(lambda c: PRED(pay(gpart(c)))),
         # fields read off the bits; callers confirm them by rebuilding e
         kid1=fn(kid1), kid2=fn(kid2), sstar=fn(lambda u: subs(u, PLEN(u))),
-        # tag 1110 codes both a sum and an implication: one node, one twin
-        mk_eq=tagged(2), mk_le=tagged(6), mk_not=fn(lambda a: cat(14, a)),
-        mk_imp=tagged(30), mk_add=tagged(30), mk_mul=tagged(31),
-        mk_var=fn(lambda v: cat(14, gamma(S(v)))),
-        mk_bfa=fn(lambda v, t, b: cat(cat(cat(31, gpart(v)) * 2, t), b)),
+        # a sum and an implication share a tag: one node, one twin
+        mk_eq=tagged(head[Eq]), mk_le=tagged(head[Le]),
+        mk_not=fn(lambda a: cat(head[Not], a)),
+        mk_imp=tagged(head[Implies]), mk_add=tagged(head[Add]), mk_mul=tagged(head[Mul]),
+        mk_var=fn(lambda v: cat(head[Var], gamma(S(v)))),
+        # the tag, the index's gamma code and the bound bit 0, then t and b
+        mk_bfa=fn(lambda v, t, b: cat(cat(cat(head[BForall], gpart(v)) * 2, t), b)),
         # a canonical building sequence has at most plen(u) entries of at
         # most bitlen(u) + 1 bits each once gamma coded
         trm_bound=fn(lambda u: POW2(S(PLEN(u) * S(2 * BITLEN(u))))),
@@ -420,13 +420,13 @@ def _compact_kit() -> tuple[KitOp, ...]:
 
 
 def _paper_kit() -> tuple[KitOp, ...]:
-    # symbol tags enter the product as 2^(symbol+1); keep them in that shape
-    # rather than as unary numerals
-    def tag(symbol: int):
-        return POW(2, symbol + 1)
+    # a class's symbol (coding.SYNTAX) enters the product as 2^(symbol+1);
+    # keep it in that shape rather than as a unary numeral
+    def tag(cls: type):
+        return POW(2, SYNTAX[cls].symbol + 1)
 
-    def tagged(symbol: int) -> PRTerm:
-        return fn(lambda a, b: tag(symbol) * POW(3, S(a)) * POW(5, S(b)))
+    def tagged(cls: type) -> PRTerm:
+        return fn(lambda a, b: tag(cls) * POW(3, S(a)) * POW(5, S(b)))
 
     # p_x^((x+1)^2), as PaperCoding.buildseq_bound
     b1 = fn(lambda x, y: POW(PRIME(x), S(x) * S(x)))
@@ -438,16 +438,16 @@ def _paper_kit() -> tuple[KitOp, ...]:
         return POW(PRIME(x * x), POW(2, b1(x, y)) * POW(3, tower) * 5)
 
     return _table(
-        PAPER, zero=1, one=3, isseq=SEQ_TEST, seqlen=LEN, entry=IDX, slast=LAST,
+        PAPER, zero=PAPER.mk(ConstZero), one=PAPER.mk(ConstOne), isseq=SEQ_TEST,
+        seqlen=LEN, entry=IDX, slast=LAST,
         vget=vget, repl=_repl(sapp, vget, LEN), sapp=sapp,
         varn=fn(lambda c: PRED(HALF(c))),
         kid1=fn(lambda e: IDX(1, e)), kid2=fn(lambda e: IDX(2, e)),
-        mk_eq=tagged(9), mk_le=tagged(11),
-        mk_not=fn(lambda a: tag(13) * POW(3, S(a))),
-        mk_imp=tagged(15), mk_add=tagged(5), mk_mul=tagged(7),
+        mk_eq=tagged(Eq), mk_le=tagged(Le),
+        mk_not=fn(lambda a: tag(Not) * POW(3, S(a))),
+        mk_imp=tagged(Implies), mk_add=tagged(Add), mk_mul=tagged(Mul),
         mk_var=fn(lambda i: 2 * i + 2),
-        mk_bfa=fn(lambda v, t, b: tag(17) * POW(3, S(v)) * POW(5, S(t))
-                  * POW(7, S(b))),
+        mk_bfa=fn(lambda v, t, b: tag(BForall) * POW(3, S(v)) * POW(5, S(t)) * POW(7, S(b))),
         trm_bound=fn(lambda u: POW(PRIME(u), S(u) * S(u))),
         b1=b1, b2=fn(b2))
 

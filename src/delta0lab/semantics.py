@@ -43,6 +43,7 @@ from .formulas import (
     Implies, Le, Mul, Not, Or, Term, UExists, UForall, Var, is_delta0,
 )
 from .nodes import walk
+from .numbers import BITS_CAP, FeasibilityError
 
 
 class EvalError(ValueError):
@@ -101,17 +102,29 @@ Valuation = Mapping[int, int]
 
 
 def eval_term(t: Term, rho: Valuation) -> int:
-    """The value of t under rho, left operand first, on an explicit stack."""
+    """The value of t under rho, left operand first, on an explicit stack.
+    Each distinct sum or product is valued once per call, so a shared DAG
+    costs its distinct nodes; a product whose size, bounded below by its
+    factors', passes BITS_CAP bits raises FeasibilityError unbuilt."""
     out: list[int] = []
+    seen: dict[Term, int] | None = None   # made at the first sum or product
     todo: list = [t]
     while todo:
         t = todo.pop()
+        if t is None:   # the operands of the node below are valued
+            t, b = todo.pop(), out.pop()
+            a = out[-1]
+            if type(t) is Mul and a.bit_length() + b.bit_length() - 1 > BITS_CAP:
+                raise FeasibilityError(f"the value would have more than BITS_CAP = {BITS_CAP} bits")
+            out[-1] = seen[t] = a + b if type(t) is Add else a * b
+            continue
         cls = type(t)
-        if t is Add or t is Mul:
-            b = out.pop()
-            out[-1] = out[-1] + b if t is Add else out[-1] * b
-        elif cls is Add or cls is Mul:
-            todo += (cls, t.right, t.left)
+        if cls is Add or cls is Mul:
+            seen = {} if seen is None else seen
+            if t in seen:
+                out.append(seen[t])
+            else:
+                todo += (t, None, t.right, t.left)
         elif cls is Var:
             try:
                 out.append(rho[t.index])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from delta0lab.coding import (
     COMPACT,
     PAPER,
+    SYNTAX,
     CodingError,
     bits_to_code,
     canonical_build_code,
@@ -27,8 +28,10 @@ from delta0lab.coding import (
 from delta0lab.coding import val as term_value
 from delta0lab.formulas import (
     Add,
+    And,
     BForall,
     Eq,
+    Formula,
     Implies,
     Le,
     Mul,
@@ -350,29 +353,26 @@ def test_unbounded_forall_codes():
 
 
 def test_mk_builders_match_encoding():
+    # one node of each SYNTAX row over cheap children: prime-power codes
+    # grow as exponents, so keep the nested formula small
     for scheme in (PAPER, COMPACT):
-        z, o, v2 = scheme.mk_zero(), scheme.mk_one(), scheme.mk_var(2)
-        assert z == scheme.encode_term(ZERO)
-        assert o == scheme.encode_term(ONE)
-        assert v2 == scheme.encode_term(Var(2))
-        assert scheme.mk_add(v2, o) == scheme.encode_term(Add(Var(2), ONE))
-        assert scheme.mk_mul(z, v2) == scheme.encode_term(Mul(ZERO, Var(2)))
-        atom = scheme.mk_eq(v2, z)
-        assert atom == scheme.encode(Eq(Var(2), ZERO))
-        assert scheme.mk_le(z, o) == scheme.encode(parse("(0 <= 1)"))
-        # connectives over a cheap atom: prime-power codes grow as
-        # exponents, so keep the nested formula small
-        small = atom if scheme is COMPACT else scheme.mk_eq(z, z)
-        inner = Eq(Var(2), ZERO) if scheme is COMPACT else Eq(ZERO, ZERO)
-        assert scheme.mk_not(small) == scheme.encode(Not(inner))
-        assert scheme.mk_implies(small, small) == scheme.encode(
-            Implies(inner, inner))
-        assert scheme.mk_bforall(2, o, small) == scheme.encode(
-            BForall(2, ONE, inner))
-        assert scheme.mk_uforall(2, small) == scheme.encode(
-            UForall(2, inner))
+        kid = {False: Var(2), True: Eq(Var(2), ZERO) if scheme is COMPACT else Eq(ZERO, ZERO)}
+        for cls, row in SYNTAX.items():
+            index = [5] if row.index else []
+            node = cls(*index, *(kid[formula] for formula in row.kids))
+            fields = index + [scheme.encode(kid[formula]) if formula
+                              else scheme.encode_term(kid[formula]) for formula in row.kids]
+            if issubclass(cls, Formula):
+                code, shapes = scheme.encode(node), scheme.formula_shapes
+            else:
+                code, shapes = scheme.encode_term(node), scheme.term_shapes
+            assert scheme.mk(cls, *fields) == code, (scheme.name, row.shape)
+            assert shapes(code)[0] == (row.shape, *fields), (scheme.name, row.shape)
         with pytest.raises(CodingError):
-            scheme.mk_var(-1)
+            scheme.mk(Var, -1)
+        for cls, fields in [(Not, (1, 1)), (And, (1, 1))]:
+            with pytest.raises(TypeError):
+                scheme.mk(cls, *fields)
 
 
 def test_paper_variable_composite_overlap():
@@ -566,10 +566,10 @@ def test_canonical_formula_seq_atoms_are_leaves():
     phi = parse("((0 = 0) -> ~(0 = 0))")
     a = COMPACT.encode(atom)
     assert canonical_formula_seq(COMPACT, phi) == [
-        a, COMPACT.mk_not(a), COMPACT.encode(phi)]
+        a, COMPACT.mk(Not, a), COMPACT.encode(phi)]
     # prime-power formula codes blow up as exponents, so stay shallow
     a = PAPER.encode(atom)
-    assert canonical_formula_seq(PAPER, Not(atom)) == [a, PAPER.mk_not(a)]
+    assert canonical_formula_seq(PAPER, Not(atom)) == [a, PAPER.mk(Not, a)]
 
 
 def test_check_build_seq_accepts_canonical():
@@ -597,7 +597,7 @@ def test_check_build_seq_accepts_canonical():
 
 def test_check_build_seq_rejections():
     atom = COMPACT.encode(parse("(0 = 0)"))
-    neg = COMPACT.mk_not(atom)
+    neg = COMPACT.mk(Not, atom)
     # child missing: ~(0=0) cannot come first
     assert not check_build_seq(COMPACT, "formula", COMPACT.seq_encode([neg, atom, neg]), neg)
     assert check_build_seq(COMPACT, "formula", COMPACT.seq_encode([atom, neg]), neg)

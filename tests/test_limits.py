@@ -16,7 +16,7 @@ from delta0lab.numbers import (
 )
 from delta0lab.primrec import POW, Evaluator, eval_pr
 from delta0lab.satisfaction import sat_witness, triple_encode
-from delta0lab.semantics import Verdict
+from delta0lab.semantics import Verdict, eval_term
 
 
 def const(n: int):
@@ -39,6 +39,15 @@ def doubling(k: int):
     t = ONE
     for _ in range(k):
         t = Add(t, t)
+    return t
+
+
+def squaring(k: int):
+    """s_k, with s_0 = (1 + 1) and s_(k+1) = (s_k * s_k): k + 2 distinct
+    nodes, whose value is 2^(2^k)."""
+    t = Add(ONE, ONE)
+    for _ in range(k):
+        t = Mul(t, t)
     return t
 
 
@@ -118,6 +127,15 @@ def test_subcode_listing_at_the_bit_limit():
         canonical_term_seq(COMPACT, numeral(4083))
 
 
+def test_term_values_at_the_bit_limit():
+    # each distinct node is valued once: t_40 has 41 and 2^40 leaves
+    assert eval_term(doubling(40), {}) == 2 ** 40
+    # s_25 = 2^(2^25) fits BITS_CAP, and its square would not
+    assert eval_term(squaring(25), {}).bit_length() == 2 ** 25 + 1
+    with pytest.raises(FeasibilityError, match="BITS_CAP"):
+        eval_term(squaring(26), {})
+
+
 def test_run_at_the_bit_limit():
     # the run's code t, a gamma code per triple, passes BITS_CAP bits
     # between the bounds 337 and 338
@@ -136,34 +154,38 @@ def test_sat_witness_sweep_at_the_sweep_limit():
         sat_witness(sweep(SWEEP_CAP + 1))
 
 
+# (name, entry point, its arguments, the limit it names); the arguments are
+# built before the clock starts, so the second bounds the entry point alone
 PAST_THE_LIMIT = [
-    ("eval_pr on POW", lambda: eval_pr(POW, (2, BITS_CAP)), "BITS_CAP"),
-    ("paper encode", lambda: PAPER.encode(parse("((0 = 0) & (0 = 0))")), "BITS_CAP"),
-    ("paper encode_term", lambda: PAPER.encode_term(Add(Var(10 ** 8), ONE)), "BITS_CAP"),
-    ("paper seq_encode", lambda: PAPER.seq_encode([BITS_CAP - 1]), "BITS_CAP"),
-    ("compact seq_encode", lambda: COMPACT.seq_encode([1 << BITS_CAP]), "BITS_CAP"),
-    ("compact seq_encode of three 25 Mbit entries",
-     lambda: COMPACT.seq_encode([1 << 25_000_000] * 3), "BITS_CAP"),
-    ("compact encode_term of t_30", lambda: COMPACT.encode_term(doubling(30)), "BITS_CAP"),
-    ("triple_encode", lambda: triple_encode(BITS_CAP, 0, 0), "BITS_CAP"),
-    ("sat_witness sweep", lambda: sat_witness(sweep(2 ** 24)), "SWEEP_CAP"),
-    ("sat_witness run 440", lambda: sat_witness(sweep(440)), "BITS_CAP"),
-    ("sat_witness run 2^10", lambda: sat_witness(sweep(2 ** 10)), "BITS_CAP"),
-    ("sat_witness run 2^12", lambda: sat_witness(sweep(2 ** 12)), "BITS_CAP"),
-    ("sat_witness listing", lambda: sat_witness(chain(30_000)), "BITS_CAP"),
-    ("canonical_formula_seq", lambda: canonical_formula_seq(COMPACT, chain(100_000)),
+    ("eval_pr on POW", eval_pr, lambda: (POW, (2, BITS_CAP)), "BITS_CAP"),
+    ("paper encode", PAPER.encode, lambda: (parse("((0 = 0) & (0 = 0))"),), "BITS_CAP"),
+    ("paper encode_term", PAPER.encode_term, lambda: (Add(Var(10 ** 8), ONE),), "BITS_CAP"),
+    ("paper seq_encode", PAPER.seq_encode, lambda: ([BITS_CAP - 1],), "BITS_CAP"),
+    ("compact seq_encode", COMPACT.seq_encode, lambda: ([1 << BITS_CAP],), "BITS_CAP"),
+    ("compact seq_encode of three 25 Mbit entries", COMPACT.seq_encode,
+     lambda: ([1 << 25_000_000] * 3,), "BITS_CAP"),
+    ("compact encode_term of t_30", COMPACT.encode_term, lambda: (doubling(30),), "BITS_CAP"),
+    ("eval_term of a 30-level squaring", eval_term, lambda: (squaring(30), {}), "BITS_CAP"),
+    ("triple_encode", triple_encode, lambda: (BITS_CAP, 0, 0), "BITS_CAP"),
+    ("sat_witness sweep", sat_witness, lambda: (sweep(2 ** 24),), "SWEEP_CAP"),
+    ("sat_witness run 440", sat_witness, lambda: (sweep(440),), "BITS_CAP"),
+    ("sat_witness run 2^10", sat_witness, lambda: (sweep(2 ** 10),), "BITS_CAP"),
+    ("sat_witness run 2^12", sat_witness, lambda: (sweep(2 ** 12),), "BITS_CAP"),
+    ("sat_witness listing", sat_witness, lambda: (chain(30_000),), "BITS_CAP"),
+    ("canonical_formula_seq", canonical_formula_seq, lambda: (COMPACT, chain(100_000)),
      "BITS_CAP"),
-    ("canonical_term_seq", lambda: canonical_term_seq(COMPACT, numeral(100_000)),
+    ("canonical_term_seq", canonical_term_seq, lambda: (COMPACT, numeral(100_000)),
      "BITS_CAP"),
 ]
 
 
-@pytest.mark.parametrize("name, call, limit", PAST_THE_LIMIT,
+@pytest.mark.parametrize("name, call, args, limit", PAST_THE_LIMIT,
                          ids=[case[0] for case in PAST_THE_LIMIT])
-def test_every_entry_point_refuses_past_its_limit_within_a_second(name, call, limit):
+def test_every_entry_point_refuses_past_its_limit_within_a_second(name, call, args, limit):
+    args = args()
     start = time.perf_counter()
     with pytest.raises(FeasibilityError, match=limit):
-        call()
+        call(*args)
     assert time.perf_counter() - start < 1.0, name
 
 
