@@ -129,7 +129,8 @@ class Coding:
     mk(BForall, i, t, b) over child codes t and b; and buildseq_bound(x),
     the budget for a building sequence of x.  It may replace fields(code),
     the child codes the Sat term's field readers take, and
-    entry_shapes(code), the reading coding.entry_clauses takes.
+    entry_shapes(code, formula), the reading of a building-sequence entry
+    that coding.entry_clauses takes.
 
     encode/encode_term write through _write(node, formula), which builds
     the code bottom-up with mk (_build); a subclass may override it with
@@ -211,7 +212,7 @@ class Coding:
 
     def seq_idx(self, code: int, i: int) -> int:
         """Entry i, with 0 past the end (absent-variable convention)."""
-        if i < 0:
+        if type(i) is not int or i < 0:
             raise ValueError("index must be a natural")
         entries = self.seq_decode(code)
         return entries[i] if i < len(entries) else 0
@@ -241,11 +242,11 @@ class Coding:
     def formula_shapes(self, code: int) -> list[tuple]:
         return self._shapes(code, True)
 
-    def entry_shapes(self, code: int) -> list[tuple]:
-        """formula_shapes(code), except that a scheme may leave the last
-        child unread: its code is then the rest of code, which the caller
-        must confirm, as coding.entry_clauses does."""
-        return self.formula_shapes(code)
+    def entry_shapes(self, code: int, formula: bool) -> list[tuple]:
+        """The shapes of code as a formula or a term, except that a scheme
+        may leave the last child unread: its code is then the rest of code,
+        which the caller must confirm, as coding.entry_clauses does."""
+        return self._shapes(code, formula)
 
     def var_index(self, code: int) -> int | None:
         """Index i when code is a variable code v_i, else None.
@@ -285,7 +286,7 @@ class Coding:
         Past numbers.prime_tower's size for z^u the exponent is kept as
         the lazy power z^u, off by one; lower-bound queries stay sound.
         """
-        if u < 0 or z < 0:
+        if type(u) is not int or type(z) is not int or u < 0 or z < 0:
             raise ValueError("term code and valuation must be naturals")
         return prime_tower(u, z, lambda zu: zu + 1)
 
@@ -480,7 +481,7 @@ class PaperCoding(Coding):
 
     def buildseq_bound(self, x: int) -> int | LazyPow:
         """p_x^((x+1)^2), the stated budget for a building sequence of x."""
-        if x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError("codes are naturals")
         return LazyPow(prime_index=x, exp=(x + 1) ** 2)
 
@@ -794,10 +795,11 @@ class CompactCoding(Coding):
             todo += (kids[1], kids[0]) if len(kids) == 2 else kids
         return int("".join(parts), 2)
 
-    def entry_shapes(self, code: int) -> list[tuple]:
-        """formula_shapes(code) with the last child the rest of the bits,
-        unread, so a deep chain of entries is read in linear time."""
-        return self._shapes(code, True, _rest)
+    def entry_shapes(self, code: int, formula: bool) -> list[tuple]:
+        """The shape of code as a formula or a term, its last child the rest
+        of the bits, unread, so a deep chain of entries is read in linear
+        time."""
+        return self._shapes(code, formula, _rest)
 
     def _shapes(self, code: int, formula: bool, last=_child) -> list[tuple]:
         """The one shape of code as a formula or a term, its last child read
@@ -841,7 +843,7 @@ class CompactCoding(Coding):
         A building sequence holds at most s + 1 distinct subcodes, each
         gamma entry at most 2s + 3 bits.
         """
-        if x < 0:
+        if type(x) is not int or x < 0:
             raise ValueError("codes are naturals")
         s = max(x.bit_length() - 1, 0)
         exp = (s + 1) * (2 * s + 3) + 1
@@ -904,12 +906,6 @@ def _listing(scheme: Coding, node: Term | Formula,
     return order, where
 
 
-def _term_entry_ok(scheme: Coding, e: int, earlier: set[int]) -> bool:
-    """e reads as a term whose children, if any, are earlier entries."""
-    return any(all(c in earlier for c in shape[1 + (shape[0] == "var"):])
-               for shape in scheme.term_shapes(e))
-
-
 def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
     """The term coded by code when it can bound a quantifier over v_var,
     that is when v_var does not occur in it, as BForall and decode
@@ -922,43 +918,51 @@ def quantifier_bound(scheme: Coding, var: int, code: int) -> Term | None:
 
 
 def entry_clauses(scheme: Coding, entries: list[int],
-                  unbounded: bool) -> list[list[tuple]] | None:
-    """The clauses of each formula entry in turn, one per reading of the
-    entry that holds; None when an entry has none, that is when it is not
-    a building step from the entries before it.
+                  kind: str) -> list[list[tuple]] | None:
+    """The clauses of each entry in turn, one per reading of the entry that
+    holds; None when an entry has none, that is when it is not a building
+    step of the given kind from the entries before it.  kind is "term",
+    "formula", or "delta0" (a formula without unbounded quantifiers).
 
-    A clause holds what a run checker needs to justify a triple on its
-    entry: ("eq" | "le", u, v, tu, tv) with the terms coded u and v
-    decoded; ("not", js) and ("implies", js, ks) with the positions of the
-    children before the entry; ("bforall", i, u, tu, js) with the bound
-    read by quantifier_bound; and, only when unbounded, ("uforall", i, js).
-    build_entries_ok and satisfaction.satseq_check both read formula
-    entries here, so each of these rules is written once.
+    A clause holds what a checker needs to justify a value or a triple on
+    its entry, with js and ks the positions of a child's code among the
+    entries before it:
+    - a term: ("const0",), ("const1",), ("var", i) and ("add" | "mul", js, ks);
+    - an atom: ("eq" | "le", u, v, tu, tv), the terms coded u and v decoded;
+    - ("not", js), ("implies", js, ks), and ("bforall", i, u, tu, js) with
+      the bound read by quantifier_bound;
+    - only for kind "formula": ("uforall", i, js).
+    build_entries_ok, the value-run check of seqdef and satisfaction's run
+    checker all read entries here, so each of these rules is written once:
+    the Python side of the Sat term's term_entry and formula_entry (satpr).
 
     An entry is read by the scheme's entry_shapes: its last child is the
     rest of its code, unread, and confirmed by the lookup among the
     earlier entries, or for an atom by decoding.  So each entry is read
     once, and a deep chain in time linear in its entries' bits."""
+    formula = kind != "term"
     out: list[list[tuple]] = []
     where: dict[int, tuple[int, ...]] = {}   # code -> its positions so far
     for i, e in enumerate(entries):
         clauses: list[tuple] = []
-        for shape in scheme.entry_shapes(e):
+        for shape in scheme.entry_shapes(e, formula):
             try:
                 match shape:
-                    case ("eq", u, v) | ("le", u, v):
-                        clauses.append((shape[0], u, v, scheme.decode_term(u),
-                                        scheme.decode_term(v)))
+                    case ("eq" | "le", u, v):
+                        clauses.append((*shape, scheme.decode_term(u), scheme.decode_term(v)))
                     case ("not", b) if (js := where.get(b)):
                         clauses.append(("not", js))
-                    case ("implies", a, b) if (js := where.get(a)) and (ks := where.get(b)):
-                        clauses.append(("implies", js, ks))
+                    case ("implies" | "add" | "mul", a, b) if (
+                            (js := where.get(a)) and (ks := where.get(b))):
+                        clauses.append((shape[0], js, ks))
                     case ("bforall", v, u, b) if (
                             (js := where.get(b))
                             and (tu := quantifier_bound(scheme, v, u)) is not None):
                         clauses.append(("bforall", v, u, tu, js))
-                    case ("uforall", v, b) if unbounded and (js := where.get(b)):
+                    case ("uforall", v, b) if kind == "formula" and (js := where.get(b)):
                         clauses.append(("uforall", v, js))
+                    case ("const0" | "const1",) | ("var", _):
+                        clauses.append(shape)
             except CodingError:
                 continue
         if not clauses:
@@ -972,14 +976,7 @@ def entry_clauses(scheme: Coding, entries: list[int],
 def build_entries_ok(scheme: Coding, kind: str, entries: list[int]) -> bool:
     """Each entry is built from earlier ones: kind "term", "formula", or
     "delta0" (a formula without unbounded quantifiers)."""
-    if kind != "term":
-        return entry_clauses(scheme, entries, unbounded=(kind == "formula")) is not None
-    earlier: set[int] = set()
-    for e in entries:
-        if not _term_entry_ok(scheme, e, earlier):
-            return False
-        earlier.add(e)
-    return True
+    return entry_clauses(scheme, entries, kind) is not None
 
 
 def check_build_seq(scheme: Coding, kind: str, s: int, x: int) -> bool:
@@ -1030,6 +1027,8 @@ def syn_search(scheme: Coding, kind: str, x: int, budget: int | None = None) -> 
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError("budget must be a natural")
     try:
         s = canonical_build_code(scheme, kind, x)
     except CodingError:
@@ -1097,49 +1096,40 @@ def val(scheme: Coding, x: int, y: int, *, strict: bool = True) -> int:
 
 
 def _valseq_holds(scheme: Coding, y: int, s: int, t: int) -> bool:
-    """The literal value-annotation clauses.
+    """The literal value-annotation clauses, the Python side of the Sat
+    term's value_ok: s is a term building sequence, read by entry_clauses,
+    and each entry of t is the value of its entry of s under the valuation
+    y by one of that entry's clauses.
 
-    s must be a term building sequence and t the entrywise values under
-    the valuation y.  The printed variable clause reads the valuation at
-    the sequence position; implemented at the variable's own index, which
-    is what the val relation and the prose ("substituting the variables
-    with the corresponding elements") require.
+    The printed variable clause reads the valuation at the sequence
+    position; implemented at the variable's own index, which is what the
+    val relation and the prose ("substituting the variables with the
+    corresponding elements") require.
     """
-    for c in (y, s, t):
-        if not scheme.is_seq(c):
+    try:
+        ys, es, values = scheme.seq_decode(y), scheme.seq_decode(s), scheme.seq_decode(t)
+    except CodingError:
+        return False
+    clauses = entry_clauses(scheme, es, "term") if len(values) == len(es) else None
+    if clauses is None:
+        return False
+    for entry, value in zip(clauses, values):
+        for clause in entry:
+            match clause:
+                case ("const0",):
+                    ok = value == 0
+                case ("const1",):
+                    ok = value == 1
+                case ("var", i):
+                    ok = value == (ys[i] if i < len(ys) else 0)
+                case (op, js, ks):
+                    ok = any(value == (values[j] + values[k] if op == "add" else
+                                       values[j] * values[k]) for j in js for k in ks)
+            if ok:
+                break
+        else:
             return False
-    es = scheme.seq_decode(s)
-    et = scheme.seq_decode(t)
-    if len(et) != len(es):
-        return False
-    for i in range(len(es)):
-        si, ti = es[i], et[i]
-        if si == scheme.mk(ConstZero) and ti == 0:
-            continue
-        if si == scheme.mk(ConstOne) and ti == 1:
-            continue
-        vi = scheme.var_index(si)
-        if vi is not None and ti == scheme.seq_idx(y, vi):
-            continue
-        if _composite_value_ok(scheme, si, ti, es[:i], et[:i]):
-            continue
-        return False
     return True
-
-
-def _composite_value_ok(scheme: Coding, si: int, ti: int,
-                        es: list[int], et: list[int]) -> bool:
-    for shape in scheme.term_shapes(si):
-        match shape:
-            case ("add", a, b) | ("mul", a, b):
-                va = [et[j] for j in range(len(es)) if es[j] == a]
-                vb = [et[k] for k in range(len(es)) if es[k] == b]
-                if shape[0] == "add":
-                    if any(ti == p + q for p in va for q in vb):
-                        return True
-                elif any(ti == p * q for p in va for q in vb):
-                    return True
-    return False
 
 
 def _val_search(scheme: Coding, x: int, y: int, z: int) -> Verdict:

@@ -6,7 +6,11 @@ w under the valuation code z.  A triple must be justified by the clause
 matching the entry's shape: atoms by term values under z (within the
 stated witness cap), connectives by earlier triples for the children at
 the same z, and a bounded quantifier by a complete family of earlier
-body triples at z[r/v] for every r up to the bound's value.
+body triples at z[r/v] for every r up to the bound's value.  The checker
+reads each entry once into its clauses (coding.entry_clauses), and keeps
+the triples checked so far in one index, (entry, z) -> the values w
+logged, where each clause looks up its children's values, as the Sat
+term's clauses ask earlier(l, t, PAIR3(j, z, w)).
 
 The diagonal falsifier turns any claimed truth definition into a test
 point on which it must disagree with actual satisfaction.
@@ -20,6 +24,7 @@ recursion limit.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 
 from .coding import (
@@ -62,12 +67,11 @@ class SatError(ValueError):
 
 
 def sat_valuation(x: int, y: int, scheme: Coding = COMPACT) -> bool:
-    """Truth of the coded formula under the valuation sequence y."""
+    """Truth of the coded formula under the valuation sequence y, which
+    must code a sequence even when the formula is closed."""
     phi = scheme.decode(x)
-    free = free_vars(phi)
-    ys = scheme.seq_decode(y) if free else []
-    rho = {i: ys[i] if i < len(ys) else 0 for i in free}
-    return eval_delta0(phi, rho)
+    ys = scheme.seq_decode(y)
+    return eval_delta0(phi, {i: ys[i] if i < len(ys) else 0 for i in free_vars(phi)})
 
 
 def _valuation(zs: list[int]) -> defaultdict[int, int]:
@@ -100,7 +104,7 @@ def triple_decode(tau: int) -> tuple[int, int, int] | None:
     w is small in any run, and what is left of a well-formed triple is the
     pure power 3^z, which strip_prime confirms by one pow when it is large.
     """
-    if tau < 1:
+    if type(tau) is not int or tau < 1:
         return None
     i, rest = strip_prime(tau, 2)
     w, rest = strip_prime(rest, 5)
@@ -197,61 +201,64 @@ def satseq_check(s: int, t: int, budget: int | None = None,
     """Do the triples in t certify a run over the building sequence s?
 
     Each entry of s is read once, into its clauses, by coding.entry_clauses
-    without unbounded quantifiers: the reader by which build_entries_ok
-    accepts a Delta0 building step, so s is checked as a building sequence
-    on the way.  A bounded A is swept up to budget and SWEEP_CAP at most:
-    past either, its triple is UNKNOWN unless a point swept refutes it.
+    for kind "delta0": the reader by which build_entries_ok accepts a Delta0
+    building step, so s is checked as a building sequence on the way.  The
+    triples logged so far are kept in one index, (entry, z) -> the values w
+    logged, and each clause looks its children up there through _earlier,
+    the Python twin of the Sat term's earlier.  A bounded A is swept up to
+    budget and SWEEP_CAP at most: past either, its triple is UNKNOWN unless
+    a point swept refutes it.
     """
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError("budget must be a natural")
     try:
-        entries = scheme.seq_decode(s)
-    except CodingError:
-        return Verdict.FALSE
-    clauses = entry_clauses(scheme, entries, unbounded=False)
-    if clauses is None:
-        return Verdict.FALSE
-    try:
+        clauses = entry_clauses(scheme, scheme.seq_decode(s), "delta0")
+        if clauses is None:
+            return Verdict.FALSE
         taus = scheme.seq_decode(t)
     except CodingError:
         return Verdict.FALSE
-    earlier: list[tuple[int, int, int]] = []
+    logged: defaultdict[tuple[int, int], set[int]] = defaultdict(set)
     out = Verdict.TRUE
     for tau in taus:
         parts = triple_decode(tau)
         if parts is None:
             return Verdict.FALSE
-        got = _triple_justified(scheme, clauses, earlier, parts, budget)
-        if got is Verdict.FALSE:
+        i, z, w = parts
+        if w > 1 or i >= len(clauses):
             return Verdict.FALSE
-        if got is Verdict.UNKNOWN:
+        best = Verdict.FALSE   # TRUE when some clause of entry i holds
+        for clause in clauses[i]:
+            match clause:
+                case ("eq" | "le") as op, u, v, tu, tv:
+                    got = _atom_clause(scheme, op, u, v, z, w, tu, tv)
+                case ("not", js):
+                    got = Verdict.TRUE if 1 - w in _earlier(logged, js, z) else Verdict.FALSE
+                case ("implies", js, ks):
+                    wjs, wks = _earlier(logged, js, z), _earlier(logged, ks, z)
+                    held = any(w == (wj == 0 or wk == 1) for wj in wjs for wk in wks)
+                    got = Verdict.TRUE if held else Verdict.FALSE
+                case ("bforall", vidx, u, tu, js):
+                    got = _forall_clause(scheme, logged, vidx, u, tu, js, z, w, budget)
+            if got is not Verdict.FALSE:
+                best = got
+                if got is Verdict.TRUE:
+                    break
+        if best is Verdict.FALSE:
+            return Verdict.FALSE
+        if best is Verdict.UNKNOWN:
             out = Verdict.UNKNOWN
-        earlier.append(parts)
+        logged[i, z].add(w)
     return out
 
 
-def _triple_justified(scheme: Coding, clauses: list[list[tuple]],
-                      earlier: list[tuple[int, int, int]],
-                      parts: tuple[int, int, int],
-                      budget: int | None) -> Verdict:
-    i, z, w = parts
-    if w > 1 or i >= len(clauses):
-        return Verdict.FALSE
-    best = Verdict.FALSE
-    for clause in clauses[i]:
-        match clause:
-            case ("eq" | "le") as op, u, v, tu, tv:
-                got = _atom_clause(scheme, op, u, v, z, w, tu, tv)
-            case ("not", js):
-                got = _not_clause(earlier, js, z, w)
-            case ("implies", js, ks):
-                got = _implies_clause(earlier, js, ks, z, w)
-            case ("bforall", vidx, u, tu, js):
-                got = _forall_clause(scheme, earlier, vidx, u, tu, js, z, w,
-                                     budget)
-        if got is Verdict.TRUE:
-            return Verdict.TRUE
-        if got is Verdict.UNKNOWN:
-            best = Verdict.UNKNOWN
-    return best
+def _earlier(logged: Mapping[tuple[int, int], set[int]], js: tuple[int, ...],
+             z: int) -> Collection[int]:
+    """The values logged so far for an entry at any of the positions js
+    under z, as the Sat term's earlier(l, t, PAIR3(j, z, w)) asks of w."""
+    if len(js) == 1:   # the child's code stands once before, as in a canonical sequence
+        return logged.get((js[0], z), ())
+    return {w for j in js for w in logged.get((j, z), ())}
 
 
 def _atom_cap(u: int, v: int, z: int) -> LazyPow:
@@ -287,26 +294,7 @@ def _atom_clause(scheme: Coding, op: str, u: int, v: int, z: int, w: int,
     return Verdict.of((w == 1) == fit)
 
 
-def _not_clause(earlier: list[tuple[int, int, int]], js: tuple[int, ...],
-                z: int, w: int) -> Verdict:
-    for j, zj, wj in earlier:
-        if j in js and zj == z and (w == 1) == (wj == 0):
-            return Verdict.TRUE
-    return Verdict.FALSE
-
-
-def _implies_clause(earlier: list[tuple[int, int, int]], js: tuple[int, ...],
-                    ks: tuple[int, ...], z: int, w: int) -> Verdict:
-    for j, zj, wj in earlier:
-        if j not in js or zj != z:
-            continue
-        for k, zk, wk in earlier:
-            if k in ks and zk == z and (w == 1) == (wj == 0 or wk == 1):
-                return Verdict.TRUE
-    return Verdict.FALSE
-
-
-def _forall_clause(scheme: Coding, earlier: list[tuple[int, int, int]],
+def _forall_clause(scheme: Coding, logged: Mapping[tuple[int, int], set[int]],
                    vidx: int, u: int, tu: Term, js: tuple[int, ...], z: int, w: int,
                    budget: int | None) -> Verdict:
     """Entry (A v_vidx <= tu) body, the bound coded u and the body's
@@ -327,15 +315,10 @@ def _forall_clause(scheme: Coding, earlier: list[tuple[int, int, int]],
     try:
         for r in range(limit + 1):
             zr[vidx] = r
-            code = scheme.seq_encode(zr)
-            found = found_true = False
-            for j, zj, wj in earlier:
-                if j in js and zj == code:
-                    found = True
-                    found_true = found_true or wj == 1
-            if not found:
+            ws = _earlier(logged, js, scheme.seq_encode(zr))
+            if not ws:
                 return Verdict.FALSE
-            all_true = all_true and found_true
+            all_true = all_true and 1 in ws
     except FeasibilityError:
         return Verdict.UNKNOWN
     if limit < top:

@@ -105,7 +105,8 @@ def eval_term(t: Term, rho: Valuation) -> int:
     """The value of t under rho, left operand first, on an explicit stack.
     Each distinct sum or product is valued once per call, so a shared DAG
     costs its distinct nodes; a product whose size, bounded below by its
-    factors', passes BITS_CAP bits raises FeasibilityError unbuilt."""
+    factors', passes BITS_CAP bits raises FeasibilityError unbuilt.  A
+    variable's value must be a natural, else EvalError."""
     out: list[int] = []
     seen: dict[Term, int] | None = None   # made at the first sum or product
     todo: list = [t]
@@ -127,9 +128,12 @@ def eval_term(t: Term, rho: Valuation) -> int:
                 todo += (t, None, t.right, t.left)
         elif cls is Var:
             try:
-                out.append(rho[t.index])
+                value = rho[t.index]
             except KeyError:
                 raise UnboundVariableError(f"v{t.index} has no value") from None
+            if type(value) is not int or value < 0:
+                raise EvalError(f"v{t.index} has the value {value!r}, not a natural")
+            out.append(value)
         elif cls is ConstZero or cls is ConstOne:
             out.append(0 if cls is ConstZero else 1)
         else:
@@ -388,9 +392,12 @@ def _eval(phi: Formula, rho: Valuation, budget: int | None):
 
 
 def _verdict(phi: Formula, rho: Valuation, budget: int | None) -> Verdict:
-    """_eval from the top."""
-    if budget is not None and budget < 0:
+    """_eval from the top, once budget and each value of rho are checked
+    as naturals: a bool is not one, though True == 1."""
+    if budget is not None and (type(budget) is not int or budget < 0):
         raise EvalError("budget must be a natural number")
+    if any(type(v) is not int or v < 0 for v in rho.values()):
+        raise EvalError("the values of a valuation must be naturals")
     return walk(_eval, phi, rho, budget)
 
 

@@ -486,6 +486,21 @@ def _child_seq(x: int) -> list[int] | None:
         return None
 
 
+def _term_child_seq(x: int) -> list[int] | None:
+    """The canonical sequences of the children of x's one term shape, in
+    order, or None when x has no shape or a child does not decode."""
+    match COMPACT.term_shapes(x):
+        case [("add" | "mul", a, b)]:
+            try:
+                return [e for u in (a, b)
+                        for e in canonical_term_seq(COMPACT, COMPACT.decode_term(u))]
+            except CodingError:
+                return None
+        case [_]:
+            return []
+    return None
+
+
 def test_entry_reader_agrees_with_the_decoder_on_every_small_code():
     # decode is the reference: it reads a code by its own rules, apart
     # from the one entry reader behind check_build_seq
@@ -498,6 +513,25 @@ def test_entry_reader_agrees_with_the_decoder_on_every_small_code():
         assert check_build_seq(COMPACT, "delta0", s, x) == COMPACT.is_delta0_code(x), x
         checked += 1
     assert checked == 1777
+    # the same reader takes term entries, for building sequences and for
+    # the value runs along them
+    y = COMPACT.seq_encode([2, 3])
+    terms = 0
+    for x in range(1 << 16):
+        children = _term_child_seq(x)
+        if children is None:
+            continue
+        entries = children + [x]
+        s = COMPACT.seq_encode(entries)
+        assert COMPACT.is_term_code(x) and check_build_seq(COMPACT, "term", s, x), x
+        if children:
+            assert not check_build_seq(COMPACT, "term", COMPACT.seq_encode([x]), x), x
+        values = [term_value(COMPACT, e, y, strict=False) for e in entries]
+        assert seqdef(COMPACT, "valseq", (y, s, COMPACT.seq_encode(values))) is Verdict.TRUE, x
+        bumped = COMPACT.seq_encode(values[:-1] + [values[-1] + 1])
+        assert seqdef(COMPACT, "valseq", (y, s, bumped)) is Verdict.FALSE, x
+        terms += 1
+    assert terms == 307
     assert all(_child_seq(x) is not None for x in _BOUND_VARIABLE_CODES)
 
 

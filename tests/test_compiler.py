@@ -4,7 +4,7 @@ import pytest
 
 from delta0lab import (
     ArityError, Evaluator, NotDelta0Error, UnboundVariableError, eval_delta0,
-    eval_pr, parse_formula,
+    eval_pr, eval_term, parse_formula,
 )
 from delta0lab.compiler import (
     CompileError, CompiledRelation, compile_formula, compile_term,
@@ -120,6 +120,17 @@ def test_missing_variable_is_the_interpreters_error():
         eval_delta0(phi, {0: 1})
     with pytest.raises(UnboundVariableError, match="v1 has no value"):
         compile_formula(phi)({0: 1})
+    # nor is a value that is no natural: a negative, a bool (though
+    # True == 1) or a float, which the interpreter refuses before it
+    # evaluates a point, as the compiled relation refuses its arguments
+    quantified = parse_formula("(A v1 <= v0)(0 = 1)")
+    for rho in ({0: -1}, {0: True}, {0: 1.5}):
+        with pytest.raises(ValueError, match="natural"):
+            eval_delta0(quantified, rho)
+        with pytest.raises(ValueError, match="natural"):
+            compile_formula(quantified)(rho)
+    with pytest.raises(ValueError, match="natural"):
+        eval_term(parse_term("(v0 + v0)"), {0: True})
 
 
 @given(_formulas, _rho)

@@ -15,8 +15,8 @@ from delta0lab.numbers import (
     BITS_CAP, SWEEP_CAP, FeasibilityError, LazyPow, magnitude_ge, pow_bits,
 )
 from delta0lab.primrec import POW, Evaluator, eval_pr
-from delta0lab.satisfaction import sat_witness, triple_encode
-from delta0lab.semantics import Verdict, eval_term
+from delta0lab.satisfaction import sat_witness, satseq_check, triple_encode
+from delta0lab.semantics import Verdict, eval_delta0_verdict, eval_fo, eval_term
 
 
 def const(n: int):
@@ -198,3 +198,18 @@ def test_the_searches_turn_a_refusal_into_unknown():
     assert syn_search(COMPACT, "delta0", COMPACT.encode(chain(5))) is Verdict.TRUE
     small = COMPACT.encode_term(numeral(5))
     assert seqdef(COMPACT, "val", (small, COMPACT.seq_encode([]), 5)) is Verdict.TRUE
+
+
+@pytest.mark.parametrize("budget", [-1, True, 2.5], ids=["negative", "bool", "float"])
+def test_every_budget_is_a_natural(budget):
+    # a budget counts points, so each entry point refuses a negative, a
+    # bool (though True == 1) or a float up front, as a ValueError
+    run = sat_witness(parse("(A v1 <= (1 + 1))(v1 = v1)"), 1)
+    calls = [lambda: eval_fo(parse("(A v1)(v1 = v1)"), {}, budget),
+             lambda: eval_delta0_verdict(parse("(0 = 0)"), {}, budget),
+             lambda: satseq_check(run.s, run.t, budget),
+             lambda: syn_search(COMPACT, "term", 10, budget),
+             lambda: seqdef(COMPACT, "trm", (10,), budget)]
+    for call in calls:
+        with pytest.raises(ValueError, match="natural"):
+            call()

@@ -102,6 +102,19 @@ def test_pair_form_is_constant_sequence_reduction():
             assert sat_valuation(x, longer) == sat_direct(x, a), (text, a)
 
 
+@pytest.mark.parametrize("scheme, y", [(COMPACT, 0), (COMPACT, 2), (PAPER, 0), (PAPER, 3)],
+                         ids=["compact-0", "compact-2", "paper-0", "paper-3"])
+def test_a_closed_formula_needs_a_valuation_sequence(scheme, y):
+    # y codes no sequence, so there is no valuation to read: sat_valuation
+    # refuses it as sat_witness does, even for a closed formula
+    for text in ("(0 = 0)", "(v0 = v0)"):
+        x = scheme.encode(parse(text))
+        with pytest.raises(CodingError):
+            sat_valuation(x, y, scheme)
+        with pytest.raises(CodingError):
+            sat_witness(x, y, scheme)
+
+
 def test_valuation_reads_by_variable_index():
     x = COMPACT.encode(parse("(v1 = (v0 + v0))"))
     assert sat_valuation(x, COMPACT.seq_encode([3, 6])) is True
@@ -297,6 +310,13 @@ def _corruptions(inst, scheme):
     # a non-triple annotation entry
     out.append((inst.s, scheme.seq_encode(
         [triple_encode(*p) for p in triples] + [7])))
+    # drop a child's triple, or log it at another valuation: the valuation
+    # with one more entry, which reads the same but has another code
+    for pos, (i, z, w) in enumerate(triples[:-1]):
+        longer = scheme.seq_encode(scheme.seq_decode(z) + [0])
+        for changed in (triples[:pos] + triples[pos + 1:],
+                        triples[:pos] + [(i, longer, w)] + triples[pos + 1:]):
+            out.append((inst.s, scheme.seq_encode([triple_encode(*p) for p in changed])))
     # damage the building sequence root
     out.append((scheme.seq_encode(entries[:-1] + [0]), inst.t))
     if len(triples) > 1:
@@ -313,7 +333,8 @@ def test_witness_corruptions_rejected():
         for s, t in _corruptions(inst, COMPACT):
             assert satseq_check(s, t) is Verdict.FALSE, text
             mutants += 1
-    assert mutants >= 20
+    # 50 of them drop a child's triple or move it to another valuation
+    assert mutants == 155
 
 
 _ATOM_SIDES = ["0", "1", "v0", "v1", "(1 + 1)", "((1 + 1) * (1 + 1))",
@@ -723,6 +744,13 @@ def test_a_false_run_is_not_confirmed():
                 witnesses=[(inner, (8, 0, s), tampered)])
 
 
+def _refused_by_none(decode, *codes):
+    """A decoder refuses a code by None, as triple_decode does 0: raise
+    that refusal as the encoders raise theirs."""
+    if all(decode(c) is None for c in codes):
+        raise ValueError("each code was refused as no natural")
+
+
 @pytest.mark.parametrize("call", [
     lambda s: s.val_encode({True: 5}),
     lambda s: s.val_encode({0: True}),
@@ -730,7 +758,13 @@ def test_a_false_run_is_not_confirmed():
     lambda s: s.mk(Var, True),
     lambda s: triple_encode(True, 1, False),
     lambda s: sat_pr_eval(True, True, s),
-], ids=["val key", "val value", "seq entry", "mk_var", "triple", "sat_pr_eval"])
+    lambda s: s.seq_idx(s.seq_encode([4, 5]), True),
+    lambda s: s.seq_idx(s.seq_encode([4, 5]), 1.0),
+    lambda s: s.termval_bound(True, 1),
+    lambda s: s.buildseq_bound(True),
+    lambda s: _refused_by_none(triple_decode, True, 1.5),
+], ids=["val key", "val value", "seq entry", "mk_var", "triple", "sat_pr_eval",
+        "seq_idx", "seq_idx float", "termval_bound", "buildseq_bound", "triple_decode"])
 @pytest.mark.parametrize("scheme", [COMPACT, PAPER], ids=["compact", "paper"])
 def test_a_bool_is_not_a_natural_at_the_coding_boundary(call, scheme):
     # True == 1, so without a type check each of these took True for 1
