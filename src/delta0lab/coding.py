@@ -43,7 +43,7 @@ from .formulas import (
 )
 from .nodes import Node, fold, walk
 from .numbers import BITS_CAP, FeasibilityError, LazyPow, magnitude_ge, magnitude_to_int
-from .numbers import nthprime, pow_bits, prime_tower
+from .numbers import nthprime, pow_bits, power, prime_tower
 from .semantics import Verdict, eval_term
 
 KINDS = ("term", "formula", "delta0")
@@ -315,21 +315,22 @@ _POW_CHECK_BITS = 4096
 
 def _pure_power(x: int, p: int) -> int | None:
     """e when x = p^e, tried when log(x)/log(p) lies within 1e-6 of e and
-    confirmed by one exact pow; None otherwise."""
+    confirmed by one exact power; None otherwise."""
     ratio = math.log(x) / math.log(p)
     e = round(ratio)
-    return e if abs(ratio - e) < 1e-6 and p ** e == x else None
+    return e if abs(ratio - e) < 1e-6 and power(p, e) == x else None
 
 
 def strip_prime(x: int, p: int) -> tuple[int, int]:
     """(e, x / p^e) for the exact power of p in x >= 1.
 
-    p = 2 is read off the trailing zeros.  A large x (over 4096 bits)
-    whose log(x)/log(p) lies within 1e-6 of an integer e is confirmed as
-    the pure power p^e by one exact pow, which covers the final entry of
-    a paper sequence and the 3-part of a triple.  Every other x is
-    stripped exactly by dividing out p, p^2, p^4, ...; once those powers
-    grow to the size of x the cascade is quadratic in its bits.
+    p = 2 is read off the trailing zeros.  An x of any size whose
+    log(x)/log(p) lies within 1e-6 of an integer e is confirmed as the
+    pure power p^e by one exact power (_pure_power), which covers the
+    final entry of a paper sequence and the 3-part of a triple.  Every
+    other x, and a pure power the float test misses, is stripped exactly
+    by dividing out p, p^2, p^4, ...; once those powers grow to the size
+    of x the cascade is quadratic in its bits.
     PaperCoding.seq_decode therefore strips a huge non-final entry only
     once the other factors are gone.
     """
@@ -340,10 +341,9 @@ def strip_prime(x: int, p: int) -> tuple[int, int]:
         return e, x >> e
     if x % p:
         return 0, x
-    if x.bit_length() > _POW_CHECK_BITS:
-        e = _pure_power(x, p)
-        if e is not None:
-            return e, 1
+    e = _pure_power(x, p)
+    if e is not None:
+        return e, 1
     pows = [(p, 1)]
     while x % (pows[-1][0] ** 2) == 0:
         pows.append((pows[-1][0] ** 2, pows[-1][1] * 2))
@@ -368,7 +368,7 @@ class PaperCoding(Coding):
         if 1 + sum(pow_bits(p, k) - 1 for p, k in factors) > BITS_CAP:
             raise FeasibilityError(
                 f"the sequence code would have more than BITS_CAP = {BITS_CAP} bits")
-        return math.prod(p ** k for p, k in factors)
+        return math.prod(power(p, k) for p, k in factors)
 
     def seq_decode(self, code: int) -> list[int]:
         """Entries of prod_i p_i^(a_i + 1), stripped prime by prime.
@@ -940,6 +940,8 @@ def entry_clauses(scheme: Coding, entries: list[int],
     rest of its code, unread, and confirmed by the lookup among the
     earlier entries, or for an atom by decoding.  So each entry is read
     once, and a deep chain in time linear in its entries' bits."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}")
     formula = kind != "term"
     out: list[list[tuple]] = []
     where: dict[int, tuple[int, ...]] = {}   # code -> its positions so far

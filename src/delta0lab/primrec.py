@@ -86,7 +86,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .nodes import Node, fold, postorder
-from .numbers import BITS_CAP, FeasibilityError, pow_bits
+from .numbers import BITS_CAP, FeasibilityError, pow_bits, power
 
 
 class PRError(ValueError):
@@ -330,7 +330,7 @@ def _pow(a: tuple[int, ...]) -> int:
     more than BITS_CAP bits, since max_steps cannot interrupt one step."""
     if pow_bits(a[0], a[1]) > BITS_CAP:
         raise FeasibilityError(f"POW would build more than BITS_CAP = {BITS_CAP} bits")
-    return a[0] ** a[1]
+    return power(a[0], a[1])
 
 
 intrinsic(ADD, lambda a: a[0] + a[1])

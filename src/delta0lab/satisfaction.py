@@ -54,7 +54,7 @@ from .formulas import (
 )
 from .nodes import walk
 from .numbers import BITS_CAP, SWEEP_CAP, FeasibilityError, LazyPow, magnitude_ge
-from .numbers import pow_bits, prime_tower
+from .numbers import pow_bits, power, prime_tower
 from .semantics import Verdict, eval_delta0, eval_delta0_verdict, eval_term
 
 
@@ -94,7 +94,7 @@ def triple_encode(i: int, z: int, w: int) -> int:
         raise ValueError("triple parts must be naturals")
     if _triple_bits(i, z, w) > BITS_CAP:
         raise FeasibilityError(f"the triple would have more than BITS_CAP = {BITS_CAP} bits")
-    return 2 ** i * 3 ** z * 5 ** w
+    return (power(3, z) * power(5, w)) << i
 
 
 def triple_decode(tau: int) -> tuple[int, int, int] | None:
@@ -102,7 +102,7 @@ def triple_decode(tau: int) -> tuple[int, int, int] | None:
 
     The primes are stripped as 2, 5, 3: i is read off the trailing zeros,
     w is small in any run, and what is left of a well-formed triple is the
-    pure power 3^z, which strip_prime confirms by one pow when it is large.
+    pure power 3^z, which strip_prime confirms by one exact power.
     """
     if type(tau) is not int or tau < 1:
         return None
@@ -188,7 +188,7 @@ def sat_witness(phi: Formula | int, y: int | None = None,
     value = walk(visit, phi, y, scheme.seq_decode(y))
     # the triples as triple_encode writes them; their bits were checked above
     return SatInstance(s=scheme.seq_encode(entries),
-                       t=scheme.seq_encode([2 ** i * 3 ** z * 5 ** w for i, z, w in keys]),
+                       t=scheme.seq_encode([(power(3, z) * power(5, w)) << i for i, z, w in keys]),
                        value=bool(value))
 
 
@@ -286,7 +286,7 @@ def _atom_clause(scheme: Coding, op: str, u: int, v: int, z: int, w: int,
     # that already covers the witness, the cap itself is never built.
     k = max(0, (z.bit_length() - 1) * (u + v))
     top = max(a, b)
-    if k >= 64 or top.bit_length() <= 2 ** k:
+    if k >= 64 or top.bit_length() <= 1 << k:
         return Verdict.of(w == 1)
     fit = magnitude_ge(_atom_cap(u, v, z), top)
     if fit is None:

@@ -13,6 +13,7 @@ from delta0lab.coding import (
     SYNTAX,
     CodingError,
     bits_to_code,
+    build_entries_ok,
     canonical_build_code,
     canonical_formula_seq,
     canonical_term_seq,
@@ -650,6 +651,10 @@ def test_check_build_seq_rejections():
         assert not check_build_seq(scheme, "formula", scheme.seq_encode([a]), a + 1)
     with pytest.raises(ValueError):
         check_build_seq(PAPER, "sentence", 1, 1)
+    # the entry reader refuses an unknown kind too, rather than reading it
+    # as "delta0"
+    with pytest.raises(ValueError):
+        build_entries_ok(COMPACT, "fml", [8])
 
 
 def test_check_build_seq_delta0_rejects_unbounded():

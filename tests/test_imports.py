@@ -1,5 +1,6 @@
 """The modules of delta0lab import no private name from one another, bind
-their size limits in numbers.py only, and importing the package leaves the
+their size limits in numbers.py only, build every power with a computed
+exponent through numbers.power, and importing the package leaves the
 interpreter's settings alone."""
 
 import ast
@@ -44,6 +45,39 @@ def test_size_limits_are_bound_only_in_numbers():
                       and path.name != "numbers.py"
                       and n.id not in CAPS_ELSEWHERE.get(path.name, ())]
     assert found == []
+
+
+def _stray_powers(tree: ast.Module) -> list[int]:
+    """The lines of a ** or **= whose exponent is not a literal, and of
+    the calls of builtin pow."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            exponent = node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            exponent = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow":
+            exponent = node
+        else:
+            continue
+        if not isinstance(exponent, ast.Constant):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_powers_are_built_only_in_numbers():
+    """numbers.power is the one exact power, whose Toom-Cook squaring
+    outruns builtin ** on the huge prime powers of the codes."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "numbers.py"
+             for line in _stray_powers(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_power_guard_sees_each_form():
+    tree = ast.parse("a = 3 ** z\nb = x ** 2\nc = pow(3, 4)\nd = 10 ** 6\n"
+                     "e **= k\nf = math.pow(2, k)\ng = (x + 1) ** n\n")
+    assert _stray_powers(tree) == [1, 3, 5, 7]
 
 
 def test_importing_the_package_keeps_the_recursion_limit():
